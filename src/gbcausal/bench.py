@@ -25,7 +25,7 @@ from .errors import ConfigError, DomainError, NumericError
 from .gibbs_ate import NormalPrior, closed_form_posterior, credible_interval
 from .gibbs_cate import KernelParams, predict, svgp_fit
 from .nuisance import NuisanceConfig, cross_fit
-from .numerics import OptimizerConfig, Rng, gaussian_tv, normal_quantile
+from .numerics import Rng, gaussian_tv, normal_quantile
 from .pseudo import Strategy, cross_fitted_pseudo, pseudo_values
 
 
@@ -108,14 +108,14 @@ def _ate_rep(payload):
 
 
 def _cate_rep(payload):
-    (spec, strategy, n, rep, base_seed, kernel, m_inducing, k_points, alpha, folds, config, opt) = payload
+    (spec, strategy, n, rep, base_seed, kernel, m_inducing, k_points, alpha, folds, config) = payload
     try:
         rng = _rep_rng(base_seed, rep)
         ds = dgp_mod.generate(spec, n, rng.derive(0))
         cf = cross_fit(ds, folds, config, rng.derive(1))
         pv = cross_fitted_pseudo(ds, cf, strategy)
         omega = plugin_omega(pv)
-        gp = svgp_fit(ds.x, pv, kernel, omega, m_inducing, opt, rng.derive(2))
+        gp = svgp_fit(ds.x, pv, kernel, omega, m_inducing, rng.derive(2))
         x_query = dgp_mod.draw_covariates(spec, k_points, rng.derive(3))
         means, variances = predict(gp, x_query)
         half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variances)
@@ -205,7 +205,6 @@ def run_cate_bench(
     alpha=0.05,
     folds=5,
     nuisance_config: NuisanceConfig = NuisanceConfig(),
-    opt_config: OptimizerConfig = OptimizerConfig(),
     parallelism=1,
     strategy_label: Optional[str] = None,
 ) -> BenchReport:
@@ -216,7 +215,7 @@ def run_cate_bench(
         raise DomainError("r_reps must be >= 2")
     payloads = [
         (spec, strategy, n, rep, base_seed, kernel, m_inducing, k_points, alpha, folds,
-         nuisance_config, opt_config)
+         nuisance_config)
         for rep in range(r_reps)
     ]
     outcomes = _execute(_cate_rep, payloads, parallelism)

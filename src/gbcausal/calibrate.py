@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateVariance, DomainError, NumericError
-from .gibbs_ate import NormalPrior
+from .gibbs_ate import NormalPrior, normal_update
 from .gibbs_cate import KernelParams, exact_gp_posterior
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import Rng, normal_quantile
@@ -75,6 +75,26 @@ def gpc_search(coverage_fn, omega0, alpha, max_iter, tol=0.01) -> CalibrationRes
     )
 
 
+def _ate_gpc(pseudo: PseudoOutcomes, prior: NormalPrior, alpha, b_boot, max_iter, tol,
+             resample_means):
+    """Coverage matching for the ATE posterior: `resample_means(t)` returns
+    the pseudo-outcome means of iteration t's bootstrap resamples, and each
+    resample's credible interval is checked for the full-data estimate."""
+    if b_boot < 50:
+        raise DomainError("b_boot must be >= 50")
+    n = pseudo.n
+    theta_hat = float(np.mean(pseudo.values))
+    omega0 = plugin_omega(pseudo)
+    z = normal_quantile(1.0 - alpha / 2.0)
+
+    def coverage(omega, t):
+        m_p_b, s_p_sq = normal_update(prior, omega, n, resample_means(t))
+        half = z * math.sqrt(s_p_sq)
+        return float(np.mean(np.abs(theta_hat - m_p_b) <= half))
+
+    return gpc_search(coverage, omega0, alpha, max_iter, tol)
+
+
 def gpc_omega_from_pseudo(
     pseudo: PseudoOutcomes,
     prior: NormalPrior,
@@ -86,24 +106,13 @@ def gpc_omega_from_pseudo(
 ) -> CalibrationResult:
     """Coverage-matching calibration for the scalar ATE posterior, given
     already cross-fitted pseudo-outcomes."""
-    if b_boot < 50:
-        raise DomainError("b_boot must be >= 50")
     values = pseudo.values
-    n = values.shape[0]
-    theta_hat = float(np.mean(values))
-    omega0 = plugin_omega(pseudo)
-    z = normal_quantile(1.0 - alpha / 2.0)
-    prec0 = prior.precision
+    n = pseudo.n
 
-    def coverage(omega, t):
-        idx = rng.derive(t).integers(n, (b_boot, n))
-        theta_b = values[idx].mean(axis=1)
-        s_p_sq = 1.0 / (prec0 + omega * n)
-        m_p_b = s_p_sq * (prec0 * prior.m0 + omega * n * theta_b)
-        half = z * math.sqrt(s_p_sq)
-        return float(np.mean(np.abs(theta_hat - m_p_b) <= half))
+    def resample_means(t):
+        return values[rng.derive(t).integers(n, (b_boot, n))].mean(axis=1)
 
-    return gpc_search(coverage, omega0, alpha, max_iter, tol)
+    return _ate_gpc(pseudo, prior, alpha, b_boot, max_iter, tol, resample_means)
 
 
 def gpc_omega(
@@ -126,22 +135,13 @@ def gpc_omega(
     if not refit_nuisances:
         return gpc_omega_from_pseudo(pseudo, prior, alpha, b_boot, max_iter, rng.derive(1), tol)
 
-    if b_boot < 50:
-        raise DomainError("b_boot must be >= 50")
     n = ds.n
-    theta_hat = float(np.mean(pseudo.values))
-    omega0 = plugin_omega(pseudo)
-    z = normal_quantile(1.0 - alpha / 2.0)
-    prec0 = prior.precision
     boot_rng = rng.derive(1)
 
-    def coverage(omega, t):
+    def resample_means(t):
         it_rng = boot_rng.derive(t)
         idx = it_rng.integers(n, (b_boot, n))
-        s_p_sq = 1.0 / (prec0 + omega * n)
-        half = z * math.sqrt(s_p_sq)
-        hits = 0
-        used = 0
+        means = []
         for b in range(b_boot):
             rows = idx[b]
             try:
@@ -150,15 +150,12 @@ def gpc_omega(
                 pv_b = cross_fitted_pseudo(ds_b, cf_b, strategy)
             except NumericError:
                 continue  # degenerate resample (e.g. an arm collapsed)
-            theta_b = float(np.mean(pv_b.values))
-            m_p_b = s_p_sq * (prec0 * prior.m0 + omega * n * theta_b)
-            hits += abs(theta_hat - m_p_b) <= half
-            used += 1
-        if used == 0:
+            means.append(float(np.mean(pv_b.values)))
+        if not means:
             raise DegenerateVariance("every bootstrap resample failed to refit nuisances")
-        return hits / used
+        return np.array(means)
 
-    return gpc_search(coverage, omega0, alpha, max_iter, tol)
+    return _ate_gpc(pseudo, prior, alpha, b_boot, max_iter, tol, resample_means)
 
 
 def gpc_omega_cate_from_pseudo(

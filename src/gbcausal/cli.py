@@ -31,14 +31,15 @@ from .numerics import OptimizerConfig, Rng, normal_quantile
 from .pseudo import Strategy, cross_fitted_pseudo
 
 
-def _resolve_seed(args):
+def _resolve_seed(fallback):
+    """GBC_SEED when set, else the seed given by flag or config."""
     env = os.environ.get("GBC_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise ConfigError(f"GBC_SEED must be an integer, got {env!r}") from None
-    return args.seed
+    return fallback
 
 
 def _nuisance_config(args):
@@ -79,7 +80,7 @@ def _add_kernel_flags(p):
 
 
 def cmd_dgp(args):
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
     spec = dgp_mod.default_spec(args.id)
@@ -102,7 +103,7 @@ def _fit_dataset(args, seed):
 
 
 def cmd_fit(args):
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     if args.estimand == "cate" and args.engine == "closed":
         raise ConfigError("engine=closed is only valid for estimand=ate; use vi or exact-gp")
     if args.estimand == "ate" and args.engine == "exact-gp":
@@ -150,8 +151,7 @@ def cmd_fit(args):
                 kernel, x_query,
             ).omega
         if args.engine == "vi":
-            gp = svgp_fit(ds.x, pv, kernel, omega, min(args.m_inducing, ds.n),
-                          OptimizerConfig(), rng.derive(3))
+            gp = svgp_fit(ds.x, pv, kernel, omega, min(args.m_inducing, ds.n), rng.derive(3))
             means, variances = predict(gp, x_query)
         else:
             means, variances = exact_gp_posterior(ds.x, pv, kernel, omega).predict(x_query)
@@ -249,13 +249,7 @@ def _load_bench_config(path):
 
 def cmd_bench(args):
     cfg = _load_bench_config(args.config)
-    seed = cfg["seed"]
-    env = os.environ.get("GBC_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"GBC_SEED must be an integer, got {env!r}") from None
+    seed = _resolve_seed(cfg["seed"])
     if args.parallelism is not None:
         parallelism = args.parallelism
     elif cfg["parallelism"] is not None:
@@ -319,7 +313,7 @@ def _parse_float_list(text, flag):
 
 
 def cmd_experiment(args):
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args.seed)
     spec = dgp_mod.default_spec(args.dgp)
     if args.kind == "slopes":
         deltas = _parse_float_list(args.deltas, "--deltas")

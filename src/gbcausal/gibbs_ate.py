@@ -58,15 +58,20 @@ class GaussianPosterior:
         return math.sqrt(self.s_p_sq)
 
 
+def normal_update(prior: NormalPrior, omega, n, theta_hat):
+    """Normal-Normal update (m_p, s_p_sq) for n pseudo-outcomes with mean
+    theta_hat; theta_hat may be an array of means sharing n and omega."""
+    prec0 = prior.precision
+    s_p_sq = 1.0 / (prec0 + omega * n)
+    m_p = s_p_sq * (prec0 * prior.m0 + omega * n * theta_hat)
+    return m_p, s_p_sq
+
+
 def closed_form_posterior(pseudo: PseudoOutcomes, prior: NormalPrior, omega) -> GaussianPosterior:
     """Exact Normal-Normal conjugate posterior."""
     if not omega > 0:
         raise DomainError("omega must be positive")
-    n = pseudo.n
-    theta_hat = float(np.mean(pseudo.values))
-    prec0 = prior.precision
-    s_p_sq = 1.0 / (prec0 + omega * n)
-    m_p = s_p_sq * (prec0 * prior.m0 + omega * n * theta_hat)
+    m_p, s_p_sq = normal_update(prior, omega, pseudo.n, float(np.mean(pseudo.values)))
     return GaussianPosterior(m_p=m_p, s_p_sq=s_p_sq)
 
 

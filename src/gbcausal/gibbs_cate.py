@@ -5,7 +5,8 @@ regression under a Gaussian working likelihood with noise variance 1/omega:
 the exact posterior (dense solves, guarded to n <= 2000) serves as the
 oracle, and a sparse inducing-point variational engine is the scalable
 route. Kernel hyperparameters and inducing locations stay fixed at their
-configured values; only the variational distribution is optimized.
+configured values, so the optimal variational distribution over the
+inducing values has a closed form and no optimizer is run.
 
 A constant mean equal to the average pseudo-outcome is subtracted before
 fitting and added back to predictions.
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DomainError
-from .numerics import OptimizerConfig, Rng, adam_minimize, cholesky_factor
+from .numerics import Rng, cholesky_factor
 from .pseudo import PseudoOutcomes
 
 _SQRT5 = np.sqrt(5.0)
@@ -56,12 +57,14 @@ def _pairwise_dist(xa, xb):
 
 
 def kernel_matrix(params: KernelParams, xa, xb) -> np.ndarray:
-    """Covariance matrix k(xa, xb); jitter joins the diagonal when xa is xb.
+    """Covariance matrix k(xa, xb); jitter joins the diagonal only when xb is
+    the same object as xa, never for a cross-covariance between equal-valued
+    copies.
 
     Matern-5/2: v (1 + sqrt5 r/l + 5 r^2 / (3 l^2)) exp(-sqrt5 r/l)
     RBF:        v exp(-r^2 / (2 l^2))
     """
-    same = xa is xb or np.array_equal(np.asarray(xa), np.asarray(xb))
+    same = xa is xb
     r = _pairwise_dist(xa, xb)
     if params.family == "Matern52":
         s = _SQRT5 * r / params.lengthscale
@@ -119,24 +122,16 @@ def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega
 @dataclass(frozen=True)
 class GpPosterior:
     """Sparse variational posterior: q(u) = N(q_mean, q_cov) over the
-    inducing values, plus the constant mean added back at prediction."""
+    inducing values, the Cholesky factor of K_mm that predictions reuse, and
+    the constant mean added back at prediction."""
 
     kernel: KernelParams
     inducing_x: np.ndarray
+    chol_k: np.ndarray
     q_mean: np.ndarray
     q_cov: np.ndarray
     const_mean: float
     omega: float
-
-
-def _unpack_chol(theta, m):
-    """Lower-triangular factor from packed (strict-lower, log-diagonal)."""
-    strict = theta[: m * (m - 1) // 2]
-    log_diag = theta[m * (m - 1) // 2 :]
-    chol = np.zeros((m, m))
-    chol[np.tril_indices(m, -1)] = strict
-    chol[np.diag_indices(m)] = np.exp(log_diag)
-    return chol
 
 
 def svgp_fit(
@@ -145,18 +140,17 @@ def svgp_fit(
     params: KernelParams,
     omega,
     m_inducing,
-    config: OptimizerConfig,
     rng: Rng,
 ) -> GpPosterior:
-    """Maximize the inducing-point variational bound for Gaussian noise
-    1/omega over the variational distribution only.
+    """Optimal q(u) of the inducing-point variational bound for Gaussian
+    noise 1/omega.
 
     Inducing locations are a seeded random subsample of the training
-    covariates and stay fixed. Optimization runs in the whitened coordinates
-    u = L_K v, v ~ N(m, S) with S parameterized through a lower-triangular
-    factor (log-parameterized diagonal), which keeps S positive definite by
-    construction and the problem well conditioned. The bound is evaluated in
-    full batch: the batch_size field of the optimizer config is ignored.
+    covariates and stay fixed. In the whitened coordinates u = L_K v, with
+    C = L_K^-1 K_mn, the bound is maximised by v ~ N(m, S) with
+        S = (I + omega C C^T)^-1,   m = omega S C y_centered
+    (Titsias 2009; Hensman et al. 2013), so one Cholesky factor of
+    P = I + omega C C^T gives both moments.
     """
     if not omega > 0:
         raise DomainError("omega must be positive")
@@ -171,52 +165,30 @@ def svgp_fit(
 
     perm = rng.permutation(n)
     z = x[perm[:m]]
-    k_mm = kernel_matrix(params, z, z)
-    chol_k, _ = cholesky_factor(k_mm)
-    k_mn = kernel_matrix(params, z, x)
-    c = solve_triangular(chol_k, k_mn, lower=True)  # whitened cross-covariances
-    cc = c @ c.T
-    cy = c @ y_c
-    beta = float(omega)
-    eye = np.eye(m)
-    strict_idx = np.tril_indices(m, -1)
-
-    n_mean = m
-    n_strict = m * (m - 1) // 2
-
-    def gradient(theta, _rng):
-        v_mean = theta[:n_mean]
-        chol_s = _unpack_chol(theta[n_mean:], m)
-        g_mean = beta * (cc @ v_mean - cy) + v_mean
-        inv_chol = solve_triangular(chol_s, eye, lower=True)
-        g_chol = (beta * cc + eye) @ chol_s - inv_chol.T
-        g_strict = g_chol[strict_idx]
-        g_logdiag = np.diag(g_chol) * np.diag(chol_s)
-        return np.concatenate([g_mean, g_strict, g_logdiag])
-
-    init = np.zeros(n_mean + n_strict + m)  # v_mean = 0, S = I: q equals the prior
-    theta = adam_minimize(gradient, init, config, rng)
-
-    v_mean = theta[:n_mean]
-    chol_s = _unpack_chol(theta[n_mean:], m)
-    s_tilde = chol_s @ chol_s.T
-    q_mean = chol_k @ v_mean
-    q_cov = chol_k @ s_tilde @ chol_k.T
-    q_cov = 0.5 * (q_cov + q_cov.T)
+    chol_k, _ = cholesky_factor(kernel_matrix(params, z, z))
+    # whitened cross-covariances C = L_K^-1 K_mn
+    c = solve_triangular(chol_k, kernel_matrix(params, z, x), lower=True)
+    omega = float(omega)
+    chol_p, _ = cholesky_factor(np.eye(m) + omega * (c @ c.T))
+    v_mean = omega * solve_triangular(
+        chol_p.T, solve_triangular(chol_p, c @ y_c, lower=True), lower=False
+    )
+    # q_cov = L_K S L_K^T = A^T A with A = L_P^-1 L_K^T
+    a = solve_triangular(chol_p, chol_k.T, lower=True)
     return GpPosterior(
         kernel=params,
         inducing_x=z,
-        q_mean=q_mean,
-        q_cov=q_cov,
+        chol_k=chol_k,
+        q_mean=chol_k @ v_mean,
+        q_cov=a.T @ a,
         const_mean=const_mean,
-        omega=beta,
+        omega=omega,
     )
 
 
 def predict(gp: GpPosterior, x_query):
     """Pointwise predictive means and variances at the query rows."""
-    k_mm = kernel_matrix(gp.kernel, gp.inducing_x, gp.inducing_x)
-    chol_k, _ = cholesky_factor(k_mm)
+    chol_k = gp.chol_k
     k_qm = kernel_matrix(gp.kernel, x_query, gp.inducing_x)
     # K_mm^{-1} k_mq, reused for both moments
     half = solve_triangular(chol_k, k_qm.T, lower=True)

@@ -1,5 +1,6 @@
 """Shared numerical kernels: keyed random streams, SPD solves, normal
-distribution helpers, and a bias-corrected Adam optimizer.
+distribution helpers, and the bias-corrected Adam optimizer of the ATE
+variational engine.
 
 Random streams are counter-based (Philox keyed by a 64-bit seed and a 64-bit
 stream index), so any (repetition, fold, purpose) tuple can be mapped to an

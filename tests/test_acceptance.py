@@ -265,7 +265,7 @@ def test_criterion_09_svgp_matches_exact_gp():
     omega = plugin_omega(pv)
     kernel = KernelParams()
     exact = exact_gp_posterior(x, pv, kernel, omega)
-    gp = svgp_fit(x, pv, kernel, omega, n, OptimizerConfig(), rng.derive(1))
+    gp = svgp_fit(x, pv, kernel, omega, n, rng.derive(1))
     x_query = np.vstack([x, rng.derive(2).normal((50, 2))])
     want_mean, want_var = exact.predict(x_query)
     got_mean, got_var = predict(gp, x_query)

@@ -18,7 +18,7 @@ from gbcausal.dgp import default_spec
 from gbcausal.errors import ConfigError, DomainError
 from gbcausal.gibbs_ate import NormalPrior
 from gbcausal.gibbs_cate import KernelParams
-from gbcausal.numerics import OptimizerConfig, Rng, gaussian_tv
+from gbcausal.numerics import Rng, gaussian_tv
 from gbcausal.pseudo import Strategy
 
 _Z = 1.959963984540054
@@ -120,7 +120,6 @@ class TestRunCateBench:
     def test_report_structure(self):
         report = run_cate_bench(
             default_spec("D2"), Strategy.DR, 150, 3, KernelParams(), 10, 25, base_seed=21,
-            opt_config=OptimizerConfig(epochs=300),
         )
         assert report.r_total == 3
         hits = sum(r.hits for r in report.runs)
@@ -132,7 +131,6 @@ class TestRunCateBench:
     def test_single_query_point_is_scalar_coverage(self):
         report = run_cate_bench(
             default_spec("D1"), Strategy.DR, 120, 3, KernelParams(), 8, 1, base_seed=22,
-            opt_config=OptimizerConfig(epochs=200),
         )
         for run in report.runs:
             assert run.pointwise_coverage in (0.0, 1.0)
@@ -147,7 +145,6 @@ class TestRunCateBench:
             m_inducing=8,
             k_points=10,
             base_seed=23,
-            opt_config=OptimizerConfig(epochs=150),
         )
         a = run_cate_bench(**kwargs, parallelism=1)
         b = run_cate_bench(**kwargs, parallelism=2)

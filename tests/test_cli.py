@@ -59,18 +59,6 @@ class TestDgpCommand:
         run_cli(["dgp", "--id", "D5", "--n", "50", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_env_seed_overrides_flag(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(["dgp", "--id", "D1", "--n", "20", "--seed", "7", "--out", str(a)],
-                env_extra={"GBC_SEED": "9"})
-        run_cli(["dgp", "--id", "D1", "--n", "20", "--seed", "9", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_env_seed_exits_2(self, tmp_path):
-        proc = run_cli(["dgp", "--id", "D1", "--n", "5", "--out", str(tmp_path / "x.csv")],
-                       env_extra={"GBC_SEED": "not-a-number"})
-        assert proc.returncode == 2
-
 
 class TestFitCommand:
     def test_ate_closed_plugin_summary(self, tmp_path):
@@ -237,6 +225,36 @@ class TestBenchCommand:
         assert proc.returncode == 0
         lines = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 2
+
+
+def run_seeded(sub, out_dir, seed, env_extra=None):
+    """Run a small dgp or bench command with the given flag/config seed;
+    return the process and the CSV it writes."""
+    out_dir.mkdir()
+    if sub == "dgp":
+        out = out_dir / "d1.csv"
+        args = ["dgp", "--id", "D1", "--n", "20", "--seed", str(seed), "--out", str(out)]
+    else:
+        cfg = out_dir / "bench.json"
+        write_bench_config(cfg, datasets=["D1"], strategies=["AIPW"], seed=seed)
+        out = out_dir / "bench_report.csv"
+        args = ["bench", "--config", str(cfg), "--out-dir", str(out_dir)]
+    return run_cli(args, env_extra=env_extra), out
+
+
+class TestSeedOverride:
+    @pytest.mark.parametrize("sub", ["dgp", "bench"])
+    def test_env_seed_overrides_flag(self, tmp_path, sub):
+        proc_a, a = run_seeded(sub, tmp_path / "a", 7, env_extra={"GBC_SEED": "9"})
+        proc_b, b = run_seeded(sub, tmp_path / "b", 9)
+        assert proc_a.returncode == 0 and proc_b.returncode == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("sub", ["dgp", "bench"])
+    def test_bad_env_seed_exits_2(self, tmp_path, sub):
+        proc, _ = run_seeded(sub, tmp_path / "x", 7, env_extra={"GBC_SEED": "not-a-number"})
+        assert proc.returncode == 2
+        assert "GBC_SEED" in proc.stderr
 
 
 class TestExperimentCommand:

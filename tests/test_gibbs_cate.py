@@ -13,7 +13,7 @@ from gbcausal.gibbs_cate import (
     svgp_fit,
 )
 from gbcausal.nuisance import NuisanceConfig, cross_fit
-from gbcausal.numerics import OptimizerConfig, Rng, normal_quantile
+from gbcausal.numerics import Rng, cholesky_factor, normal_quantile
 from gbcausal.pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo
 
 
@@ -50,9 +50,8 @@ class TestKernelMatrix:
         params = KernelParams()
         xa = np.array([[0.0]])
         xb = np.array([[0.0]])
-        k = kernel_matrix(params, xa, xb.copy())  # equal values, same content
-        # equal content means jitter is added (xa == xb elementwise)
-        assert k[0, 0] == pytest.approx(params.variance + params.jitter, abs=1e-15)
+        k = kernel_matrix(params, xa, xb.copy())  # equal values, distinct objects
+        assert k[0, 0] == params.variance
         k2 = kernel_matrix(params, xa, np.array([[1e-9]]))
         assert k2[0, 0] < params.variance + params.jitter
 
@@ -154,7 +153,7 @@ class TestSvgp:
         x, pv, omega = self._training_setup(n=40)
         params = KernelParams()
         exact = exact_gp_posterior(x, pv, params, omega)
-        gp = svgp_fit(x, pv, params, omega, 40, OptimizerConfig(), Rng(7))
+        gp = svgp_fit(x, pv, params, omega, 40, Rng(7))
         xq = Rng(8).normal((50, 2))
         want_mean, want_var = exact.predict(xq)
         got_mean, got_var = predict(gp, xq)
@@ -164,7 +163,7 @@ class TestSvgp:
 
     def test_constant_pseudo_outcomes(self):
         x = Rng(9).normal((30, 2))
-        gp = svgp_fit(x, _pv(np.full(30, -1.2)), KernelParams(), 1.0, 10, OptimizerConfig(epochs=500), Rng(10))
+        gp = svgp_fit(x, _pv(np.full(30, -1.2)), KernelParams(), 1.0, 10, Rng(10))
         means, variances = predict(gp, Rng(11).normal((20, 2)))
         np.testing.assert_allclose(means, -1.2, atol=1e-2)
         assert np.all(variances > 0)
@@ -173,9 +172,8 @@ class TestSvgp:
         x, pv, omega = self._training_setup(n=25)
         shift = 3.7
         pv_shift = _pv(pv.values + shift)
-        config = OptimizerConfig(epochs=800)
-        gp_a = svgp_fit(x, pv, KernelParams(), omega, 12, config, Rng(12))
-        gp_b = svgp_fit(x, pv_shift, KernelParams(), omega, 12, config, Rng(12))
+        gp_a = svgp_fit(x, pv, KernelParams(), omega, 12, Rng(12))
+        gp_b = svgp_fit(x, pv_shift, KernelParams(), omega, 12, Rng(12))
         xq = Rng(13).normal((15, 2))
         mean_a, var_a = predict(gp_a, xq)
         mean_b, var_b = predict(gp_b, xq)
@@ -188,7 +186,7 @@ class TestSvgp:
         cf = cross_fit(ds, 5, NuisanceConfig(), Rng(15))
         pv = cross_fitted_pseudo(ds, cf, Strategy.DR)
         omega = 1.0 / float(np.var(pv.values, ddof=1))
-        gp = svgp_fit(ds.x, pv, KernelParams(), omega, 20, OptimizerConfig(), Rng(16))
+        gp = svgp_fit(ds.x, pv, KernelParams(), omega, 20, Rng(16))
         xq = Rng(17).normal((100, 2))
         means, variances = predict(gp, xq)
         assert np.all(np.isfinite(means))
@@ -196,7 +194,7 @@ class TestSvgp:
 
     def test_pointwise_cri_has_gaussian_width(self):
         x, pv, omega = self._training_setup(n=20)
-        gp = svgp_fit(x, pv, KernelParams(), omega, 10, OptimizerConfig(epochs=300), Rng(18))
+        gp = svgp_fit(x, pv, KernelParams(), omega, 10, Rng(18))
         means, variances = predict(gp, x[:5])
         z = normal_quantile(0.975)
         lo = means - z * np.sqrt(variances)
@@ -206,22 +204,36 @@ class TestSvgp:
     def test_inducing_bounds(self):
         x, pv, omega = self._training_setup(n=10)
         with pytest.raises(DomainError):
-            svgp_fit(x, pv, KernelParams(), omega, 0, OptimizerConfig(epochs=10), Rng(0))
+            svgp_fit(x, pv, KernelParams(), omega, 0, Rng(0))
         with pytest.raises(DomainError):
-            svgp_fit(x, pv, KernelParams(), omega, 11, OptimizerConfig(epochs=10), Rng(0))
+            svgp_fit(x, pv, KernelParams(), omega, 11, Rng(0))
 
     def test_deterministic_given_rng(self):
         x, pv, omega = self._training_setup(n=15)
-        config = OptimizerConfig(epochs=100)
-        a = svgp_fit(x, pv, KernelParams(), omega, 8, config, Rng(20, 5))
-        b = svgp_fit(x, pv, KernelParams(), omega, 8, config, Rng(20, 5))
+        a = svgp_fit(x, pv, KernelParams(), omega, 8, Rng(20, 5))
+        b = svgp_fit(x, pv, KernelParams(), omega, 8, Rng(20, 5))
         np.testing.assert_array_equal(a.q_mean, b.q_mean)
         np.testing.assert_array_equal(a.q_cov, b.q_cov)
         np.testing.assert_array_equal(a.inducing_x, b.inducing_x)
 
+    def test_closed_form_is_stationary_point_of_bound(self):
+        x, pv, omega = self._training_setup(n=40)
+        params = KernelParams()
+        gp = svgp_fit(x, pv, params, omega, 15, Rng(22))
+        chol_k, _ = cholesky_factor(kernel_matrix(params, gp.inducing_x, gp.inducing_x))
+        c = np.linalg.solve(chol_k, kernel_matrix(params, gp.inducing_x, x))
+        y_c = pv.values - gp.const_mean
+        p_mat = np.eye(15) + omega * (c @ c.T)
+        # whitened moments m~ = L_K^-1 q_mean, S~ = L_K^-1 q_cov L_K^-T
+        v_mean = np.linalg.solve(chol_k, gp.q_mean)
+        half = np.linalg.solve(chol_k, gp.q_cov)
+        s_tilde = np.linalg.solve(chol_k, half.T)
+        assert np.linalg.norm(p_mat @ v_mean - omega * (c @ y_c)) <= 1e-10
+        assert np.linalg.norm(p_mat @ s_tilde - np.eye(15)) <= 1e-10
+
     def test_q_cov_is_spd(self):
         x, pv, omega = self._training_setup(n=30)
-        gp = svgp_fit(x, pv, KernelParams(), omega, 15, OptimizerConfig(epochs=300), Rng(21))
+        gp = svgp_fit(x, pv, KernelParams(), omega, 15, Rng(21))
         eigvals = np.linalg.eigvalsh(gp.q_cov)
         assert eigvals.min() > -1e-10
 
