@@ -25,7 +25,7 @@ from .errors import ConfigError, DomainError, NumericError
 from .gibbs_ate import NormalPrior, closed_form_posterior, credible_interval
 from .gibbs_cate import KernelParams, predict, svgp_fit
 from .nuisance import NuisanceConfig, cross_fit
-from .numerics import Rng, gaussian_tv, normal_quantile
+from .numerics import Rng, blas_threads, gaussian_tv, normal_quantile, set_blas_threads
 from .pseudo import Strategy, cross_fitted_pseudo, pseudo_values
 
 
@@ -128,7 +128,13 @@ def _cate_rep(payload):
 
 def _execute(worker, payloads, parallelism):
     if parallelism and parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        # One OpenBLAS thread per worker: the pool already fills the cores.
+        # Forked workers inherit the parent's pinned count (setting it inside
+        # a fork restarts OpenBLAS's thread pool); the initializer pins
+        # workers that start from a fresh interpreter.
+        with blas_threads(1), ProcessPoolExecutor(
+            max_workers=parallelism, initializer=set_blas_threads, initargs=(1,)
+        ) as pool:
             return list(pool.map(worker, payloads))
     return [worker(p) for p in payloads]
 

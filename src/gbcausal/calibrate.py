@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateVariance, DomainError, NumericError
 from .gibbs_ate import NormalPrior, normal_update
-from .gibbs_cate import KernelParams, exact_gp_posterior
+from .gibbs_cate import KernelParams, exact_gp_resampler
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import Rng, normal_quantile
 from .pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo
@@ -175,7 +175,8 @@ def gpc_omega_cate_from_pseudo(
     Each resample refits the second-stage GP (exact engine) on resampled
     (covariate, pseudo-outcome) pairs while reusing the cross-fitted
     nuisances; containment is checked against the full-data posterior mean
-    at the same omega.
+    at the same omega. The kernel matrices are built once per calibration,
+    and each resample is fit on its distinct rows (exact_gp_resampler).
     """
     if b_boot < 50:
         raise DomainError("b_boot must be >= 50")
@@ -184,19 +185,14 @@ def gpc_omega_cate_from_pseudo(
     z = normal_quantile(1.0 - alpha / 2.0)
     query_x = np.atleast_2d(np.asarray(query_x, dtype=float))
     n = x.shape[0]
+    fit = exact_gp_resampler(kernel, x, pseudo.values, query_x)
 
     def coverage(omega, t):
-        full = exact_gp_posterior(x, pseudo, kernel, omega)
-        point_est, _ = full.predict(query_x)
+        point_est, _ = fit(np.arange(n), omega)
         idx = rng.derive(t).integers(n, (b_boot, n))
         hits = 0
         for b in range(b_boot):
-            rows = idx[b]
-            pv_b = PseudoOutcomes(
-                values=pseudo.values[rows], strategy=pseudo.strategy, cross_fitted=True
-            )
-            gp_b = exact_gp_posterior(x[rows], pv_b, kernel, omega)
-            means_b, vars_b = gp_b.predict(query_x)
+            means_b, vars_b = fit(idx[b], omega)
             half = z * np.sqrt(vars_b)
             hits += int(np.sum(np.abs(point_est - means_b) <= half))
         return hits / (b_boot * query_x.shape[0])

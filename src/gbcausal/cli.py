@@ -27,7 +27,7 @@ from .gibbs_ate import (
 )
 from .gibbs_cate import KernelParams, exact_gp_posterior, predict, svgp_fit
 from .nuisance import NuisanceConfig, cross_fit
-from .numerics import OptimizerConfig, Rng, normal_quantile
+from .numerics import OptimizerConfig, Rng, blas_threads, normal_quantile
 from .pseudo import Strategy, cross_fitted_pseudo
 
 
@@ -434,7 +434,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        with blas_threads(1):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

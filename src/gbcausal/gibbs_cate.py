@@ -56,28 +56,27 @@ def _pairwise_dist(xa, xb):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
-def kernel_matrix(params: KernelParams, xa, xb) -> np.ndarray:
-    """Covariance matrix k(xa, xb); jitter joins the diagonal only when xb is
-    the same object as xa, never for a cross-covariance between equal-valued
-    copies.
+def kernel_matrix(params: KernelParams, xa, xb=None) -> np.ndarray:
+    """Covariance matrix k(xa, xb). The one-argument Gram form k(xa, xa)
+    carries the jitter on its diagonal; a call that passes xb never does,
+    whatever rows xb holds.
 
     Matern-5/2: v (1 + sqrt5 r/l + 5 r^2 / (3 l^2)) exp(-sqrt5 r/l)
     RBF:        v exp(-r^2 / (2 l^2))
     """
-    same = xa is xb
-    r = _pairwise_dist(xa, xb)
+    r = _pairwise_dist(xa, xa if xb is None else xb)
     if params.family == "Matern52":
         s = _SQRT5 * r / params.lengthscale
         k = params.variance * (1.0 + s + s**2 / 3.0) * np.exp(-s)
     else:
         k = params.variance * np.exp(-(r**2) / (2.0 * params.lengthscale**2))
-    if same:
+    if xb is None:
         k = k + params.jitter * np.eye(k.shape[0])
     return k
 
 
 def _prior_var(params: KernelParams):
-    # Self-covariance of a single point, consistent with kernel_matrix(x, x).
+    # Self-covariance of a single point, consistent with kernel_matrix(x).
     return params.variance + params.jitter
 
 
@@ -93,11 +92,30 @@ class ExactGpPredictor:
     omega: float
 
     def predict(self, x_query):
-        k_q = kernel_matrix(self.params, x_query, self.x_train)
+        return self._moments(kernel_matrix(self.params, x_query, self.x_train))
+
+    def _moments(self, k_q):
+        # k_q: cross-covariance of the query rows with the training rows
         means = k_q @ self.alpha + self.const_mean
         v = solve_triangular(self.chol, k_q.T, lower=True)
         variances = _prior_var(self.params) - np.sum(v * v, axis=0)
         return means, np.maximum(variances, _VAR_FLOOR)
+
+
+def _check_exact_n(n):
+    if n > _EXACT_GP_MAX_N:
+        raise DomainError(f"exact GP is guarded to n <= {_EXACT_GP_MAX_N}, got n={n}")
+
+
+def _exact_fit(params, x_train, gram, values, const_mean, omega) -> ExactGpPredictor:
+    # One factor of the noisy Gram matrix gives the weights on the centered values.
+    chol, _ = cholesky_factor(gram)
+    y_c = values - const_mean
+    alpha = solve_triangular(chol.T, solve_triangular(chol, y_c, lower=True), lower=False)
+    return ExactGpPredictor(
+        params=params, x_train=x_train, chol=chol, alpha=alpha, const_mean=const_mean,
+        omega=float(omega),
+    )
 
 
 def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega) -> ExactGpPredictor:
@@ -107,16 +125,36 @@ def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega
         raise DomainError("omega must be positive")
     x = np.atleast_2d(np.asarray(ds_x, dtype=float))
     n = x.shape[0]
-    if n > _EXACT_GP_MAX_N:
-        raise DomainError(f"exact GP is guarded to n <= {_EXACT_GP_MAX_N}, got n={n}")
+    _check_exact_n(n)
     const_mean = float(np.mean(pseudo.values))
-    y_c = pseudo.values - const_mean
-    gram = kernel_matrix(params, x, x) + (1.0 / omega) * np.eye(n)
-    chol, _ = cholesky_factor(gram)
-    alpha = solve_triangular(chol.T, solve_triangular(chol, y_c, lower=True), lower=False)
-    return ExactGpPredictor(
-        params=params, x_train=x, chol=chol, alpha=alpha, const_mean=const_mean, omega=float(omega)
-    )
+    gram = kernel_matrix(params, x) + (1.0 / omega) * np.eye(n)
+    return _exact_fit(params, x, gram, pseudo.values, const_mean, omega)
+
+
+def exact_gp_resampler(params: KernelParams, x, values, x_query):
+    """Exact-posterior moments at x_query for any resample of (x, values).
+
+    Returns fit(rows, omega) -> (means, variances): the moments at x_query
+    of exact_gp_posterior fit to covariates x[rows] and pseudo-outcomes
+    values[rows] at this omega. k(x, x) and k(x_query, x) are built once
+    here, and each fit uses only the distinct rows u of `rows`: a row drawn
+    c times enters once with noise (jitter + 1/omega) / c. With S the
+    selection matrix of `rows` and C = S^T S its diagonal of counts, the
+    push-through identity S^T (S K S^T + s^2 I)^-1 S = (K + s^2 C^-1)^-1
+    makes the two the same posterior.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    _check_exact_n(x.shape[0])
+    k_xx = kernel_matrix(params, x, x)
+    k_qx = kernel_matrix(params, x_query, x)
+
+    def fit(rows, omega):
+        u, counts = np.unique(rows, return_counts=True)
+        gram = k_xx[np.ix_(u, u)] + np.diag((params.jitter + 1.0 / omega) / counts)
+        gp = _exact_fit(params, x[u], gram, values[u], float(np.mean(values[rows])), omega)
+        return gp._moments(k_qx[:, u])
+
+    return fit
 
 
 @dataclass(frozen=True)
@@ -165,7 +203,7 @@ def svgp_fit(
 
     perm = rng.permutation(n)
     z = x[perm[:m]]
-    chol_k, _ = cholesky_factor(kernel_matrix(params, z, z))
+    chol_k, _ = cholesky_factor(kernel_matrix(params, z))
     # whitened cross-covariances C = L_K^-1 K_mn
     c = solve_triangular(chol_k, kernel_matrix(params, z, x), lower=True)
     omega = float(omega)

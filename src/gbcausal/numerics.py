@@ -1,6 +1,6 @@
 """Shared numerical kernels: keyed random streams, SPD solves, normal
-distribution helpers, and the bias-corrected Adam optimizer of the ATE
-variational engine.
+distribution helpers, the bias-corrected Adam optimizer of the ATE
+variational engine, and the OpenBLAS thread-count pin.
 
 Random streams are counter-based (Philox keyed by a 64-bit seed and a 64-bit
 stream index), so any (repetition, fold, purpose) tuple can be mapped to an
@@ -9,7 +9,10 @@ CDF of the stream's uniforms, which makes every distributional draw a pure
 function of the uniform sequence.
 """
 
+import ctypes
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,17 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # by 10 per retry, give up past 1e-4 (the GP jitter ceiling).
 _JITTER_START = 1e-10
 _JITTER_CEILING = 1e-4
+
+# Thread-count variables OpenBLAS reads itself; a user who sets one keeps it.
+_BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# (set, get) symbol names of the OpenBLAS builds: the scipy-openblas wheels
+# bundled with numpy (ILP64, "64_") and scipy (LP64), and a system build.
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_set_num_threads{suffix}", f"{prefix}_get_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+)
+_PROC_MAPS = "/proc/self/maps"
 
 
 def _splitmix64(z):
@@ -143,6 +157,72 @@ def cholesky_solve(a, b):
     b = np.asarray(b, dtype=float)
     z = solve_triangular(L, b, lower=True)
     return solve_triangular(L.T, z, lower=False)
+
+
+def _openblas_thread_controls():
+    """(set, get) thread-count functions of each OpenBLAS mapped into this
+    process; empty where the process map cannot be read (non-Linux)."""
+    try:
+        with open(_PROC_MAPS, encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = dict.fromkeys(
+        f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])
+    )
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_fn, get_fn = getattr(lib, set_name), getattr(lib, get_name)
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                controls.append((set_fn, get_fn))
+                break
+    return controls
+
+
+def set_blas_threads(n):
+    """Set every loaded OpenBLAS to n threads and return a callable that
+    restores the previous counts. Does nothing when the user set one of the
+    thread variables OpenBLAS reads itself, or when no OpenBLAS is loaded.
+
+    A library already at n is left alone: in a forked child, OpenBLAS's
+    setter restarts the thread pool the fork dropped, and the new threads
+    spin on the cores the pool workers need.
+    """
+    if any(var in os.environ for var in _BLAS_THREAD_ENV):
+        return lambda: None
+    n = int(n)
+    changed = []
+    for set_fn, get_fn in _openblas_thread_controls():
+        count = get_fn()
+        if count != n:
+            set_fn(n)
+            changed.append((set_fn, count))
+
+    def restore():
+        for set_fn, count in changed:
+            set_fn(count)
+
+    return restore
+
+
+@contextmanager
+def blas_threads(n):
+    """Run the body with every loaded OpenBLAS at n threads, then restore
+    the previous counts. The many small dense solves of this package run
+    several times slower on two OpenBLAS threads than on one; parallel work
+    goes across repetitions instead."""
+    restore = set_blas_threads(n)
+    try:
+        yield
+    finally:
+        restore()
 
 
 def normal_cdf(z):

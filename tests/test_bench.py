@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gbcausal import numerics
 from gbcausal.bench import (
     BenchReport,
+    _execute,
     length_sweep,
     orthogonality_slopes,
     reports_to_csv,
@@ -18,10 +20,27 @@ from gbcausal.dgp import default_spec
 from gbcausal.errors import ConfigError, DomainError
 from gbcausal.gibbs_ate import NormalPrior
 from gbcausal.gibbs_cate import KernelParams
-from gbcausal.numerics import Rng, gaussian_tv
+from gbcausal.numerics import Rng, blas_threads, gaussian_tv
 from gbcausal.pseudo import Strategy
 
 _Z = 1.959963984540054
+
+
+def _worker_blas_counts(_):
+    return [get_fn() for _, get_fn in numerics._openblas_thread_controls()]
+
+
+class TestExecute:
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if not _worker_blas_counts(None):
+            pytest.skip("no OpenBLAS loaded")
+        # workers start from this process's count unless the pool pins them
+        with blas_threads(2):
+            counts = _execute(_worker_blas_counts, range(4), parallelism=2)
+        assert len(counts) == 4
+        assert all(c and set(c) == {1} for c in counts)
 
 
 class TestWilson:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gbcausal import gibbs_cate
 from gbcausal.calibrate import (
     CalibrationResult,
     gpc_omega,
@@ -163,3 +164,23 @@ class TestGpcOmegaCate:
         assert res.omega > 0
         assert 0.0 <= res.achieved_bootstrap_coverage <= 1.0
         assert res.iterations <= 5
+
+    @pytest.mark.parametrize("b_boot, max_iter", [(50, 1), (60, 4)])
+    def test_kernel_matrices_built_once_per_calibration(self, monkeypatch, b_boot, max_iter):
+        calls = []
+        original = gibbs_cate.kernel_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs_cate, "kernel_matrix", counting)
+        ds = generate(default_spec("D4"), 80, Rng(43))
+        # 7 query rows: no bootstrap coverage can equal 0.95 to within 1e-6,
+        # so the search runs all max_iter iterations
+        res = gpc_omega_cate(
+            ds, Strategy.DR, 0.05, b_boot, max_iter, Rng(44), KernelParams(), ds.x[:7],
+            folds=4, tol=1e-6,
+        )
+        assert res.iterations == max_iter
+        assert len(calls) == 2

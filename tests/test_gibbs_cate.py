@@ -8,6 +8,7 @@ from gbcausal.errors import DomainError
 from gbcausal.gibbs_cate import (
     KernelParams,
     exact_gp_posterior,
+    exact_gp_resampler,
     kernel_matrix,
     predict,
     svgp_fit,
@@ -31,7 +32,7 @@ class TestKernelMatrix:
     def test_zero_distance_diagonal_gets_jitter(self):
         params = KernelParams(lengthscale=2.0, variance=2.0, jitter=1e-4)
         x = np.array([[0.0, 0.0], [1.0, -1.0]])
-        k = kernel_matrix(params, x, x)
+        k = kernel_matrix(params, x)
         assert k[0, 0] == pytest.approx(2.0 + 1e-4, abs=1e-15)
         assert k[1, 1] == pytest.approx(2.0 + 1e-4, abs=1e-15)
 
@@ -52,6 +53,7 @@ class TestKernelMatrix:
         xb = np.array([[0.0]])
         k = kernel_matrix(params, xa, xb.copy())  # equal values, distinct objects
         assert k[0, 0] == params.variance
+        assert kernel_matrix(params, xa, xa)[0, 0] == params.variance  # the same object
         k2 = kernel_matrix(params, xa, np.array([[1e-9]]))
         assert k2[0, 0] < params.variance + params.jitter
 
@@ -92,9 +94,10 @@ class TestExactGp:
         gp = exact_gp_posterior(x0, _pv([1.7]), params, omega)
         mean, var = gp.predict(x0)
         k00 = params.variance + params.jitter
+        k_q = params.variance  # a cross-covariance carries no jitter
         # const_mean equals the single value, so the mean reduces to it
-        assert mean[0] == pytest.approx(1.7 + k00 / (k00 + 1.0 / omega) * 0.0, abs=1e-12)
-        assert var[0] == pytest.approx(k00 - k00**2 / (k00 + 1.0 / omega), abs=1e-12)
+        assert mean[0] == pytest.approx(1.7 + k_q / (k00 + 1.0 / omega) * 0.0, abs=1e-12)
+        assert var[0] == pytest.approx(k00 - k_q**2 / (k00 + 1.0 / omega), abs=1e-12)
 
     def test_two_point_hand_solve(self):
         params = KernelParams(lengthscale=2.0, variance=2.0, jitter=1e-4)
@@ -131,6 +134,14 @@ class TestExactGp:
         prior_var = params.variance + params.jitter
         assert abs(variances[0] - prior_var) <= 0.05 * prior_var
 
+    def test_predict_at_training_rows_ignores_array_identity(self):
+        x = Rng(9).normal((200, 2))
+        gp = exact_gp_posterior(x, _pv(Rng(10).normal(200)), KernelParams(), omega=1.0)
+        mean_a, var_a = gp.predict(gp.x_train)
+        mean_b, var_b = gp.predict(gp.x_train.copy())
+        np.testing.assert_array_equal(mean_a, mean_b)
+        np.testing.assert_array_equal(var_a, var_b)
+
     def test_size_guard(self):
         x = np.zeros((2001, 1))
         with pytest.raises(DomainError):
@@ -139,6 +150,40 @@ class TestExactGp:
     def test_rejects_bad_omega(self):
         with pytest.raises(DomainError):
             exact_gp_posterior(np.zeros((2, 1)), _pv([1.0, 2.0]), KernelParams(), 0.0)
+
+
+class TestExactGpResampler:
+    @pytest.mark.parametrize("omega", [0.05, 1.0, 30.0])
+    def test_matches_exact_gp_on_the_resample(self, omega):
+        n = 120
+        x = Rng(50).normal((n, 2))
+        values = np.sin(2.0 * x[:, 0]) + Rng(51).normal(n)
+        query = Rng(52).normal((25, 2))
+        params = KernelParams()
+        fit = exact_gp_resampler(params, x, values, query)
+        for b in range(4):
+            rows = Rng(53).derive(b).integers(n, n)
+            assert np.unique(rows).size < n  # the resample repeats rows
+            got_mean, got_var = fit(rows, omega)
+            want = exact_gp_posterior(x[rows], _pv(values[rows]), params, omega)
+            want_mean, want_var = want.predict(query)
+            np.testing.assert_allclose(got_mean, want_mean, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got_var, want_var, rtol=0, atol=1e-10)
+
+    def test_all_rows_once_is_the_full_data_fit(self):
+        n = 60
+        x = Rng(54).normal((n, 1))
+        values = Rng(55).normal(n)
+        query = Rng(56).normal((9, 1))
+        fit = exact_gp_resampler(KernelParams(), x, values, query)
+        got_mean, got_var = fit(np.arange(n), 0.8)
+        want_mean, want_var = exact_gp_posterior(x, _pv(values), KernelParams(), 0.8).predict(query)
+        np.testing.assert_allclose(got_mean, want_mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got_var, want_var, rtol=0, atol=1e-10)
+
+    def test_size_guard(self):
+        with pytest.raises(DomainError):
+            exact_gp_resampler(KernelParams(), np.zeros((2001, 1)), np.zeros(2001), np.zeros((1, 1)))
 
 
 class TestSvgp:
@@ -220,7 +265,7 @@ class TestSvgp:
         x, pv, omega = self._training_setup(n=40)
         params = KernelParams()
         gp = svgp_fit(x, pv, params, omega, 15, Rng(22))
-        chol_k, _ = cholesky_factor(kernel_matrix(params, gp.inducing_x, gp.inducing_x))
+        chol_k, _ = cholesky_factor(kernel_matrix(params, gp.inducing_x))
         c = np.linalg.solve(chol_k, kernel_matrix(params, gp.inducing_x, x))
         y_c = pv.values - gp.const_mean
         p_mat = np.eye(15) + omega * (c @ c.T)

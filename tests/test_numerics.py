@@ -1,14 +1,18 @@
+import ctypes
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from gbcausal import numerics
 from gbcausal.errors import DomainError, NonFiniteGradient, NotPositiveDefinite
 from gbcausal.numerics import (
     OptimizerConfig,
     Rng,
     adam_minimize,
+    blas_threads,
     cholesky_factor,
     cholesky_solve,
     gaussian_tv,
@@ -262,3 +266,67 @@ class TestRng:
         t = Rng(4).student_t(5.0, 200000)
         assert abs(np.mean(t)) < 0.02
         assert abs(np.var(t) - 5.0 / 3.0) < 0.1
+
+
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def openblas_thread_counts():
+    """Independent read of the thread count of each OpenBLAS mapped into
+    this process, keyed by library file name."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.split()[-1]}
+    counts = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                counts[os.path.basename(path)] = get()
+                break
+    return counts
+
+
+@pytest.fixture
+def openblas(monkeypatch):
+    """Thread counts before the test, with the user's thread variables
+    cleared; skips where no OpenBLAS is mapped or the map is unreadable."""
+    for var in BLAS_THREAD_ENV:
+        monkeypatch.delenv(var, raising=False)
+    try:
+        counts = openblas_thread_counts()
+    except OSError:
+        pytest.skip("no process map to find OpenBLAS in")
+    if not counts:
+        pytest.skip("no OpenBLAS loaded")
+    return counts
+
+
+class TestBlasThreads:
+    def test_every_loaded_openblas_reads_one_inside(self, openblas):
+        with blas_threads(2):  # a known count to come back to
+            with blas_threads(1):
+                inside = openblas_thread_counts()
+            after = openblas_thread_counts()
+        assert inside == {name: 1 for name in openblas}
+        assert after == {name: 2 for name in openblas}
+        assert openblas_thread_counts() == openblas
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_ENV)
+    def test_user_thread_variable_wins(self, openblas, monkeypatch, var):
+        monkeypatch.setenv(var, "2")
+        with blas_threads(2):
+            pinned = openblas_thread_counts()
+            with blas_threads(1):
+                unchanged = openblas_thread_counts()
+        assert unchanged == pinned == openblas
+
+    def test_no_library_found_is_a_no_op(self, openblas, monkeypatch, tmp_path):
+        monkeypatch.setattr(numerics, "_PROC_MAPS", str(tmp_path / "missing"))
+        assert numerics._openblas_thread_controls() == []
+        ran = []
+        with blas_threads(1):
+            ran.append(openblas_thread_counts())
+        assert ran == [openblas]
