@@ -32,17 +32,16 @@ from .gibbs_cate import (
     predict,
     svgp_fit,
 )
-from .nuisance import CrossFit, NuisanceConfig, NuisanceFit, cross_fit, featurize
+from .nuisance import CrossFit, NuisanceConfig, NuisanceFit, cross_fit
 from .numerics import (
     OptimizerConfig,
     Rng,
     adam_minimize,
     cholesky_solve,
     gaussian_tv,
-    normal_cdf,
     normal_quantile,
 )
-from .pseudo import PseudoOutcomes, Strategy, ate_loss, cross_fitted_pseudo, pseudo_outcome
+from .pseudo import PseudoOutcomes, Strategy, ate_loss, cross_fitted_pseudo
 
 __version__ = "0.1.0"
 
@@ -74,7 +73,6 @@ __all__ = [
     "cross_fitted_pseudo",
     "default_spec",
     "exact_gp_posterior",
-    "featurize",
     "gaussian_tv",
     "generate",
     "gpc_omega",
@@ -82,11 +80,9 @@ __all__ = [
     "gpc_search",
     "kernel_matrix",
     "make_folds",
-    "normal_cdf",
     "normal_quantile",
     "plugin_omega",
     "predict",
-    "pseudo_outcome",
     "read_csv",
     "svgp_fit",
     "vi_posterior",

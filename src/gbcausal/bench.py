@@ -13,6 +13,7 @@ aggregation is a deterministic fold over rep index order.
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,26 +32,15 @@ from .pseudo import Strategy, cross_fitted_pseudo, pseudo_values
 
 @dataclass(frozen=True)
 class RunResult:
+    """One repetition: `hits` of `points` credible intervals held the truth
+    (one ATE interval, or k_points pointwise CATE intervals); `length` is
+    the interval length, averaged over the points."""
+
     rep: int
-    theta_hat: float
-    cri_lo: float
-    cri_hi: float
-    covered: bool
-    omega: float
-
-    @property
-    def length(self):
-        return self.cri_hi - self.cri_lo
-
-
-@dataclass(frozen=True)
-class CateRunResult:
-    rep: int
-    pointwise_coverage: float
-    mean_length: float
-    omega: float
     hits: int
     points: int
+    length: float
+    omega: float
 
 
 @dataclass(frozen=True)
@@ -69,6 +59,27 @@ class BenchReport:
     runs: tuple = field(default=(), compare=False, repr=False)
 
 
+@dataclass(frozen=True)
+class Cell:
+    """What a repetition of one bench cell needs besides its index. A kernel
+    makes it a CATE cell; the other estimand's fields keep their defaults."""
+
+    spec: DgpSpec
+    strategy: Strategy
+    n: int
+    base_seed: int
+    alpha: float
+    folds: int
+    nuisance_config: NuisanceConfig
+    calibration_mode: str = "plugin"
+    prior: Optional[NormalPrior] = None
+    b_boot: int = 0
+    max_iter: int = 0
+    kernel: Optional[KernelParams] = None
+    m_inducing: int = 0
+    k_points: int = 0
+
+
 def wilson_interval(hits, total, level_z):
     """Wilson score interval for a binomial proportion; always contains the
     point estimate and stays inside [0, 1]."""
@@ -84,46 +95,32 @@ def wilson_interval(hits, total, level_z):
     return lo, hi
 
 
-def _rep_rng(base_seed, rep):
-    return Rng(base_seed).derive(rep)
-
-
-def _ate_rep(payload):
-    (spec, strategy, n, rep, base_seed, prior, mode, alpha, folds, config, b_boot, max_iter) = payload
+def _rep(cell: Cell, rep):
+    """One repetition of the full pipeline on the stream (base_seed, rep).
+    Returns a RunResult, or the message of the NumericError that ended it."""
     try:
-        rng = _rep_rng(base_seed, rep)
-        ds = dgp_mod.generate(spec, n, rng.derive(0))
-        cf = cross_fit(ds, folds, config, rng.derive(1))
-        pv = cross_fitted_pseudo(ds, cf, strategy)
-        if mode == "plugin":
+        rng = Rng(cell.base_seed).derive(rep)
+        ds = dgp_mod.generate(cell.spec, cell.n, rng.derive(0))
+        cf = cross_fit(ds, cell.folds, cell.nuisance_config, rng.derive(1))
+        pv = cross_fitted_pseudo(ds, cf, cell.strategy)
+        if cell.calibration_mode == "plugin":
             omega = plugin_omega(pv)
         else:
-            omega = gpc_omega_from_pseudo(pv, prior, alpha, b_boot, max_iter, rng.derive(2)).omega
-        post = closed_form_posterior(pv, prior, omega)
-        lo, hi = credible_interval(post, alpha)
-        truth = ds.truth.ate
-        return ("ok", rep, float(np.mean(pv.values)), lo, hi, bool(lo <= truth <= hi), omega)
-    except NumericError as exc:
-        return ("err", rep, f"{type(exc).__name__}: {exc}")
-
-
-def _cate_rep(payload):
-    (spec, strategy, n, rep, base_seed, kernel, m_inducing, k_points, alpha, folds, config) = payload
-    try:
-        rng = _rep_rng(base_seed, rep)
-        ds = dgp_mod.generate(spec, n, rng.derive(0))
-        cf = cross_fit(ds, folds, config, rng.derive(1))
-        pv = cross_fitted_pseudo(ds, cf, strategy)
-        omega = plugin_omega(pv)
-        gp = svgp_fit(ds.x, pv, kernel, omega, m_inducing, rng.derive(2))
-        x_query = dgp_mod.draw_covariates(spec, k_points, rng.derive(3))
+            omega = gpc_omega_from_pseudo(
+                pv, cell.prior, cell.alpha, cell.b_boot, cell.max_iter, rng.derive(2)
+            ).omega
+        if cell.kernel is None:
+            lo, hi = credible_interval(closed_form_posterior(pv, cell.prior, omega), cell.alpha)
+            return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega)
+        gp = svgp_fit(ds.x, pv, cell.kernel, omega, cell.m_inducing, rng.derive(2))
+        x_query = dgp_mod.draw_covariates(cell.spec, cell.k_points, rng.derive(3))
         means, variances = predict(gp, x_query)
-        half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variances)
+        half = normal_quantile(1.0 - cell.alpha / 2.0) * np.sqrt(variances)
         truth = ds.truth.cate(x_query)
         hit = (means - half <= truth) & (truth <= means + half)
-        return ("ok", rep, float(hit.mean()), float(np.mean(2.0 * half)), omega, int(hit.sum()), k_points)
+        return RunResult(rep, int(hit.sum()), cell.k_points, float(np.mean(2.0 * half)), omega)
     except NumericError as exc:
-        return ("err", rep, f"{type(exc).__name__}: {exc}")
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _execute(worker, payloads, parallelism):
@@ -140,6 +137,35 @@ def _execute(worker, payloads, parallelism):
 
 
 _WILSON_Z = 1.959963984540054  # 95% confidence on the coverage estimate
+
+
+def _run_cell(cell: Cell, r_reps, parallelism, strategy_label) -> BenchReport:
+    """Run r_reps repetitions of a cell and fold them, in rep order, into
+    one report: coverage is hits over points with a Wilson interval, and
+    repetitions that raised a NumericError count as failures."""
+    if r_reps < 2:
+        raise DomainError("r_reps must be >= 2")
+    outcomes = _execute(partial(_rep, cell), range(r_reps), parallelism)
+    runs = [out for out in outcomes if isinstance(out, RunResult)]
+    total = len(runs)
+    hits = sum(r.hits for r in runs)
+    points = sum(r.points for r in runs)
+    ci = wilson_interval(hits, points, _WILSON_Z)
+    lengths = np.array([r.length for r in runs]) if runs else np.array([0.0])
+    return BenchReport(
+        dataset_id=cell.spec.id,
+        strategy=strategy_label or cell.strategy.value,
+        n=cell.n,
+        r_total=total,
+        coverage=hits / points if points else 0.0,
+        coverage_ci=ci,
+        mean_length=float(np.mean(lengths)),
+        sd_length=float(np.std(lengths, ddof=1)) if total > 1 else 0.0,
+        faithful=ci[1] >= 1.0 - cell.alpha,
+        failures=len(outcomes) - total,
+        alpha=cell.alpha,
+        runs=tuple(runs),
+    )
 
 
 def run_ate_bench(
@@ -160,43 +186,13 @@ def run_ate_bench(
 ) -> BenchReport:
     """Coverage and CrI length of the closed-form ATE posterior over
     r_reps independent repetitions of the full pipeline."""
-    if r_reps < 2:
-        raise DomainError("r_reps must be >= 2")
     if calibration_mode not in ("plugin", "gpc"):
         raise ConfigError(f"calibration must be 'plugin' or 'gpc', got {calibration_mode!r}")
-    payloads = [
-        (spec, strategy, n, rep, base_seed, prior, calibration_mode, alpha, folds,
-         nuisance_config, b_boot, max_iter)
-        for rep in range(r_reps)
-    ]
-    outcomes = _execute(_ate_rep, payloads, parallelism)
-    runs = []
-    failures = 0
-    for out in outcomes:
-        if out[0] == "ok":
-            _, rep, theta_hat, lo, hi, covered, omega = out
-            runs.append(RunResult(rep, theta_hat, lo, hi, covered, omega))
-        else:
-            failures += 1
-    hits = sum(r.covered for r in runs)
-    total = len(runs)
-    coverage = hits / total if total else 0.0
-    ci = wilson_interval(hits, total, _WILSON_Z)
-    lengths = np.array([r.length for r in runs]) if runs else np.array([0.0])
-    return BenchReport(
-        dataset_id=spec.id,
-        strategy=strategy_label or strategy.value,
-        n=n,
-        r_total=total,
-        coverage=coverage,
-        coverage_ci=ci,
-        mean_length=float(np.mean(lengths)),
-        sd_length=float(np.std(lengths, ddof=1)) if total > 1 else 0.0,
-        faithful=ci[1] >= 1.0 - alpha,
-        failures=failures,
-        alpha=alpha,
-        runs=tuple(runs),
+    cell = Cell(
+        spec, strategy, n, base_seed, alpha, folds, nuisance_config,
+        calibration_mode=calibration_mode, prior=prior, b_boot=b_boot, max_iter=max_iter,
     )
+    return _run_cell(cell, r_reps, parallelism, strategy_label)
 
 
 def run_cate_bench(
@@ -217,42 +213,11 @@ def run_cate_bench(
     """CATE posterior study: per repetition, fit the sparse GP on the
     cross-fitted pseudo-outcomes and average the pointwise 95% CrI coverage
     and length over k_points fresh covariates from the process."""
-    if r_reps < 2:
-        raise DomainError("r_reps must be >= 2")
-    payloads = [
-        (spec, strategy, n, rep, base_seed, kernel, m_inducing, k_points, alpha, folds,
-         nuisance_config)
-        for rep in range(r_reps)
-    ]
-    outcomes = _execute(_cate_rep, payloads, parallelism)
-    runs = []
-    failures = 0
-    for out in outcomes:
-        if out[0] == "ok":
-            _, rep, frac, mean_len, omega, hits, points = out
-            runs.append(CateRunResult(rep, frac, mean_len, omega, hits, points))
-        else:
-            failures += 1
-    total = len(runs)
-    hits = sum(r.hits for r in runs)
-    points = sum(r.points for r in runs)
-    coverage = hits / points if points else 0.0
-    ci = wilson_interval(hits, points, _WILSON_Z)
-    lengths = np.array([r.mean_length for r in runs]) if runs else np.array([0.0])
-    return BenchReport(
-        dataset_id=spec.id,
-        strategy=strategy_label or strategy.value,
-        n=n,
-        r_total=total,
-        coverage=coverage,
-        coverage_ci=ci,
-        mean_length=float(np.mean(lengths)),
-        sd_length=float(np.std(lengths, ddof=1)) if total > 1 else 0.0,
-        faithful=ci[1] >= 1.0 - alpha,
-        failures=failures,
-        alpha=alpha,
-        runs=tuple(runs),
+    cell = Cell(
+        spec, strategy, n, base_seed, alpha, folds, nuisance_config,
+        kernel=kernel, m_inducing=m_inducing, k_points=k_points,
     )
+    return _run_cell(cell, r_reps, parallelism, strategy_label)
 
 
 def length_sweep(

@@ -5,7 +5,7 @@ posterior fit, JSON summary), ``bench`` (Monte Carlo coverage/length study
 from a JSON config, CSV + markdown reports), ``experiment`` (orthogonality
 slopes and TV-stability runs, CSV).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure. The
+Exit codes: 0 success, 2 configuration or file error, 3 numeric failure. The
 environment variable GBC_SEED, when set, overrides --seed everywhere.
 """
 
@@ -436,7 +436,7 @@ def main(argv=None):
     try:
         with blas_threads(1):
             return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -23,11 +23,6 @@ from .errors import DegenerateTreatment, DomainError, EmptyArm, FoldArmCollapse
 from .numerics import Rng, cholesky_solve
 
 
-def featurize(x) -> np.ndarray:
-    """Feature vector of a single covariate vector, in the pinned order."""
-    return feature_matrix(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
-
 def feature_matrix(x) -> np.ndarray:
     """(n, 3d+2) feature matrix: [X, X^2, sin(X), x_extra, 1]."""
     x = np.atleast_2d(np.asarray(x, dtype=float))

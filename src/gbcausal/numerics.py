@@ -225,10 +225,6 @@ def blas_threads(n):
         restore()
 
 
-def normal_cdf(z):
-    return ndtr(z)
-
-
 def normal_quantile(p):
     """Inverse standard normal CDF; p must lie strictly inside (0, 1)."""
     p = float(p)

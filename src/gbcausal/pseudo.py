@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError
-from .nuisance import CrossFit, NuisanceFit
+from .nuisance import CrossFit
 
 
 class Strategy(str, enum.Enum):
@@ -64,16 +64,6 @@ def pseudo_values(a, y, e_hat, m1_hat, m0_hat, strategy: Strategy) -> np.ndarray
     m0 = np.asarray(m0_hat, dtype=float).reshape(-1)
     m_obs = np.where(a == 1.0, m1, m0)
     return (a / e - (1.0 - a) / (1.0 - e)) * (y - m_obs) + m1 - m0
-
-
-def pseudo_outcome(obs, fit: NuisanceFit, strategy: Strategy) -> float:
-    """Single-observation pseudo-outcome; obs is an (x, a, y) triple."""
-    x, a, y = obs
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    e = fit.predict_propensity(x)
-    m1 = fit.predict_outcome(x, 1)
-    m0 = fit.predict_outcome(x, 0)
-    return float(pseudo_values([a], [y], e, m1, m0, strategy)[0])
 
 
 def cross_fitted_pseudo(ds: Dataset, cf: CrossFit, strategy: Strategy) -> PseudoOutcomes:

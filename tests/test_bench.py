@@ -70,7 +70,7 @@ class TestRunAteBench:
         )
         assert report.dataset_id == "D1" and report.strategy == "DR"
         assert report.r_total == 4 and report.failures == 0
-        hits = sum(r.covered for r in report.runs)
+        hits = sum(r.hits for r in report.runs)
         assert report.coverage == hits / 4
         lo, hi = report.coverage_ci
         assert lo <= report.coverage <= hi
@@ -85,7 +85,7 @@ class TestRunAteBench:
         report = run_ate_bench(
             default_spec("D1"), Strategy.DR, 200, 3, NormalPrior(), "plugin", base_seed=11
         )
-        if all(r.covered for r in report.runs):
+        if all(r.hits == 1 for r in report.runs):
             assert report.coverage == 1.0
 
     def test_parallelism_does_not_change_results(self):
@@ -152,7 +152,7 @@ class TestRunCateBench:
             default_spec("D1"), Strategy.DR, 120, 3, KernelParams(), 8, 1, base_seed=22,
         )
         for run in report.runs:
-            assert run.pointwise_coverage in (0.0, 1.0)
+            assert run.points == 1 and run.hits in (0, 1)
 
     def test_parallel_matches_sequential(self):
         kwargs = dict(

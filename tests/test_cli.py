@@ -107,6 +107,17 @@ class TestFitCommand:
         proc = run_cli(["fit", "--dgp", "D1", "--n", "10", "--data", "whatever.csv"])
         assert proc.returncode == 2
 
+    def test_missing_data_file_exits_2(self, tmp_path):
+        proc = run_cli(["fit", "--data", str(tmp_path / "missing.csv")])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
+    def test_missing_out_directory_exits_2(self, tmp_path):
+        out = tmp_path / "missing" / "fit.json"
+        proc = run_cli(["fit", "--dgp", "D1", "--n", "50", "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+
     def test_numeric_failure_exits_3(self, tmp_path):
         # A single treated unit guarantees that the fold holding it has a
         # training complement without any treated observations.
@@ -225,6 +236,25 @@ class TestBenchCommand:
         assert proc.returncode == 0
         lines = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            # D6 at n=30 loses some repetitions to arm collapse: the failure path
+            ("ate", dict(datasets=["D1", "D6"], strategies=["RA", "AIPW"], n=30, reps=12,
+                         seed=0)),
+            ("cate", dict(datasets=["D2"], strategies=["DR"], n=150, reps=3, estimand="cate",
+                          m_inducing=10, k_points=25, seed=21)),
+        ],
+    )
+    def test_reports_match_golden_bytes(self, tmp_path, name, overrides):
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, **overrides)
+        proc = run_cli(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert proc.returncode == 0
+        for ext in ("csv", "md"):
+            got = (tmp_path / f"bench_report.{ext}").read_bytes()
+            assert got == (GOLDEN_DIR / f"bench_{name}.{ext}").read_bytes()
 
 
 def run_seeded(sub, out_dir, seed, env_extra=None):

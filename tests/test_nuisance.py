@@ -12,7 +12,6 @@ from gbcausal.nuisance import (
     NuisanceFit,
     cross_fit,
     feature_matrix,
-    featurize,
     fit_nuisances,
     fit_outcome,
     fit_propensity,
@@ -23,15 +22,19 @@ from gbcausal.numerics import Rng
 class TestFeatureMap:
     def test_univariate_uses_cube(self):
         np.testing.assert_allclose(
-            featurize([2.0]), [2.0, 4.0, math.sin(2.0), 8.0, 1.0], atol=1e-15
+            feature_matrix(np.atleast_2d([2.0]))[0],
+            [2.0, 4.0, math.sin(2.0), 8.0, 1.0],
+            atol=1e-15,
         )
 
     def test_bivariate_zeros(self):
-        np.testing.assert_allclose(featurize([0.0, 0.0]), [0, 0, 0, 0, 0, 0, 0, 1], atol=0)
+        np.testing.assert_allclose(
+            feature_matrix(np.atleast_2d([0.0, 0.0]))[0], [0, 0, 0, 0, 0, 0, 0, 1], atol=0
+        )
 
     def test_bivariate_hand_values(self):
         np.testing.assert_allclose(
-            featurize([1.0, 2.0]),
+            feature_matrix(np.atleast_2d([1.0, 2.0]))[0],
             [1.0, 2.0, 1.0, 4.0, math.sin(1.0), math.sin(2.0), 2.0, 1.0],
             atol=1e-15,
         )

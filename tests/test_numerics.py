@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from gbcausal import numerics
 from gbcausal.errors import DomainError, NonFiniteGradient, NotPositiveDefinite
@@ -16,7 +16,6 @@ from gbcausal.numerics import (
     cholesky_factor,
     cholesky_solve,
     gaussian_tv,
-    normal_cdf,
     normal_quantile,
 )
 
@@ -101,7 +100,7 @@ class TestNormalQuantile:
 
     def test_quantile_cdf_roundtrip(self):
         for z in np.linspace(-5.0, 5.0, 101):
-            assert abs(normal_quantile(normal_cdf(z)) - z) <= 1e-8
+            assert abs(normal_quantile(ndtr(z)) - z) <= 1e-8
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7])
     def test_domain(self, p):

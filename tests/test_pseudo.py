@@ -14,7 +14,6 @@ from gbcausal.pseudo import (
     Strategy,
     ate_loss,
     cross_fitted_pseudo,
-    pseudo_outcome,
     pseudo_values,
 )
 
@@ -63,13 +62,6 @@ class TestPseudoValues:
         # A=0: correction uses m0, not m1
         got = pseudo_values([0], [1.0], [0.5], [5.0], [2.0], Strategy.DR)[0]
         assert got == -(1 / 0.5) * (1.0 - 2.0) + 5.0 - 2.0
-
-    def test_single_observation_interface(self):
-        fit = _constant_fit(e=0.5, m1=1.5, m0=0.5)
-        x = np.array([0.3, -0.2])
-        assert pseudo_outcome((x, 1, 2.0), fit, Strategy.RA) == pytest.approx(1.0, abs=1e-12)
-        dr = pseudo_outcome((x, 1, 2.0), fit, Strategy.DR)
-        assert dr == pytest.approx((1 / 0.5) * (2.0 - 1.5) + 1.5 - 0.5, abs=1e-12)
 
 
 class TestCrossFittedPseudo:

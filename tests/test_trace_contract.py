@@ -1,0 +1,66 @@
+"""The traced benchmark (perfbench/) wraps gbcausal functions by name and
+treats each ``run_*_bench`` call as one bench cell; these tests pin the
+names it looks up and the one-call-per-cell shape of ``gbcausal bench``."""
+
+import importlib
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+from gbcausal import bench, cli
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+def _load_layertrace():
+    # exec the source instead of importing it, so nothing is written beside it
+    module = types.ModuleType("layertrace")
+    module.__file__ = str(LAYERTRACE)
+    exec(compile(LAYERTRACE.read_text(encoding="utf-8"), str(LAYERTRACE), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_layer_function_resolves():
+    layertrace = _load_layertrace()
+    assert layertrace.LAYER_FUNCTIONS
+    for module_name, attr, _ in layertrace.LAYER_FUNCTIONS:
+        owner = importlib.import_module(f"gbcausal.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"gbcausal.{module_name}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "config, cells",
+    [
+        ({"datasets": ["D1", "D2"], "strategies": ["RA", "AIPW"], "n": 60, "reps": 2,
+          "estimand": "ate"}, {"run_ate_bench": 4, "run_cate_bench": 0}),
+        ({"datasets": ["D2"], "strategies": ["DR"], "n": 80, "reps": 2, "estimand": "cate",
+          "m_inducing": 8, "k_points": 5}, {"run_ate_bench": 0, "run_cate_bench": 1}),
+    ],
+)
+def test_bench_calls_each_cell_function_once_per_cell(tmp_path, monkeypatch, config, cells):
+    calls = {name: 0 for name in cells}
+    for name in cells:
+        original = getattr(bench, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counting)
+    monkeypatch.delenv("GBC_SEED", raising=False)
+    path = tmp_path / "bench.json"
+    path.write_text(
+        json.dumps({"alpha": 0.05, "calibration": "plugin", "seed": 3, **config}),
+        encoding="utf-8",
+    )
+    code = cli.main(
+        ["bench", "--config", str(path), "--out-dir", str(tmp_path), "--parallelism", "1"]
+    )
+    assert code == 0
+    assert calls == cells
+    rows = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").strip().split("\n")
+    assert len(rows) == 1 + sum(cells.values())
