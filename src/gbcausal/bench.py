@@ -7,7 +7,9 @@ total-variation sequence.
 
 Every repetition owns the stream (base_seed, rep), so repetitions can run in
 any order or in parallel without changing a single reported byte; the
-aggregation is a deterministic fold over rep index order.
+aggregation is a deterministic fold over rep index order. Cells that differ
+only in strategy share each repetition's data and cross-fitted nuisances,
+which are fitted once (see ``_memo``).
 """
 
 import math
@@ -95,13 +97,19 @@ def wilson_interval(hits, total, level_z):
     return lo, hi
 
 
-def _rep(cell: Cell, rep):
+def _rep(cell: Cell, payload):
     """One repetition of the full pipeline on the stream (base_seed, rep).
-    Returns a RunResult, or the message of the NumericError that ended it."""
+
+    ``payload`` is (rep, cross-fit or None): a cross-fit of the same data
+    from an earlier cell skips the nuisance fits. Returns (outcome, fit):
+    the outcome is a RunResult or the message of the NumericError that
+    ended it, and the fit is the cross-fit used, or None if it failed."""
+    rep, cf = payload
     try:
         rng = Rng(cell.base_seed).derive(rep)
         ds = dgp_mod.generate(cell.spec, cell.n, rng.derive(0))
-        cf = cross_fit(ds, cell.folds, cell.nuisance_config, rng.derive(1))
+        if cf is None:
+            cf = cross_fit(ds, cell.folds, cell.nuisance_config, rng.derive(1))
         pv = cross_fitted_pseudo(ds, cf, cell.strategy)
         if cell.calibration_mode == "plugin":
             omega = plugin_omega(pv)
@@ -111,16 +119,32 @@ def _rep(cell: Cell, rep):
             ).omega
         if cell.kernel is None:
             lo, hi = credible_interval(closed_form_posterior(pv, cell.prior, omega), cell.alpha)
-            return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega)
+            return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega), cf
         gp = svgp_fit(ds.x, pv, cell.kernel, omega, cell.m_inducing, rng.derive(2))
         x_query = dgp_mod.draw_covariates(cell.spec, cell.k_points, rng.derive(3))
         means, variances = predict(gp, x_query)
         half = normal_quantile(1.0 - cell.alpha / 2.0) * np.sqrt(variances)
         truth = ds.truth.cate(x_query)
         hit = (means - half <= truth) & (truth <= means + half)
-        return RunResult(rep, int(hit.sum()), cell.k_points, float(np.mean(2.0 * half)), omega)
+        return RunResult(rep, int(hit.sum()), cell.k_points, float(np.mean(2.0 * half)), omega), cf
     except NumericError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", cf
+
+
+# Cells that share a spec object, base seed, fold count and nuisance config
+# draw the same data and cross-fitted nuisances in each repetition (common
+# random numbers), so only the first of them fits. The memo holds those
+# fits by (n, rep) for one such key; a cell with another key replaces it.
+# DgpSpec holds numpy arrays and is compared by identity.
+_memo = {"key": None, "fits": {}}
+
+
+def _memo_fits(cell: Cell):
+    key = (cell.spec, cell.base_seed, cell.folds, cell.nuisance_config)
+    old = _memo["key"]
+    if old is None or old[0] is not key[0] or old[1:] != key[1:]:
+        _memo["key"], _memo["fits"] = key, {}
+    return _memo["fits"]
 
 
 def _execute(worker, payloads, parallelism):
@@ -145,7 +169,13 @@ def _run_cell(cell: Cell, r_reps, parallelism, strategy_label) -> BenchReport:
     repetitions that raised a NumericError count as failures."""
     if r_reps < 2:
         raise DomainError("r_reps must be >= 2")
-    outcomes = _execute(partial(_rep, cell), range(r_reps), parallelism)
+    fits = _memo_fits(cell)
+    payloads = [(rep, fits.get((cell.n, rep))) for rep in range(r_reps)]
+    outcomes = []
+    for rep, (outcome, cf) in enumerate(_execute(partial(_rep, cell), payloads, parallelism)):
+        if cf is not None:
+            fits[(cell.n, rep)] = cf
+        outcomes.append(outcome)
     runs = [out for out in outcomes if isinstance(out, RunResult)]
     total = len(runs)
     hits = sum(r.hits for r in runs)

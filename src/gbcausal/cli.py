@@ -203,6 +203,22 @@ _BENCH_OPTIONAL = {
 }
 
 
+_BENCH_INT_KEYS = (
+    "seed", "reps", "parallelism", "folds", "b_boot", "max_iter", "m_inducing", "k_points"
+)
+_BENCH_FLOAT_KEYS = ("alpha", "clip_eps", "lambda_prop", "lambda_out", "prior_mean", "prior_var")
+_BENCH_NULLABLE = ("parallelism", "lambda_prop")
+
+
+def _is_int(value):
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_bench_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -220,6 +236,14 @@ def _load_bench_config(path):
     cfg = dict(_BENCH_OPTIONAL)
     cfg.update(raw)
 
+    for key in _BENCH_INT_KEYS + _BENCH_FLOAT_KEYS:
+        value = cfg[key]
+        if value is None and key in _BENCH_NULLABLE:
+            continue
+        if key in _BENCH_INT_KEYS and not _is_int(value):
+            raise SchemaError(f"key {key!r} must be an integer, got {value!r}")
+        if not _is_number(value):
+            raise SchemaError(f"key {key!r} must be a number, got {value!r}")
     if cfg["n"] is None and cfg["n_grid"] is None:
         raise SchemaError("bench config needs key 'n' or 'n_grid'")
     if cfg["n"] is not None and cfg["n_grid"] is not None:
@@ -228,9 +252,9 @@ def _load_bench_config(path):
         raise SchemaError("key 'datasets' must be a non-empty list of DGP ids")
     if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
         raise SchemaError("key 'strategies' must be a non-empty list")
-    if not isinstance(cfg["reps"], int) or cfg["reps"] < 2:
+    if cfg["reps"] < 2:
         raise SchemaError("key 'reps' must be an integer >= 2")
-    if not (isinstance(cfg["alpha"], (int, float)) and 0 < cfg["alpha"] < 1):
+    if not 0 < cfg["alpha"] < 1:
         raise SchemaError("key 'alpha' must lie in (0, 1)")
     if cfg["estimand"] not in ("ate", "cate"):
         raise SchemaError("key 'estimand' must be 'ate' or 'cate'")
@@ -238,13 +262,19 @@ def _load_bench_config(path):
         raise SchemaError("key 'calibration' must be 'plugin' or 'gpc'")
     if cfg["estimand"] == "cate" and cfg["calibration"] != "plugin":
         raise SchemaError("key 'calibration' must be 'plugin' for the cate bench")
-    if not isinstance(cfg["seed"], int):
-        raise SchemaError("key 'seed' must be an integer")
     n_grid = cfg["n_grid"] if cfg["n_grid"] is not None else [cfg["n"]]
-    if not all(isinstance(v, int) and v >= 1 for v in n_grid):
+    if not (isinstance(n_grid, list) and all(_is_int(v) and v >= 1 for v in n_grid)):
         raise SchemaError("sample sizes in 'n'/'n_grid' must be integers >= 1")
     cfg["n_grid"] = n_grid
     return cfg
+
+
+def _usable_cpus():
+    """CPUs this process may run on (its affinity mask where the OS has
+    one), which can be fewer than the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_bench(args):
@@ -255,8 +285,8 @@ def cmd_bench(args):
     elif cfg["parallelism"] is not None:
         parallelism = cfg["parallelism"]
     else:
-        parallelism = os.cpu_count() or 1
-    if not isinstance(parallelism, int) or parallelism < 1:
+        parallelism = _usable_cpus()
+    if parallelism < 1:
         raise ConfigError("parallelism must be an integer >= 1")
 
     nconf = NuisanceConfig(
@@ -398,8 +428,9 @@ def build_parser():
     p_bench.add_argument("--out-dir", default=".",
                          help="directory for bench_report.csv/.md (default: %(default)s)")
     p_bench.add_argument("--parallelism", type=int, default=None,
-                         help="worker count (default: config value or all cores); "
-                         "results are independent of this setting")
+                         help="worker count (default: config value, else the CPUs "
+                         "this process may run on); results are independent of "
+                         "this setting")
     p_bench.set_defaults(func=cmd_bench)
 
     p_exp = sub.add_parser("experiment", help="run a nuisance-stability experiment and write CSV")

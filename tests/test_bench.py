@@ -1,9 +1,15 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbcausal import numerics
+from gbcausal import bench, numerics
 from gbcausal.bench import (
     BenchReport,
     _execute,
@@ -20,6 +26,7 @@ from gbcausal.dgp import default_spec
 from gbcausal.errors import ConfigError, DomainError
 from gbcausal.gibbs_ate import NormalPrior
 from gbcausal.gibbs_cate import KernelParams
+from gbcausal.nuisance import NuisanceConfig
 from gbcausal.numerics import Rng, blas_threads, gaussian_tv
 from gbcausal.pseudo import Strategy
 
@@ -168,6 +175,114 @@ class TestRunCateBench:
         a = run_cate_bench(**kwargs, parallelism=1)
         b = run_cate_bench(**kwargs, parallelism=2)
         assert a.runs == b.runs
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Start from an empty nuisance memo and record the sample size of every
+    cross-fit the bench runs in this process."""
+    monkeypatch.setattr(bench, "_memo", {"key": None, "fits": {}})
+    calls = []
+    original = bench.cross_fit
+
+    def counting(ds, *args):
+        calls.append(ds.n)
+        return original(ds, *args)
+
+    monkeypatch.setattr(bench, "cross_fit", counting)
+    return calls
+
+
+def _ate_cells(spec, strategies, n=80, reps=3, seed=61, parallelism=1, **kwargs):
+    return [
+        run_ate_bench(
+            spec, s, n, reps, NormalPrior(), "plugin", seed, parallelism=parallelism, **kwargs
+        )
+        for s in strategies
+    ]
+
+
+class TestNuisanceMemo:
+    def test_strategies_share_each_repetitions_fit(self, fit_calls):
+        _ate_cells(default_spec("D1"), [Strategy.RA, Strategy.IPW, Strategy.DR])
+        assert fit_calls == [80] * 3
+
+    def test_length_sweep_fits_once_per_size_and_rep(self, fit_calls):
+        length_sweep(default_spec("D1"), [Strategy.DR, Strategy.RA], [60, 120], 2, base_seed=31)
+        assert sorted(fit_calls) == [60, 60, 120, 120]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(seed=62),
+            dict(folds=3),
+            dict(nuisance_config=NuisanceConfig(lambda_out=0.01)),
+            dict(n=90),
+            dict(spec=default_spec("D1")),
+        ],
+        ids=["base_seed", "folds", "nuisance_config", "n", "new_spec"],
+    )
+    def test_a_different_key_refits(self, fit_calls, change):
+        spec = default_spec("D1")
+        _ate_cells(spec, [Strategy.RA])
+        kwargs = dict(spec=spec, seed=61, n=80)
+        kwargs.update(change)
+        _ate_cells(kwargs.pop("spec"), [Strategy.DR], **kwargs)
+        assert len(fit_calls) == 6
+
+    def test_failed_cross_fits_are_not_stored(self, fit_calls):
+        # D6 at a tiny n collapses an arm in some training complements
+        first, second = _ate_cells(default_spec("D6"), [Strategy.RA, Strategy.DR], n=30, reps=12,
+                                   seed=0)
+        assert first.failures > 0
+        assert len(fit_calls) == 12 + second.failures
+
+    def test_cell_after_other_cells_matches_a_fresh_process(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import pickle, sys
+            from gbcausal.bench import run_ate_bench
+            from gbcausal.dgp import default_spec
+            from gbcausal.gibbs_ate import NormalPrior
+            from gbcausal.numerics import blas_threads
+            from gbcausal.pseudo import Strategy
+            with blas_threads(1):
+                report = run_ate_bench(
+                    default_spec("D6"), Strategy.DR, 30, 12, NormalPrior(), "plugin", 0
+                )
+            with open(sys.argv[1], "wb") as fh:
+                pickle.dump((report, report.runs), fh)
+            """
+        )
+        out = tmp_path / "report.pkl"
+        src = str(Path(bench.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script, str(out)], check=True, env=env)
+        with blas_threads(1):
+            *_, report = _ate_cells(
+                default_spec("D6"), [Strategy.RA, Strategy.IPW, Strategy.DR], n=30, reps=12, seed=0
+            )
+        fresh, fresh_runs = pickle.loads(out.read_bytes())
+        assert report.failures > 0
+        assert report == fresh and report.runs == fresh_runs
+
+    def test_pool_payloads_carry_the_cached_fits(self, fit_calls, monkeypatch):
+        payloads = []
+        original = bench._execute
+
+        def recording(worker, items, parallelism):
+            payloads.append(list(items))
+            return original(worker, payloads[-1], parallelism)
+
+        strategies = [Strategy.RA, Strategy.DR]
+        serial = _ate_cells(default_spec("D2"), strategies)
+        monkeypatch.setattr(bench, "_execute", recording)
+        pooled = _ate_cells(default_spec("D2"), strategies, parallelism=2)
+        assert [r.runs for r in pooled] == [r.runs for r in serial]
+        assert reports_to_csv(pooled) == reports_to_csv(serial)
+        assert [rep for rep, _ in payloads[1]] == [0, 1, 2]
+        assert all(cf is None for _, cf in payloads[0])
+        assert all(cf is not None for _, cf in payloads[1])
 
 
 class TestLengthSweep:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from gbcausal import cli
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -225,6 +227,43 @@ class TestBenchCommand:
         proc = run_cli(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert proc.returncode == 2
         assert "alpha" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("seed", dict(seed=True)),
+            ("reps", dict(reps=True)),
+            ("n", dict(n=True)),
+            ("n_grid", dict(n=None, n_grid=[60, True])),
+            ("parallelism", dict(parallelism=True)),
+            ("folds", dict(folds=2.5)),
+            ("b_boot", dict(calibration="gpc", b_boot="x")),
+            ("max_iter", dict(calibration="gpc", max_iter=False)),
+            ("m_inducing", dict(estimand="cate", m_inducing=2.5)),
+            ("k_points", dict(estimand="cate", k_points=True)),
+            ("alpha", dict(alpha="0.05")),
+            ("clip_eps", dict(clip_eps="x")),
+            ("lambda_prop", dict(lambda_prop=True)),
+            ("lambda_out", dict(lambda_out="0.001")),
+            ("prior_mean", dict(prior_mean=[0])),
+            ("prior_var", dict(prior_var="1")),
+        ],
+    )
+    def test_mistyped_key_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, key, overrides):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, **overrides)
+        code = cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "bench_report.csv").exists()
+
+    def test_default_parallelism_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
 
     def test_cate_estimand_runs(self, tmp_path):
         cfg = tmp_path / "bench.json"
