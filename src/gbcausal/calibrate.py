@@ -1,15 +1,13 @@
 """Learning-rate selection for the generalized posterior.
 
 Two routes: the plug-in rule omega = 1 / Var(pseudo-outcomes), and bootstrap
-coverage matching — construct the credible region at the current omega,
-estimate its repeated-sampling coverage by checking whether each resample's
-credible interval contains the full-data point estimate, then move log omega
-by kappa_t (c_hat - (1 - alpha)) with kappa_t = 1/t until the bootstrap
-coverage is within tolerance of nominal.
+coverage matching. The latter draws b_boot resamples once per calibration,
+which makes the bootstrap coverage of the credible set a deterministic
+function of omega, and solves for nominal coverage on log omega (gpc_search).
 
 Bootstrap resamples reuse the original cross-fitted nuisance fits by
 default (pseudo-outcome values are resampled, nuisances are not refit);
-pass refit_nuisances=True to refit them inside every resample.
+pass refit_nuisances=True to refit them once inside every resample.
 """
 
 import math
@@ -45,54 +43,62 @@ def plugin_omega(pseudo: PseudoOutcomes) -> float:
 
 
 def gpc_search(coverage_fn, omega0, alpha, max_iter, tol=0.01) -> CalibrationResult:
-    """Stochastic-approximation search for omega on the log scale.
+    """Solve coverage_fn(omega) = 1 - alpha on the log-omega scale.
 
-    `coverage_fn(omega, t)` estimates the bootstrap coverage of the
-    (1 - alpha) credible set at the given omega. A coverage deficit lowers
-    omega (widening the posterior); an excess raises it.
+    `coverage_fn(omega)` is the bootstrap coverage of the (1 - alpha)
+    credible set: a deterministic step function, falling in omega. From
+    omega0, log omega steps by 1 toward nominal until the coverage gap
+    changes sign, then Illinois-secant closes the bracket. Every evaluation
+    counts against max_iter. Returns the evaluated omega whose coverage is
+    closest to nominal (the latest on ties), with that coverage.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
     target = 1.0 - alpha
-    log_omega = math.log(omega0)
-    c_hat = float("nan")
-    for t in range(1, max_iter + 1):
+    evals = []
+    ends = {}  # sign of the coverage gap -> [log omega, gap used by the secant]
+    log_omega, last = math.log(omega0), 0
+    while len(evals) < max_iter:
         omega = math.exp(log_omega)
-        c_hat = float(coverage_fn(omega, t))
-        if abs(c_hat - target) <= tol:
-            return CalibrationResult(
-                omega=omega, iterations=t, achieved_bootstrap_coverage=c_hat, converged=True
-            )
-        if t < max_iter:
-            log_omega += (c_hat - target) / t
-    return CalibrationResult(
-        omega=math.exp(log_omega),
-        iterations=max_iter,
-        achieved_bootstrap_coverage=c_hat,
-        converged=False,
-    )
+        c_hat = float(coverage_fn(omega))
+        evals.append((omega, c_hat))
+        gap = c_hat - target
+        converged = abs(gap) <= tol + 1e-12  # 0.94 - 0.95 rounds to just over 0.01
+        if converged:
+            break
+        side = 1 if gap > 0 else -1
+        if side == last and -side in ends:
+            ends[-side][1] /= 2.0  # Illinois: down-weight the end kept twice
+        ends[side], last = [log_omega, gap], side
+        if len(ends) < 2:
+            log_omega += side
+        else:
+            (x_pos, g_pos), (x_neg, g_neg) = ends[1], ends[-1]
+            log_omega = (x_pos * g_neg - x_neg * g_pos) / (g_neg - g_pos)
+    omega, c_hat = min(reversed(evals), key=lambda e: abs(e[1] - target))
+    return CalibrationResult(omega, len(evals), c_hat, converged)
 
 
-def _ate_gpc(pseudo: PseudoOutcomes, prior: NormalPrior, alpha, b_boot, max_iter, tol,
-             resample_means):
-    """Coverage matching for the ATE posterior: `resample_means(t)` returns
-    the pseudo-outcome means of iteration t's bootstrap resamples, and each
-    resample's credible interval is checked for the full-data estimate."""
+def _resample_rows(rng: Rng, n, b_boot):
+    """The b_boot bootstrap resamples of one calibration, as index rows."""
     if b_boot < 50:
         raise DomainError("b_boot must be >= 50")
-    n = pseudo.n
+    return rng.integers(n, (b_boot, n))
+
+
+def _ate_gpc(pseudo: PseudoOutcomes, prior: NormalPrior, alpha, max_iter, tol, means):
+    """ATE coverage matching over the resamples' pseudo-outcome means `means`:
+    each resample's credible interval is checked for the full-data estimate."""
     theta_hat = float(np.mean(pseudo.values))
-    omega0 = plugin_omega(pseudo)
     z = normal_quantile(1.0 - alpha / 2.0)
 
-    def coverage(omega, t):
-        m_p_b, s_p_sq = normal_update(prior, omega, n, resample_means(t))
-        half = z * math.sqrt(s_p_sq)
-        return float(np.mean(np.abs(theta_hat - m_p_b) <= half))
+    def coverage(omega):
+        m_p_b, s_p_sq = normal_update(prior, omega, pseudo.n, means)
+        return float(np.mean(np.abs(theta_hat - m_p_b) <= z * math.sqrt(s_p_sq)))
 
-    return gpc_search(coverage, omega0, alpha, max_iter, tol)
+    return gpc_search(coverage, plugin_omega(pseudo), alpha, max_iter, tol)
 
 
 def gpc_omega_from_pseudo(
@@ -106,13 +112,8 @@ def gpc_omega_from_pseudo(
 ) -> CalibrationResult:
     """Coverage-matching calibration for the scalar ATE posterior, given
     already cross-fitted pseudo-outcomes."""
-    values = pseudo.values
-    n = pseudo.n
-
-    def resample_means(t):
-        return values[rng.derive(t).integers(n, (b_boot, n))].mean(axis=1)
-
-    return _ate_gpc(pseudo, prior, alpha, b_boot, max_iter, tol, resample_means)
+    rows = _resample_rows(rng.derive(1), pseudo.n, b_boot)
+    return _ate_gpc(pseudo, prior, alpha, max_iter, tol, pseudo.values[rows].mean(axis=1))
 
 
 def gpc_omega(
@@ -135,27 +136,18 @@ def gpc_omega(
     if not refit_nuisances:
         return gpc_omega_from_pseudo(pseudo, prior, alpha, b_boot, max_iter, rng.derive(1), tol)
 
-    n = ds.n
-    boot_rng = rng.derive(1)
-
-    def resample_means(t):
-        it_rng = boot_rng.derive(t)
-        idx = it_rng.integers(n, (b_boot, n))
-        means = []
-        for b in range(b_boot):
-            rows = idx[b]
-            try:
-                ds_b = Dataset(x=ds.x[rows], a=ds.a[rows], y=ds.y[rows])
-                cf_b = cross_fit(ds_b, folds, nuisance_config, it_rng.derive(b))
-                pv_b = cross_fitted_pseudo(ds_b, cf_b, strategy)
-            except NumericError:
-                continue  # degenerate resample (e.g. an arm collapsed)
-            means.append(float(np.mean(pv_b.values)))
-        if not means:
-            raise DegenerateVariance("every bootstrap resample failed to refit nuisances")
-        return np.array(means)
-
-    return _ate_gpc(pseudo, prior, alpha, b_boot, max_iter, tol, resample_means)
+    boot_rng = rng.derive(1).derive(1)
+    means = []
+    for b, rows in enumerate(_resample_rows(boot_rng, ds.n, b_boot)):
+        try:
+            ds_b = Dataset(x=ds.x[rows], a=ds.a[rows], y=ds.y[rows])
+            cf_b = cross_fit(ds_b, folds, nuisance_config, boot_rng.derive(b))
+            means.append(float(np.mean(cross_fitted_pseudo(ds_b, cf_b, strategy).values)))
+        except NumericError:
+            continue  # degenerate resample (e.g. an arm collapsed)
+    if not means:
+        raise DegenerateVariance("every bootstrap resample failed to refit nuisances")
+    return _ate_gpc(pseudo, prior, alpha, max_iter, tol, np.array(means))
 
 
 def gpc_omega_cate_from_pseudo(
@@ -175,29 +167,25 @@ def gpc_omega_cate_from_pseudo(
     Each resample refits the second-stage GP (exact engine) on resampled
     (covariate, pseudo-outcome) pairs while reusing the cross-fitted
     nuisances; containment is checked against the full-data posterior mean
-    at the same omega. The kernel matrices are built once per calibration,
-    and each resample is fit on its distinct rows (exact_gp_resampler).
+    at the same omega. Resamples and kernel matrices are built once per
+    calibration; each resample is fit on its distinct rows (exact_gp_resampler).
     """
-    if b_boot < 50:
-        raise DomainError("b_boot must be >= 50")
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    omega0 = plugin_omega(pseudo)
-    z = normal_quantile(1.0 - alpha / 2.0)
     query_x = np.atleast_2d(np.asarray(query_x, dtype=float))
     n = x.shape[0]
+    resamples = _resample_rows(rng.derive(1), n, b_boot)
+    z = normal_quantile(1.0 - alpha / 2.0)
     fit = exact_gp_resampler(kernel, x, pseudo.values, query_x)
 
-    def coverage(omega, t):
+    def coverage(omega):
         point_est, _ = fit(np.arange(n), omega)
-        idx = rng.derive(t).integers(n, (b_boot, n))
         hits = 0
-        for b in range(b_boot):
-            means_b, vars_b = fit(idx[b], omega)
-            half = z * np.sqrt(vars_b)
-            hits += int(np.sum(np.abs(point_est - means_b) <= half))
+        for rows in resamples:
+            means_b, vars_b = fit(rows, omega)
+            hits += int(np.sum(np.abs(point_est - means_b) <= z * np.sqrt(vars_b)))
         return hits / (b_boot * query_x.shape[0])
 
-    return gpc_search(coverage, omega0, alpha, max_iter, tol)
+    return gpc_search(coverage, plugin_omega(pseudo), alpha, max_iter, tol)
 
 
 def gpc_omega_cate(

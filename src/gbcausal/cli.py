@@ -102,8 +102,18 @@ def _fit_dataset(args, seed):
     return read_csv(args.data)
 
 
+def _gpc_omega(args, cal):
+    """The calibrated omega; warns on stderr if the search did not converge."""
+    if not cal.converged:
+        print(f"warning: gpc did not converge in {cal.iterations} iterations: coverage "
+              f"{cal.achieved_bootstrap_coverage:.4f}, target {1 - args.alpha:.4f}", file=sys.stderr)
+    return cal.omega
+
+
 def cmd_fit(args):
     seed = _resolve_seed(args.seed)
+    if args.grid_size < 1:
+        raise ConfigError("--grid-size must be >= 1")
     if args.estimand == "cate" and args.engine == "closed":
         raise ConfigError("engine=closed is only valid for estimand=ate; use vi or exact-gp")
     if args.estimand == "ate" and args.engine == "exact-gp":
@@ -122,9 +132,9 @@ def cmd_fit(args):
         if args.calibration == "plugin":
             omega = plugin_omega(pv)
         else:
-            omega = gpc_omega_from_pseudo(
+            omega = _gpc_omega(args, gpc_omega_from_pseudo(
                 pv, prior, args.alpha, args.b_boot, args.max_iter, rng.derive(2)
-            ).omega
+            ))
         if args.engine == "closed":
             post = closed_form_posterior(pv, prior, omega)
         else:
@@ -146,10 +156,10 @@ def cmd_fit(args):
         if args.calibration == "plugin":
             omega = plugin_omega(pv)
         else:
-            omega = gpc_omega_cate_from_pseudo(
+            omega = _gpc_omega(args, gpc_omega_cate_from_pseudo(
                 ds.x, pv, args.alpha, args.b_boot, args.max_iter, rng.derive(2),
                 kernel, x_query,
-            ).omega
+            ))
         if args.engine == "vi":
             gp = svgp_fit(ds.x, pv, kernel, omega, min(args.m_inducing, ds.n), rng.derive(3))
             means, variances = predict(gp, x_query)
@@ -254,6 +264,8 @@ def _load_bench_config(path):
         raise SchemaError("key 'strategies' must be a non-empty list")
     if cfg["reps"] < 2:
         raise SchemaError("key 'reps' must be an integer >= 2")
+    if cfg["k_points"] < 1:
+        raise SchemaError("key 'k_points' must be an integer >= 1")
     if not 0 < cfg["alpha"] < 1:
         raise SchemaError("key 'alpha' must lie in (0, 1)")
     if cfg["estimand"] not in ("ate", "cate"):

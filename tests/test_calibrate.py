@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gbcausal import gibbs_cate
+from gbcausal import calibrate, gibbs_cate
 from gbcausal.calibrate import (
     CalibrationResult,
     gpc_omega,
@@ -14,9 +14,9 @@ from gbcausal.calibrate import (
 )
 from gbcausal.dgp import default_spec, generate
 from gbcausal.errors import DegenerateVariance, DomainError
-from gbcausal.gibbs_ate import DIFFUSE_PRIOR, NormalPrior, closed_form_posterior
+from gbcausal.gibbs_ate import DIFFUSE_PRIOR, NormalPrior, closed_form_posterior, normal_update
 from gbcausal.gibbs_cate import KernelParams
-from gbcausal.numerics import Rng
+from gbcausal.numerics import Rng, normal_quantile
 from gbcausal.pseudo import PseudoOutcomes, Strategy
 
 
@@ -59,7 +59,7 @@ class TestGpcSearch:
     def test_low_coverage_lowers_omega(self):
         omegas = []
 
-        def coverage(omega, t):
+        def coverage(omega):
             omegas.append(omega)
             return 0.90  # persistent deficit
 
@@ -71,7 +71,7 @@ class TestGpcSearch:
     def test_high_coverage_raises_omega(self):
         omegas = []
 
-        def coverage(omega, t):
+        def coverage(omega):
             omegas.append(omega)
             return 1.0
 
@@ -79,32 +79,25 @@ class TestGpcSearch:
         assert all(b > a for a, b in zip(omegas, omegas[1:]))
         assert res.omega > 1.0
 
-    def test_step_sizes_decay_like_one_over_t(self):
-        # |delta log omega| = |c_hat - 0.95| / t; the final evaluation is not
-        # followed by an update.
-        omegas = []
-
-        def coverage(omega, t):
-            omegas.append(omega)
-            return 0.80
-
-        gpc_search(coverage, omega0=1.0, alpha=0.05, max_iter=12)
-        log_steps = np.abs(np.diff(np.log(omegas)))
-        np.testing.assert_allclose(
-            log_steps, [0.15 / t for t in range(1, 12)], rtol=1e-10
-        )
-
     def test_stops_within_tolerance(self):
-        res = gpc_search(lambda o, t: 0.949, omega0=2.0, alpha=0.05, max_iter=50)
+        res = gpc_search(lambda o: 0.949, omega0=2.0, alpha=0.05, max_iter=50)
         assert res.converged and res.iterations == 1 and res.omega == 2.0
         assert res.achieved_bootstrap_coverage == 0.949
+
+    @pytest.mark.parametrize("c_hat", [0.94, 0.96])
+    def test_coverage_exactly_tol_from_nominal_converges(self, c_hat):
+        # With 50 resamples coverage moves in steps of 0.02, so 0.94 and 0.96
+        # are the closest it gets to 0.95; in floating point both differ from
+        # 1 - 0.05 by just over 0.01.
+        res = gpc_search(lambda o: c_hat, omega0=2.0, alpha=0.05, max_iter=50, tol=0.01)
+        assert res.converged and res.iterations == 1
 
     def test_converges_from_near_calibrated_start(self):
         # Smooth coverage curve crossing nominal close to the start, the
         # regime the plug-in initializer puts the search in.
         target_log = 0.04
 
-        def coverage(omega, t):
+        def coverage(omega):
             return 0.95 - 0.5 * (math.log(omega) - target_log)
 
         res = gpc_search(coverage, omega0=1.0, alpha=0.05, max_iter=50, tol=0.01)
@@ -112,9 +105,69 @@ class TestGpcSearch:
         assert res.iterations <= 3
         assert abs(res.achieved_bootstrap_coverage - 0.95) <= 0.0101
 
+    def test_returns_an_evaluated_omega_with_its_own_coverage(self):
+        # A step curve that jumps over nominal: no omega is within tol, and
+        # the best evaluated one (coverage 0.97) is returned as evaluated.
+        evaluated = []
+
+        def coverage(omega):
+            c_hat = 0.97 if omega < 2.0 else 0.92
+            evaluated.append((omega, c_hat))
+            return c_hat
+
+        res = gpc_search(coverage, omega0=0.3, alpha=0.05, max_iter=8)
+        assert not res.converged and res.iterations == len(evaluated) == 8
+        assert (res.omega, res.achieved_bootstrap_coverage) in evaluated
+        assert res.achieved_bootstrap_coverage == 0.97
+
+    @pytest.mark.parametrize("start", [0.1, 10.0])
+    def test_converges_from_tenfold_off_start_on_fixed_resample_ate_curve(self, start):
+        # Diffuse prior: resample b covers the full-data mean iff
+        # |theta_hat - mean_b| <= z / sqrt(omega n), so the coverage root is
+        # z^2 / (n q^2) with q the 95% quantile of those distances.
+        n, alpha = 400, 0.05
+        values = Rng(51).normal(n) * 2.0 + 1.0
+        means = values[Rng(52).integers(n, (200, n))].mean(axis=1)
+        theta_hat = float(np.mean(values))
+        z = normal_quantile(1.0 - alpha / 2.0)
+
+        def coverage(omega):
+            m_p, s_p_sq = normal_update(DIFFUSE_PRIOR, omega, n, means)
+            return float(np.mean(np.abs(theta_hat - m_p) <= z * math.sqrt(s_p_sq)))
+
+        q = np.sort(np.abs(theta_hat - means))[189]
+        root = z**2 / (n * q**2)
+        res = gpc_search(coverage, start * root, alpha, max_iter=50)
+        assert res.converged
+        assert abs(res.achieved_bootstrap_coverage - 0.95) <= 0.01
+        assert coverage(res.omega) == res.achieved_bootstrap_coverage
+
+    @pytest.mark.parametrize("start", [0.1, 10.0])
+    def test_converges_from_tenfold_off_start_on_fixed_resample_cate_curve(self, start):
+        ds = generate(default_spec("D4"), 150, Rng(53))
+        values = Rng(54).normal(150) + ds.x[:, 0]
+        query = ds.x[:20]
+        fit = gibbs_cate.exact_gp_resampler(KernelParams(), ds.x, values, query)
+        resamples = Rng(55).integers(150, (50, 150))
+        z = normal_quantile(0.975)
+
+        def coverage(omega):
+            point_est, _ = fit(np.arange(150), omega)
+            hits = 0
+            for rows in resamples:
+                means_b, vars_b = fit(rows, omega)
+                hits += int(np.sum(np.abs(point_est - means_b) <= z * np.sqrt(vars_b)))
+            return hits / (50 * 20)
+
+        root = gpc_search(coverage, plugin_omega(_pv(values)), 0.05, max_iter=50)
+        assert root.converged
+        res = gpc_search(coverage, start * root.omega, 0.05, max_iter=50)
+        assert res.converged
+        assert abs(res.achieved_bootstrap_coverage - 0.95) <= 0.01
+
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
-            gpc_search(lambda o, t: 0.9, 1.0, alpha=0.0, max_iter=5)
+            gpc_search(lambda o: 0.9, 1.0, alpha=0.0, max_iter=5)
 
 
 class TestGpcOmega:
@@ -146,6 +199,22 @@ class TestGpcOmega:
         assert res.omega > 0
         assert 0.0 <= res.achieved_bootstrap_coverage <= 1.0
 
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_refit_nuisances_cross_fits_each_resample_once(self, monkeypatch, max_iter):
+        calls = []
+        original = calibrate.cross_fit
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "cross_fit", counting)
+        ds = generate(default_spec("D1"), 200, Rng(37))
+        gpc_omega(
+            ds, Strategy.DR, NormalPrior(), 0.05, 50, max_iter, Rng(38), refit_nuisances=True
+        )
+        assert len(calls) == 1 + 50
+
     def test_plugin_start_is_already_close(self):
         # The plug-in start should give near-nominal bootstrap coverage, so
         # the search finishes in a handful of iterations.
@@ -176,8 +245,8 @@ class TestGpcOmegaCate:
 
         monkeypatch.setattr(gibbs_cate, "kernel_matrix", counting)
         ds = generate(default_spec("D4"), 80, Rng(43))
-        # 7 query rows: no bootstrap coverage can equal 0.95 to within 1e-6,
-        # so the search runs all max_iter iterations
+        # 60 resamples of 7 query rows give coverages in steps of 1/420, and
+        # 60 * 7 * 0.95 = 399, so a coverage of exactly 0.95 is possible
         res = gpc_omega_cate(
             ds, Strategy.DR, 0.05, b_boot, max_iter, Rng(44), KernelParams(), ds.x[:7],
             folds=4, tol=1e-6,

@@ -8,6 +8,12 @@ from pathlib import Path
 import pytest
 
 from gbcausal import cli
+from gbcausal import dgp as dgp_mod
+from gbcausal.calibrate import gpc_omega_from_pseudo
+from gbcausal.gibbs_ate import NormalPrior
+from gbcausal.nuisance import NuisanceConfig, cross_fit
+from gbcausal.numerics import Rng, blas_threads
+from gbcausal.pseudo import Strategy, cross_fitted_pseudo
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -119,6 +125,43 @@ class TestFitCommand:
         proc = run_cli(["fit", "--dgp", "D1", "--n", "50", "--out", str(out)])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("grid_size", ["0", "-1"])
+    def test_grid_size_below_one_exits_2(self, tmp_path, capsys, monkeypatch, grid_size):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        out = tmp_path / "fit.json"
+        code = cli.main([
+            "fit", "--dgp", "D1", "--n", "50", "--estimand", "cate", "--engine", "exact-gp",
+            "--grid-size", grid_size, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--grid-size" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_iter", [1, 50])
+    def test_gpc_warns_exactly_when_search_does_not_converge(
+        self, tmp_path, capsys, monkeypatch, max_iter
+    ):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        seed, out = 3, tmp_path / "fit.json"
+        code = cli.main([
+            "fit", "--dgp", "D1", "--n", "200", "--calibration", "gpc", "--b-boot", "50",
+            "--max-iter", str(max_iter), "--seed", str(seed), "--out", str(out),
+        ])
+        assert code == 0
+        rng = Rng(seed)
+        ds = dgp_mod.generate(dgp_mod.default_spec("D1"), 200, rng.derive(0))
+        with blas_threads(1):
+            pv = cross_fitted_pseudo(ds, cross_fit(ds, 5, NuisanceConfig(), rng.derive(1)),
+                                     Strategy.DR)
+            want = gpc_omega_from_pseudo(pv, NormalPrior(), 0.05, 50, max_iter, rng.derive(2))
+        assert json.loads(out.read_text(encoding="utf-8"))["omega"] == want.omega
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning: gpc did not converge")]
+        assert len(warned) == (0 if want.converged else 1)
+        if warned:
+            assert f"in {want.iterations} iterations" in warned[0]
 
     def test_numeric_failure_exits_3(self, tmp_path):
         # A single treated unit guarantees that the fold holding it has a
@@ -256,6 +299,17 @@ class TestBenchCommand:
         code = cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "bench_report.csv").exists()
+
+    @pytest.mark.parametrize("k_points", [0, -3])
+    def test_cate_k_points_below_one_exits_2(self, tmp_path, capsys, monkeypatch, k_points):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, datasets=["D1"], strategies=["DR"], estimand="cate",
+                           k_points=k_points)
+        code = cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "'k_points'" in capsys.readouterr().err
         assert not (tmp_path / "bench_report.csv").exists()
 
     def test_default_parallelism_counts_usable_cpus(self, monkeypatch):
