@@ -9,7 +9,6 @@ and nuisance-stability experiments at desk scale.
 from .calibrate import (
     CalibrationResult,
     gpc_omega,
-    gpc_omega_cate,
     gpc_search,
     plugin_omega,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "gaussian_tv",
     "generate",
     "gpc_omega",
-    "gpc_omega_cate",
     "gpc_search",
     "kernel_matrix",
     "make_folds",

@@ -334,6 +334,8 @@ def tv_stability(
     """Feasible-versus-oracle posterior TV with injected nuisance error
     r_n = n^-beta, both posteriors closed form under a diffuse prior and a
     shared plug-in omega, so TV is exactly 2 Phi(|m_fe - m_or| / (2 s_p)) - 1."""
+    if reps < 1:
+        raise DomainError(f"reps must be >= 1, got {reps}")
     points = []
     for i, n in enumerate(n_grid):
         r_n = float(n) ** (-beta) if not math.isinf(beta) else 0.0
@@ -375,58 +377,42 @@ def _md_row(cells):
 
 def reports_to_markdown(reports, alpha=0.05) -> str:
     """Two tables mirroring the coverage / masked-length report layout:
-    bold marks the strategy closest to nominal coverage (respectively the
-    narrowest faithful interval); unfaithful entries are struck through."""
-    strategies = []
-    for r in reports:
-        if r.strategy not in strategies:
-            strategies.append(r.strategy)
-    row_keys = []
-    for r in reports:
-        key = (r.dataset_id, r.n)
-        if key not in row_keys:
-            row_keys.append(key)
+    bold marks the lowest score of a row, that is the strategy closest to
+    nominal coverage (respectively the narrowest faithful interval; an
+    unfaithful one scores None); unfaithful entries are struck through."""
+    strategies = list(dict.fromkeys(r.strategy for r in reports))
+    row_keys = list(dict.fromkeys((r.dataset_id, r.n) for r in reports))
     by_cell = {(r.dataset_id, r.n, r.strategy): r for r in reports}
     nominal = 1.0 - alpha
 
-    cov_lines = [f"### Coverage of the {nominal:.0%} credible interval", ""]
-    cov_lines.append(_md_row(["dataset"] + strategies))
-    cov_lines.append(_md_row(["---"] * (1 + len(strategies))))
-    for dataset_id, n in row_keys:
-        cells = [f"{dataset_id} (n={n})"]
-        here = [by_cell.get((dataset_id, n, s)) for s in strategies]
-        dists = [abs(r.coverage - nominal) if r else math.inf for r in here]
-        best = min(dists)
-        for r, dist in zip(here, dists):
-            if r is None:
-                cells.append("")
-                continue
-            text = f"{r.coverage:.3f} ({r.coverage_ci[0]:.3f}, {r.coverage_ci[1]:.3f})"
-            if dist == best:
-                text = f"**{text}**"
-            if not r.faithful:
-                text = f"~~{text}~~"
-            cells.append(text)
-        cov_lines.append(_md_row(cells))
+    def table(title, text, score):
+        lines = [title, "", _md_row(["dataset"] + strategies)]
+        lines.append(_md_row(["---"] * (1 + len(strategies))))
+        for dataset_id, n in row_keys:
+            here = [by_cell.get((dataset_id, n, s)) for s in strategies]
+            scores = [score(r) for r in here if r is not None and score(r) is not None]
+            cells = [f"{dataset_id} (n={n})"]
+            for r in here:
+                if r is None:
+                    cells.append("")
+                    continue
+                cell = text(r)
+                if score(r) is not None and score(r) == min(scores):
+                    cell = f"**{cell}**"
+                if not r.faithful:
+                    cell = f"~~{cell}~~"
+                cells.append(cell)
+            lines.append(_md_row(cells))
+        return lines
 
-    len_lines = ["", "### Mean CrI length (sd) across repetitions", ""]
-    len_lines.append(_md_row(["dataset"] + strategies))
-    len_lines.append(_md_row(["---"] * (1 + len(strategies))))
-    for dataset_id, n in row_keys:
-        cells = [f"{dataset_id} (n={n})"]
-        here = [by_cell.get((dataset_id, n, s)) for s in strategies]
-        faithful_lens = [r.mean_length for r in here if r is not None and r.faithful]
-        best = min(faithful_lens) if faithful_lens else None
-        for r in here:
-            if r is None:
-                cells.append("")
-                continue
-            text = f"{r.mean_length:.3f} ({r.sd_length:.3f})"
-            if r.faithful and best is not None and r.mean_length == best:
-                text = f"**{text}**"
-            if not r.faithful:
-                text = f"~~{text}~~"
-            cells.append(text)
-        len_lines.append(_md_row(cells))
-
-    return "\n".join(cov_lines + len_lines) + "\n"
+    cov = table(
+        f"### Coverage of the {nominal:.0%} credible interval",
+        lambda r: f"{r.coverage:.3f} ({r.coverage_ci[0]:.3f}, {r.coverage_ci[1]:.3f})",
+        lambda r: abs(r.coverage - nominal),
+    )
+    lengths = table(
+        "### Mean CrI length (sd) across repetitions",
+        lambda r: f"{r.mean_length:.3f} ({r.sd_length:.3f})",
+        lambda r: r.mean_length if r.faithful else None,
+    )
+    return "\n".join(cov + [""] + lengths) + "\n"

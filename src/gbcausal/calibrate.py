@@ -4,6 +4,8 @@ Two routes: the plug-in rule omega = 1 / Var(pseudo-outcomes), and bootstrap
 coverage matching. The latter draws b_boot resamples once per calibration,
 which makes the bootstrap coverage of the credible set a deterministic
 function of omega, and solves for nominal coverage on log omega (gpc_search).
+The CATE search is told how to refit the engine it calibrates: it takes
+that engine's resampler from gibbs_cate and builds no kernel matrix itself.
 
 Bootstrap resamples reuse the original cross-fitted nuisance fits by
 default (pseudo-outcome values are resampled, nuisances are not refit);
@@ -18,7 +20,6 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateVariance, DomainError, NumericError
 from .gibbs_ate import NormalPrior, normal_update
-from .gibbs_cate import KernelParams, exact_gp_resampler
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import Rng, normal_quantile
 from .pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo
@@ -151,31 +152,21 @@ def gpc_omega(
 
 
 def gpc_omega_cate_from_pseudo(
-    x,
-    pseudo: PseudoOutcomes,
-    alpha,
-    b_boot,
-    max_iter,
-    rng: Rng,
-    kernel: KernelParams,
-    query_x,
-    tol=0.01,
+    pseudo: PseudoOutcomes, alpha, b_boot, max_iter, rng: Rng, fit, tol=0.01
 ) -> CalibrationResult:
     """Coverage-matching calibration for the CATE posterior, targeting the
     reported functional: the average pointwise coverage over the query rows.
 
-    Each resample refits the second-stage GP (exact engine) on resampled
-    (covariate, pseudo-outcome) pairs while reusing the cross-fitted
-    nuisances; containment is checked against the full-data posterior mean
-    at the same omega. Resamples and kernel matrices are built once per
-    calibration; each resample is fit on its distinct rows (exact_gp_resampler).
+    `fit(rows, omega)` is the engine's resampler (exact_gp_resampler or
+    sparse_gp_resampler): the posterior moments at the query rows after a
+    fit to the rows `rows` of the covariates and pseudo-outcomes. Each
+    resample refits the second stage and reuses the cross-fitted nuisances;
+    containment is checked against the full-data posterior mean at the same
+    omega.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    query_x = np.atleast_2d(np.asarray(query_x, dtype=float))
-    n = x.shape[0]
+    n = pseudo.n
     resamples = _resample_rows(rng.derive(1), n, b_boot)
     z = normal_quantile(1.0 - alpha / 2.0)
-    fit = exact_gp_resampler(kernel, x, pseudo.values, query_x)
 
     def coverage(omega):
         point_est, _ = fit(np.arange(n), omega)
@@ -183,26 +174,6 @@ def gpc_omega_cate_from_pseudo(
         for rows in resamples:
             means_b, vars_b = fit(rows, omega)
             hits += int(np.sum(np.abs(point_est - means_b) <= z * np.sqrt(vars_b)))
-        return hits / (b_boot * query_x.shape[0])
+        return hits / (b_boot * point_est.shape[0])
 
     return gpc_search(coverage, plugin_omega(pseudo), alpha, max_iter, tol)
-
-
-def gpc_omega_cate(
-    ds: Dataset,
-    strategy: Strategy,
-    alpha,
-    b_boot,
-    max_iter,
-    rng: Rng,
-    kernel: KernelParams,
-    query_x,
-    folds=5,
-    nuisance_config: NuisanceConfig = NuisanceConfig(),
-    tol=0.01,
-) -> CalibrationResult:
-    cf = cross_fit(ds, folds, nuisance_config, rng.derive(0))
-    pseudo = cross_fitted_pseudo(ds, cf, strategy)
-    return gpc_omega_cate_from_pseudo(
-        ds.x, pseudo, alpha, b_boot, max_iter, rng.derive(1), kernel, query_x, tol
-    )

@@ -26,6 +26,7 @@ from .gibbs_ate import (
     vi_posterior,
 )
 from .gibbs_cate import KernelParams, exact_gp_posterior, predict, svgp_fit
+from .gibbs_cate import exact_gp_resampler, sparse_gp_resampler
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import OptimizerConfig, Rng, blas_threads, normal_quantile
 from .pseudo import Strategy, cross_fitted_pseudo
@@ -114,6 +115,8 @@ def cmd_fit(args):
     seed = _resolve_seed(args.seed)
     if args.grid_size < 1:
         raise ConfigError("--grid-size must be >= 1")
+    if not 0 < args.alpha < 1:
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.estimand == "cate" and args.engine == "closed":
         raise ConfigError("engine=closed is only valid for estimand=ate; use vi or exact-gp")
     if args.estimand == "ate" and args.engine == "exact-gp":
@@ -153,15 +156,22 @@ def cmd_fit(args):
         kernel = _kernel(args)
         grid_size = min(args.grid_size, ds.n)
         x_query = ds.x[rng.derive(4).permutation(ds.n)[:grid_size]]
+        m_inducing = min(args.m_inducing, ds.n)
         if args.calibration == "plugin":
             omega = plugin_omega(pv)
         else:
+            # the sparse resampler picks the inducing rows svgp_fit picks below
+            if args.engine == "vi":
+                fit = sparse_gp_resampler(
+                    kernel, ds.x, pv.values, x_query, m_inducing, rng.derive(3)
+                )
+            else:
+                fit = exact_gp_resampler(kernel, ds.x, pv.values, x_query)
             omega = _gpc_omega(args, gpc_omega_cate_from_pseudo(
-                ds.x, pv, args.alpha, args.b_boot, args.max_iter, rng.derive(2),
-                kernel, x_query,
+                pv, args.alpha, args.b_boot, args.max_iter, rng.derive(2), fit
             ))
         if args.engine == "vi":
-            gp = svgp_fit(ds.x, pv, kernel, omega, min(args.m_inducing, ds.n), rng.derive(3))
+            gp = svgp_fit(ds.x, pv, kernel, omega, m_inducing, rng.derive(3))
             means, variances = predict(gp, x_query)
         else:
             means, variances = exact_gp_posterior(ds.x, pv, kernel, omega).predict(x_query)
@@ -278,6 +288,10 @@ def _load_bench_config(path):
     if not (isinstance(n_grid, list) and all(_is_int(v) and v >= 1 for v in n_grid)):
         raise SchemaError("sample sizes in 'n'/'n_grid' must be integers >= 1")
     cfg["n_grid"] = n_grid
+    for key in ("datasets", "strategies", "n_grid"):
+        labels = [str(v).strip().upper() for v in cfg[key]]
+        if len(set(labels)) < len(labels):
+            raise SchemaError(f"key {key!r} repeats an entry: {cfg[key]!r}")
     return cfg
 
 

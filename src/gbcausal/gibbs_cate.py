@@ -8,6 +8,10 @@ route. Kernel hyperparameters and inducing locations stay fixed at their
 configured values, so the optimal variational distribution over the
 inducing values has a closed form and no optimizer is run.
 
+Each engine also has a resampler, fit(rows, omega), that refits the same
+closed form to a bootstrap resample of the rows; the CATE gpc calibration
+searches omega with the resampler of the engine it reports.
+
 A constant mean equal to the average pseudo-outcome is subtracted before
 fitting and added back to predictions.
 """
@@ -89,7 +93,6 @@ class ExactGpPredictor:
     chol: np.ndarray
     alpha: np.ndarray
     const_mean: float
-    omega: float
 
     def predict(self, x_query):
         return self._moments(kernel_matrix(self.params, x_query, self.x_train))
@@ -107,15 +110,12 @@ def _check_exact_n(n):
         raise DomainError(f"exact GP is guarded to n <= {_EXACT_GP_MAX_N}, got n={n}")
 
 
-def _exact_fit(params, x_train, gram, values, const_mean, omega) -> ExactGpPredictor:
+def _exact_fit(params, x_train, gram, values, const_mean) -> ExactGpPredictor:
     # One factor of the noisy Gram matrix gives the weights on the centered values.
     chol, _ = cholesky_factor(gram)
     y_c = values - const_mean
     alpha = solve_triangular(chol.T, solve_triangular(chol, y_c, lower=True), lower=False)
-    return ExactGpPredictor(
-        params=params, x_train=x_train, chol=chol, alpha=alpha, const_mean=const_mean,
-        omega=float(omega),
-    )
+    return ExactGpPredictor(params, x_train, chol, alpha, const_mean)
 
 
 def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega) -> ExactGpPredictor:
@@ -128,7 +128,7 @@ def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega
     _check_exact_n(n)
     const_mean = float(np.mean(pseudo.values))
     gram = kernel_matrix(params, x) + (1.0 / omega) * np.eye(n)
-    return _exact_fit(params, x, gram, pseudo.values, const_mean, omega)
+    return _exact_fit(params, x, gram, pseudo.values, const_mean)
 
 
 def exact_gp_resampler(params: KernelParams, x, values, x_query):
@@ -151,7 +151,7 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     def fit(rows, omega):
         u, counts = np.unique(rows, return_counts=True)
         gram = k_xx[np.ix_(u, u)] + np.diag((params.jitter + 1.0 / omega) / counts)
-        gp = _exact_fit(params, x[u], gram, values[u], float(np.mean(values[rows])), omega)
+        gp = _exact_fit(params, x[u], gram, values[u], float(np.mean(values[rows])))
         return gp._moments(k_qx[:, u])
 
     return fit
@@ -169,7 +169,33 @@ class GpPosterior:
     q_mean: np.ndarray
     q_cov: np.ndarray
     const_mean: float
-    omega: float
+
+
+def _inducing_basis(params: KernelParams, x, m_inducing, rng: Rng):
+    """Inducing rows z (the first M of a seeded permutation of x's rows), the
+    Cholesky factor L_K of K_mm and the whitened cross-covariances
+    C = L_K^-1 K_mn."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x.shape[0]
+    m = int(m_inducing)
+    if not 1 <= m <= n:
+        raise DomainError(f"m_inducing must satisfy 1 <= M <= n, got M={m}, n={n}")
+    z = x[rng.permutation(n)[:m]]
+    chol_k, _ = cholesky_factor(kernel_matrix(params, z))
+    return z, chol_k, solve_triangular(chol_k, kernel_matrix(params, z, x), lower=True)
+
+
+def _whitened_optimum(c, counts, y_c, omega):
+    """Optimal whitened q(v) = N(m, P^-1) of the bound when column i of C
+    enters counts[i] times (Titsias 2009; Hensman et al. 2013):
+        P = I + omega C diag(counts) C^T,   m = omega P^-1 C (counts * y_c).
+    One Cholesky factor of P gives both moments; returns it and m."""
+    w = c * np.sqrt(counts)
+    chol_p, _ = cholesky_factor(np.eye(c.shape[0]) + omega * (w @ w.T))
+    v_mean = omega * solve_triangular(
+        chol_p.T, solve_triangular(chol_p, c @ (counts * y_c), lower=True), lower=False
+    )
+    return chol_p, v_mean
 
 
 def svgp_fit(
@@ -181,47 +207,45 @@ def svgp_fit(
     rng: Rng,
 ) -> GpPosterior:
     """Optimal q(u) of the inducing-point variational bound for Gaussian
-    noise 1/omega.
-
-    Inducing locations are a seeded random subsample of the training
-    covariates and stay fixed. In the whitened coordinates u = L_K v, with
-    C = L_K^-1 K_mn, the bound is maximised by v ~ N(m, S) with
-        S = (I + omega C C^T)^-1,   m = omega S C y_centered
-    (Titsias 2009; Hensman et al. 2013), so one Cholesky factor of
-    P = I + omega C C^T gives both moments.
+    noise 1/omega: in the whitened coordinates u = L_K v, the
+    _whitened_optimum with every count 1. Inducing locations are a seeded
+    random subsample of the training covariates and stay fixed.
     """
     if not omega > 0:
         raise DomainError("omega must be positive")
-    x = np.atleast_2d(np.asarray(ds_x, dtype=float))
-    n = x.shape[0]
-    m = int(m_inducing)
-    if not 1 <= m <= n:
-        raise DomainError(f"m_inducing must satisfy 1 <= M <= n, got M={m}, n={n}")
-
+    z, chol_k, c = _inducing_basis(params, ds_x, m_inducing, rng)
     const_mean = float(np.mean(pseudo.values))
-    y_c = pseudo.values - const_mean
-
-    perm = rng.permutation(n)
-    z = x[perm[:m]]
-    chol_k, _ = cholesky_factor(kernel_matrix(params, z))
-    # whitened cross-covariances C = L_K^-1 K_mn
-    c = solve_triangular(chol_k, kernel_matrix(params, z, x), lower=True)
-    omega = float(omega)
-    chol_p, _ = cholesky_factor(np.eye(m) + omega * (c @ c.T))
-    v_mean = omega * solve_triangular(
-        chol_p.T, solve_triangular(chol_p, c @ y_c, lower=True), lower=False
-    )
+    chol_p, v_mean = _whitened_optimum(c, np.ones(pseudo.n), pseudo.values - const_mean, omega)
     # q_cov = L_K S L_K^T = A^T A with A = L_P^-1 L_K^T
     a = solve_triangular(chol_p, chol_k.T, lower=True)
-    return GpPosterior(
-        kernel=params,
-        inducing_x=z,
-        chol_k=chol_k,
-        q_mean=chol_k @ v_mean,
-        q_cov=a.T @ a,
-        const_mean=const_mean,
-        omega=omega,
-    )
+    return GpPosterior(kernel=params, inducing_x=z, chol_k=chol_k, q_mean=chol_k @ v_mean,
+                       q_cov=a.T @ a, const_mean=const_mean)
+
+
+def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rng: Rng):
+    """Sparse-posterior moments at x_query for any resample of (x, values).
+
+    Returns fit(rows, omega) -> (means, variances): the predictive moments
+    at x_query of the optimal q(u) for covariates x[rows] and pseudo-outcomes
+    values[rows], with the inducing rows svgp_fit(x, ..., rng) picks held
+    fixed. C = L_K^-1 K_mn and B = L_K^-1 K_mq are built once here; a row
+    drawn c times enters P with weight c, so each fit factors one M x M
+    matrix over the distinct rows of the resample. In whitened coordinates
+    the moments are B^T m + const and k_** - |B|^2 + |L_P^-1 B|^2.
+    """
+    z, chol_k, c = _inducing_basis(params, x, m_inducing, rng)
+    b = solve_triangular(chol_k, kernel_matrix(params, z, x_query), lower=True)
+    prior_left = _prior_var(params) - np.sum(b * b, axis=0)
+
+    def fit(rows, omega):
+        u, counts = np.unique(rows, return_counts=True)
+        const_mean = float(np.mean(values[rows]))
+        chol_p, v_mean = _whitened_optimum(c[:, u], counts, values[u] - const_mean, omega)
+        recovered = solve_triangular(chol_p, b, lower=True)
+        variances = prior_left + np.sum(recovered * recovered, axis=0)
+        return b.T @ v_mean + const_mean, np.maximum(variances, _VAR_FLOOR)
+
+    return fit
 
 
 def predict(gp: GpPosterior, x_query):

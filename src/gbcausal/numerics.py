@@ -243,8 +243,11 @@ def gaussian_tv(mean1, mean2, shared_sd):
 
 
 def adam_minimize(gradient_fn, init, config, rng):
-    """Run `config.epochs` bias-corrected Adam updates.
+    """Run `config.epochs` bias-corrected Adam updates and return the mean of
+    the iterates over the second half of the epochs.
 
+    Constant steps leave the last iterate circling the optimum; the average
+    of the late iterates settles on it (Polyak & Juditsky 1992).
     `gradient_fn(theta, rng)` returns the (possibly stochastic) gradient at
     theta; it may consume draws from `rng`, which is advanced sequentially so
     the whole run is deterministic given (init, config, rng).
@@ -258,6 +261,8 @@ def adam_minimize(gradient_fn, init, config, rng):
         config.beta2,
         config.epsilon,
     )
+    burn_in = config.epochs // 2
+    total = np.zeros_like(theta)
     for t in range(1, config.epochs + 1):
         g = np.asarray(gradient_fn(theta, rng), dtype=float).reshape(-1)
         if not np.all(np.isfinite(g)):
@@ -269,4 +274,6 @@ def adam_minimize(gradient_fn, init, config, rng):
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return theta
+        if t > burn_in:
+            total += theta
+    return total / (config.epochs - burn_in)

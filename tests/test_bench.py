@@ -330,6 +330,11 @@ class TestTvStability:
         assert all(p.r_n == 0.0 for p in points)
         assert all(p.tv_mean == 0.0 for p in points)
 
+    @pytest.mark.parametrize("reps", [0, -2])
+    def test_reps_below_one_rejected(self, reps):
+        with pytest.raises(DomainError, match="reps"):
+            tv_stability(default_spec("D1"), 0.3, [100], base_seed=51, reps=reps)
+
     def test_tv_values_in_unit_interval(self):
         points = tv_stability(default_spec("D1"), 0.3, [100, 200], base_seed=52, reps=4)
         for p in points:

@@ -7,7 +7,7 @@ from gbcausal import calibrate, gibbs_cate
 from gbcausal.calibrate import (
     CalibrationResult,
     gpc_omega,
-    gpc_omega_cate,
+    gpc_omega_cate_from_pseudo,
     gpc_omega_from_pseudo,
     gpc_search,
     plugin_omega,
@@ -15,9 +15,10 @@ from gbcausal.calibrate import (
 from gbcausal.dgp import default_spec, generate
 from gbcausal.errors import DegenerateVariance, DomainError
 from gbcausal.gibbs_ate import DIFFUSE_PRIOR, NormalPrior, closed_form_posterior, normal_update
-from gbcausal.gibbs_cate import KernelParams
+from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler, sparse_gp_resampler
+from gbcausal.nuisance import NuisanceConfig, cross_fit
 from gbcausal.numerics import Rng, normal_quantile
-from gbcausal.pseudo import PseudoOutcomes, Strategy
+from gbcausal.pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo
 
 
 def _pv(values):
@@ -223,19 +224,26 @@ class TestGpcOmega:
         assert res.iterations <= 10
 
 
+def _resampler(engine, ds, pv, query):
+    if engine == "exact":
+        return exact_gp_resampler(KernelParams(), ds.x, pv.values, query)
+    return sparse_gp_resampler(KernelParams(), ds.x, pv.values, query, 10, Rng(45))
+
+
 class TestGpcOmegaCate:
     def test_smoke_on_small_dataset(self):
         ds = generate(default_spec("D2"), 120, Rng(41))
-        query = ds.x[:20]
-        res = gpc_omega_cate(
-            ds, Strategy.DR, 0.05, 50, 5, Rng(42), KernelParams(), query, folds=4
-        )
-        assert res.omega > 0
-        assert 0.0 <= res.achieved_bootstrap_coverage <= 1.0
-        assert res.iterations <= 5
+        pv = cross_fitted_pseudo(ds, cross_fit(ds, 4, NuisanceConfig(), Rng(42)), Strategy.DR)
+        for engine in ("exact", "sparse"):
+            fit = _resampler(engine, ds, pv, ds.x[:20])
+            res = gpc_omega_cate_from_pseudo(pv, 0.05, 50, 5, Rng(43), fit)
+            assert res.omega > 0
+            assert 0.0 <= res.achieved_bootstrap_coverage <= 1.0
+            assert res.iterations <= 5
 
     @pytest.mark.parametrize("b_boot, max_iter", [(50, 1), (60, 4)])
     def test_kernel_matrices_built_once_per_calibration(self, monkeypatch, b_boot, max_iter):
+        # the resampler builds its kernel matrices; the search builds none
         calls = []
         original = gibbs_cate.kernel_matrix
 
@@ -245,11 +253,13 @@ class TestGpcOmegaCate:
 
         monkeypatch.setattr(gibbs_cate, "kernel_matrix", counting)
         ds = generate(default_spec("D4"), 80, Rng(43))
-        # 60 resamples of 7 query rows give coverages in steps of 1/420, and
-        # 60 * 7 * 0.95 = 399, so a coverage of exactly 0.95 is possible
-        res = gpc_omega_cate(
-            ds, Strategy.DR, 0.05, b_boot, max_iter, Rng(44), KernelParams(), ds.x[:7],
-            folds=4, tol=1e-6,
-        )
-        assert res.iterations == max_iter
-        assert len(calls) == 2
+        pv = _pv(Rng(44).normal(80) + ds.x[:, 0])
+        for engine, builds in (("exact", 2), ("sparse", 3)):
+            calls.clear()
+            fit = _resampler(engine, ds, pv, ds.x[:7])
+            assert len(calls) == builds
+            # 60 resamples of 7 query rows give coverages in steps of 1/420,
+            # and 60 * 7 * 0.95 = 399, so a coverage of exactly 0.95 is possible
+            res = gpc_omega_cate_from_pseudo(pv, 0.05, b_boot, max_iter, Rng(46), fit, tol=1e-6)
+            assert res.iterations == max_iter
+            assert len(calls) == builds

@@ -163,6 +163,31 @@ class TestFitCommand:
         if warned:
             assert f"in {want.iterations} iterations" in warned[0]
 
+    def test_cate_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        out = tmp_path / "fit.json"
+        code = cli.main([
+            "fit", "--dgp", "D1", "--n", "50", "--estimand", "cate", "--engine", "exact-gp",
+            "--alpha", "1.5", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--alpha" in err[0]
+        assert not out.exists()
+
+    def test_cate_sparse_gpc_has_no_exact_size_guard(self, tmp_path, monkeypatch):
+        # gpc calibrates the sparse engine on its own resamples, so n may
+        # exceed the exact GP's n <= 2000 guard
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        out = tmp_path / "fit.json"
+        code = cli.main([
+            "fit", "--dgp", "D2", "--n", "2500", "--estimand", "cate", "--engine", "vi",
+            "--calibration", "gpc", "--out", str(out),
+        ])
+        assert code == 0
+        summary = json.loads(out.read_text(encoding="utf-8"))
+        assert summary["n"] == 2500 and summary["omega"] > 0
+
     def test_numeric_failure_exits_3(self, tmp_path):
         # A single treated unit guarantees that the fold holding it has a
         # training complement without any treated observations.
@@ -301,6 +326,25 @@ class TestBenchCommand:
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "bench_report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("datasets", dict(datasets=["D1", "d1 "])),
+            ("strategies", dict(strategies=["RA", "AIPW", "ra"])),
+            ("n_grid", dict(n=None, n_grid=[60, 60])),
+        ],
+    )
+    def test_repeated_entry_exits_2_naming_its_key(
+        self, tmp_path, capsys, monkeypatch, key, overrides
+    ):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, **overrides)
+        code = cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "bench_report.csv").exists()
+
     @pytest.mark.parametrize("k_points", [0, -3])
     def test_cate_k_points_below_one_exits_2(self, tmp_path, capsys, monkeypatch, k_points):
         monkeypatch.delenv("GBC_SEED", raising=False)
@@ -403,6 +447,18 @@ class TestExperimentCommand:
         lines = out.read_text(encoding="utf-8").strip().split("\n")
         assert lines[0] == "n,r_n,tv_mean,tv_se"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_tv_reps_below_one_exits_2(self, tmp_path, capsys, monkeypatch, reps):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        out = tmp_path / "tv.csv"
+        code = cli.main([
+            "experiment", "--kind", "tv", "--n-grid", "200", "--reps", reps, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "reps" in err[0]
+        assert not out.exists()
 
     def test_invalid_kind_exits_2(self, tmp_path):
         proc = run_cli(["experiment", "--kind", "nope", "--out", str(tmp_path / "x.csv")])

@@ -11,6 +11,7 @@ from gbcausal.gibbs_cate import (
     exact_gp_resampler,
     kernel_matrix,
     predict,
+    sparse_gp_resampler,
     svgp_fit,
 )
 from gbcausal.nuisance import NuisanceConfig, cross_fit
@@ -184,6 +185,70 @@ class TestExactGpResampler:
     def test_size_guard(self):
         with pytest.raises(DomainError):
             exact_gp_resampler(KernelParams(), np.zeros((2001, 1)), np.zeros(2001), np.zeros((1, 1)))
+
+
+def titsias_moments(params, z, x, values, x_query, omega):
+    """Independent oracle: predictive moments of the optimal q(u) for the
+    inducing rows z in the unwhitened form of Titsias (2009), with
+    Sigma = K_mm + omega K_mn K_nm: mean omega K_qm Sigma^-1 K_mn y_c + const,
+    variance k_** - K_qm K_mm^-1 K_mq + K_qm Sigma^-1 K_mq."""
+    k_mm = kernel_matrix(params, z)
+    k_mn = kernel_matrix(params, z, x)
+    k_mq = kernel_matrix(params, z, x_query)
+    const = float(np.mean(values))
+    sigma = k_mm + omega * (k_mn @ k_mn.T)
+    means = omega * k_mq.T @ np.linalg.solve(sigma, k_mn @ (values - const)) + const
+    variances = (
+        params.variance + params.jitter
+        - np.sum(k_mq * np.linalg.solve(k_mm, k_mq), axis=0)
+        + np.sum(k_mq * np.linalg.solve(sigma, k_mq), axis=0)
+    )
+    return means, variances
+
+
+class TestSparseGpResampler:
+    @pytest.mark.parametrize("omega", [0.05, 1.0])
+    def test_matches_dense_optimum_on_the_resample(self, omega):
+        n, m = 150, 15
+        x = Rng(60).normal((n, 2))
+        values = np.sin(2.0 * x[:, 0]) + Rng(61).normal(n)
+        query = Rng(62).normal((25, 2))
+        params = KernelParams()
+        fit = sparse_gp_resampler(params, x, values, query, m, Rng(63))
+        z = svgp_fit(x, _pv(values), params, omega, m, Rng(63)).inducing_x
+        for b in range(4):
+            rows = Rng(64).derive(b).integers(n, n)
+            assert np.unique(rows).size < n  # the resample repeats rows
+            got_mean, got_var = fit(rows, omega)
+            want_mean, want_var = titsias_moments(params, z, x[rows], values[rows], query, omega)
+            np.testing.assert_allclose(got_mean, want_mean, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got_var, want_var, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("omega", [0.05, 1.0, 30.0])
+    def test_all_rows_once_is_the_reported_fit(self, omega):
+        n, m = 200, 20
+        x = Rng(65).normal((n, 2))
+        values = Rng(66).normal(n) + x[:, 1]
+        query = Rng(67).normal((30, 2))
+        fit = sparse_gp_resampler(KernelParams(), x, values, query, m, Rng(68, 3))
+        got_mean, got_var = fit(np.arange(n), omega)
+        gp = svgp_fit(x, _pv(values), KernelParams(), omega, m, Rng(68, 3))
+        want_mean, want_var = predict(gp, query)
+        np.testing.assert_allclose(got_mean, want_mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_var, want_var, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 11])
+    def test_inducing_bounds(self, m):
+        with pytest.raises(DomainError):
+            sparse_gp_resampler(KernelParams(), np.zeros((10, 1)), np.zeros(10),
+                                np.zeros((1, 1)), m, Rng(0))
+
+    def test_no_size_guard(self):
+        n = 2500
+        x = Rng(69).normal((n, 1))
+        fit = sparse_gp_resampler(KernelParams(), x, Rng(70).normal(n), x[:5], 10, Rng(71))
+        means, variances = fit(Rng(72).integers(n, n), 1.0)
+        assert np.all(np.isfinite(means)) and np.all(variances > 0)
 
 
 class TestSvgp:
