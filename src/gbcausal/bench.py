@@ -336,6 +336,9 @@ def tv_stability(
     shared plug-in omega, so TV is exactly 2 Phi(|m_fe - m_or| / (2 s_p)) - 1."""
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
+    for n in n_grid:
+        if n < 2:  # the oracle variance takes two draws
+            raise DomainError(f"n_grid sizes must be >= 2, got {n}")
     points = []
     for i, n in enumerate(n_grid):
         r_n = float(n) ** (-beta) if not math.isinf(beta) else 0.0

@@ -5,6 +5,7 @@ line endings, full-precision decimal floats, and no quoting. Ground truth is
 never serialized; it only exists on in-memory DGP outputs.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,7 +38,7 @@ class Dataset:
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        a = np.asarray(self.a, dtype=np.int64).reshape(-1)
+        a = np.asarray(self.a, dtype=float).reshape(-1)
         y = np.asarray(self.y, dtype=float).reshape(-1)
         if x.shape[0] != a.shape[0] or a.shape[0] != y.shape[0]:
             raise DomainError("x, a, y must share the same length")
@@ -45,8 +46,10 @@ class Dataset:
             raise DomainError("dataset must contain at least one observation")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DomainError("covariates and outcomes must be finite")
+        # checked before the integer cast, which would truncate 0.5 to 0
         if not np.all((a == 0) | (a == 1)):
             raise DomainError("treatment must be binary 0/1")
+        a = a.astype(np.int64)
         for arr in (x, a, y):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -113,8 +116,22 @@ def write_csv(ds: Dataset, path):
 
 
 def read_csv(path) -> Dataset:
+    """Read a dataset written in the format above.
+
+    The body is parsed in one vectorised ``np.loadtxt`` pass, kept only if it
+    has exactly one row per line and d + 2 columns, all finite, with a 0/1
+    treatment column. Anything else (blank lines, a field ``float()`` reads
+    and numpy does not, such as ``1_0``, or a bad value) is parsed again
+    row by row, which raises the ``ParseError`` naming the first bad row and
+    column.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        text = fh.read()
+    # numpy's float parser strips the ASCII separators \x1c-\x1f as
+    # whitespace; float() rejects them, so a file holding one takes the loop.
+    vectorised = not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
+    lines = text.split("\n")
+    del text
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -130,11 +147,35 @@ def read_csv(path) -> Dataset:
     if len(lines) == 1:
         raise SchemaError("empty body: a dataset needs at least one row")
 
-    n = len(lines) - 1
+    body = lines[1:]
+    table = None
+    if vectorised:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on an all-blank body
+                table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            pass
+    if (
+        table is None
+        or table.shape != (len(body), d + 2)
+        or not np.isfinite(table).all()
+        or not ((table[:, d] == 0.0) | (table[:, d] == 1.0)).all()
+    ):
+        return _parse_rows(body, d)
+    # contiguous columns, laid out as the loop builds them
+    x, y = np.ascontiguousarray(table[:, :d]), np.ascontiguousarray(table[:, d + 1])
+    return Dataset(x=x, a=table[:, d], y=y)
+
+
+def _parse_rows(body, d) -> Dataset:
+    """Parse the body lines cell by cell; the first bad cell raises a
+    ParseError with its 1-based file row and column."""
+    n = len(body)
     x = np.empty((n, d), dtype=float)
     a = np.empty(n, dtype=np.int64)
     y = np.empty(n, dtype=float)
-    for i, line in enumerate(lines[1:]):
+    for i, line in enumerate(body):
         row_no = i + 2  # 1-based file line number
         parts = line.split(",")
         if len(parts) != d + 2:

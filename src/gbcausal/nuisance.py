@@ -2,11 +2,15 @@
 per-arm ridge outcome regressions (T-learner), and K-fold cross-fitting.
 
 All models share one fixed feature map Phi(X) = [X, X^2, sin(X), x_extra, 1]
-with x_extra = X1*X2 for d >= 2 and X1^3 for d = 1. The propensity is fit on
-the non-constant columns of Phi standardised by the training rows' own
-statistics, with an unpenalised intercept and a slope penalty chosen per
-training set by Laplace evidence unless one is given; its coefficients are
-mapped back to Phi. Propensity predictions are clipped to
+with x_extra = X1*X2 for d >= 2 and X1^3 for d = 1. Phi is computed row by
+row, so the fits and predictions take feature rows, not covariates:
+``cross_fit`` builds Phi once for the whole dataset and hands each fold fit
+and prediction its rows, which are bit-identical to Phi of those rows.
+
+The propensity is fit on the non-constant columns of Phi standardised by
+the training rows' own statistics, with an unpenalised intercept and a slope
+penalty chosen per training set by Laplace evidence unless one is given; its
+coefficients are mapped back to Phi. Propensity predictions are clipped to
 [clip_eps, 1 - clip_eps] at prediction time, so the clip applies uniformly
 wherever a fit is evaluated.
 """
@@ -54,8 +58,9 @@ class NuisanceConfig:
             raise DomainError("ridge penalties must be >= 0")
 
 
-def fit_outcome(x, y, lam) -> np.ndarray:
-    """Ridge coefficients minimizing ||Phi w - y||^2 + lam ||w||^2.
+def fit_outcome(phi, y, lam) -> np.ndarray:
+    """Ridge coefficients minimizing ||phi w - y||^2 + lam ||w||^2 over the
+    feature rows phi = Phi(x).
 
     Solved through the SPD normal equations; the intercept inside Phi is
     penalized like any other feature.
@@ -63,7 +68,6 @@ def fit_outcome(x, y, lam) -> np.ndarray:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size == 0:
         raise EmptyArm("outcome regression needs at least one observation in the arm")
-    phi = feature_matrix(x)
     gram = phi.T @ phi + lam * np.eye(phi.shape[1])
     return cholesky_solve(gram, phi.T @ y)
 
@@ -73,15 +77,15 @@ _LAMBDA_MIN = 1e-4
 _LAMBDA_MAX = 1e6
 
 
-def _standardised_design(x):
-    """Phi(x) with its non-constant slope columns centred and scaled by these
-    rows' own mean and standard deviation, its constant ones dropped, and
-    the intercept column kept last.
+def _standardised_design(phi):
+    """The feature rows phi with their non-constant slope columns centred and
+    scaled by these rows' own mean and standard deviation, its constant ones
+    dropped, and the intercept column kept last. phi is overwritten.
 
     Returns (design, keep, mean, scale): ``keep`` masks the kept columns of
-    Phi[:, :-1] and ``mean``/``scale`` are their statistics.
+    phi[:, :-1] and ``mean``/``scale`` are their statistics.
     """
-    design = feature_matrix(x)
+    design = phi
     slopes = design[:, :-1]
     mean = slopes.mean(axis=0)
     slopes -= mean
@@ -138,10 +142,12 @@ def _penalized_loglik(design, a, w, penalty):
     return float(a @ z - np.logaddexp(0.0, z).sum() - 0.5 * (penalty * w) @ w)
 
 
-def fit_propensity(x, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray, float]:
+def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray, float]:
     """Penalized logistic regression via iteratively reweighted SPD solves.
 
-    Fits on the standardised non-constant slopes of Phi(x) plus an
+    Fits on the standardised non-constant slopes of the feature rows
+    phi = Phi(x), which are standardised in place (pass rows nothing else
+    reads afterwards, such as a fancy-indexed slice), plus an
     unpenalised intercept started at logit(a-bar); ``lam`` penalises the
     slopes only. None chooses it per call by Laplace evidence (see
     ``_evidence_penalty``) and starts the slopes at that approximation's
@@ -156,7 +162,7 @@ def fit_propensity(x, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray, 
     a = np.asarray(a, dtype=float).reshape(-1)
     if np.all(a == a[0]):
         raise DegenerateTreatment("treatment vector is constant; cannot fit a propensity")
-    design, keep, mean, scale = _standardised_design(x)
+    design, keep, mean, scale = _standardised_design(phi)
     w = np.zeros(design.shape[1])
     w[-1] = logit(a.mean())
     if lam is None:
@@ -202,27 +208,32 @@ class NuisanceFit:
     lambda_prop: float
     lambda_out: float
 
-    def predict_propensity(self, x) -> np.ndarray:
-        raw = expit(feature_matrix(x) @ self.propensity_coef)
+    def predict_propensity(self, phi) -> np.ndarray:
+        """Clipped propensities at the feature rows phi = Phi(x)."""
+        raw = expit(phi @ self.propensity_coef)
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps)
 
-    def predict_outcome(self, x, arm) -> np.ndarray:
+    def predict_outcome(self, phi, arm) -> np.ndarray:
+        """The arm's outcome regression at the feature rows phi = Phi(x)."""
         coef = self.outcome_coef_treated if arm == 1 else self.outcome_coef_control
-        return feature_matrix(x) @ coef
+        return phi @ coef
 
 
-def fit_nuisances(x, a, y, config: NuisanceConfig) -> NuisanceFit:
+def fit_nuisances(phi, a, y, config: NuisanceConfig) -> NuisanceFit:
+    """Propensity and per-arm outcome fits on the feature rows phi = Phi(x),
+    which the propensity fit, run last, standardises in place."""
     a = np.asarray(a).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     treated = a == 1
     if treated.all() or (~treated).all():
         raise DegenerateTreatment("both treatment arms are required to fit nuisances")
-    propensity_coef, lambda_prop = fit_propensity(x, a, config.lambda_prop)
+    outcome_coef_treated = fit_outcome(phi[treated], y[treated], config.lambda_out)
+    outcome_coef_control = fit_outcome(phi[~treated], y[~treated], config.lambda_out)
+    propensity_coef, lambda_prop = fit_propensity(phi, a, config.lambda_prop)
     return NuisanceFit(
         propensity_coef=propensity_coef,
-        outcome_coef_treated=fit_outcome(x[treated], y[treated], config.lambda_out),
-        outcome_coef_control=fit_outcome(x[~treated], y[~treated], config.lambda_out),
+        outcome_coef_treated=outcome_coef_treated,
+        outcome_coef_control=outcome_coef_control,
         clip_eps=config.clip_eps,
         lambda_prop=lambda_prop,
         lambda_out=config.lambda_out,
@@ -231,31 +242,40 @@ def fit_nuisances(x, a, y, config: NuisanceConfig) -> NuisanceFit:
 
 @dataclass(frozen=True)
 class CrossFit:
-    """Per-fold nuisance fits, each trained only on its fold's complement."""
+    """Per-fold nuisance fits, each trained only on its fold's complement,
+    and the held-out predictions (e_hat, m1_hat, m0_hat) of every
+    observation by the fit that never saw it, in original index order."""
 
     folds: FoldAssignment
     per_fold: List[NuisanceFit]
+    e_hat: np.ndarray
+    m1_hat: np.ndarray
+    m0_hat: np.ndarray
 
-    def held_out_predictions(self, ds: Dataset):
-        """(e_hat, m1_hat, m0_hat) for every observation, each predicted by
-        the fit that never saw it, assembled in original index order."""
-        n = ds.n
-        e = np.empty(n)
-        m1 = np.empty(n)
-        m0 = np.empty(n)
-        for k in range(self.folds.k):
-            idx = self.folds.indices(k)
-            fit = self.per_fold[k]
-            xk = ds.x[idx]
-            e[idx] = fit.predict_propensity(xk)
-            m1[idx] = fit.predict_outcome(xk, 1)
-            m0[idx] = fit.predict_outcome(xk, 0)
-        return e, m1, m0
+    @classmethod
+    def from_fits(cls, folds: FoldAssignment, per_fold, phi) -> "CrossFit":
+        """Predict each fold's rows of phi = Phi(ds.x) with its fold fit."""
+        n = phi.shape[0]
+        e, m1, m0 = np.empty(n), np.empty(n), np.empty(n)
+        for k, fit in enumerate(per_fold):
+            idx = folds.indices(k)
+            rows = phi[idx]
+            e[idx] = fit.predict_propensity(rows)
+            m1[idx] = fit.predict_outcome(rows, 1)
+            m0[idx] = fit.predict_outcome(rows, 0)
+        for arr in (e, m1, m0):
+            arr.setflags(write=False)
+        return cls(folds=folds, per_fold=per_fold, e_hat=e, m1_hat=m1, m0_hat=m0)
 
 
 def cross_fit(ds: Dataset, k, config: NuisanceConfig, rng: Rng) -> CrossFit:
-    """K-fold cross-fitting: fit nuisances on each fold's complement."""
+    """K-fold cross-fitting: fit nuisances on each fold's complement.
+
+    Phi(ds.x) is built once; each fold fit gets its own copy of its training
+    rows, and the held-out predictions are made here, once.
+    """
     folds = make_folds(ds.n, k, rng)
+    phi = feature_matrix(ds.x)
     fits = []
     for fold in range(k):
         idx = folds.complement(fold)
@@ -265,5 +285,5 @@ def cross_fit(ds: Dataset, k, config: NuisanceConfig, rng: Rng) -> CrossFit:
                 f"training complement of fold {fold} contains a single treatment arm",
                 fold=fold,
             )
-        fits.append(fit_nuisances(ds.x[idx], a_train, ds.y[idx], config))
-    return CrossFit(folds=folds, per_fold=fits)
+        fits.append(fit_nuisances(phi[idx], a_train, ds.y[idx], config))
+    return CrossFit.from_fits(folds, fits, phi)

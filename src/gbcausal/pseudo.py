@@ -69,8 +69,7 @@ def pseudo_values(a, y, e_hat, m1_hat, m0_hat, strategy: Strategy) -> np.ndarray
 def cross_fitted_pseudo(ds: Dataset, cf: CrossFit, strategy: Strategy) -> PseudoOutcomes:
     """Pseudo-outcomes where observation i is transformed with the fold fit
     that never saw i."""
-    e, m1, m0 = cf.held_out_predictions(ds)
-    values = pseudo_values(ds.a, ds.y, e, m1, m0, strategy)
+    values = pseudo_values(ds.a, ds.y, cf.e_hat, cf.m1_hat, cf.m0_hat, strategy)
     values.setflags(write=False)
     return PseudoOutcomes(values=values, strategy=strategy, cross_fitted=True)
 

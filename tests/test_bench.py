@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbcausal import bench, numerics
+from gbcausal import bench, nuisance, numerics
 from gbcausal.bench import (
     BenchReport,
     _execute,
@@ -230,6 +230,22 @@ class TestNuisanceMemo:
         _ate_cells(kwargs.pop("spec"), [Strategy.DR], **kwargs)
         assert len(fit_calls) == 6
 
+    def test_a_cell_served_from_the_memo_builds_no_features(self, fit_calls, monkeypatch):
+        spec = default_spec("D1")
+        _ate_cells(spec, [Strategy.RA])
+        built = []
+        original = nuisance.feature_matrix
+
+        def counting(x):
+            built.append(x.shape[0])
+            return original(x)
+
+        monkeypatch.setattr(nuisance, "feature_matrix", counting)
+        _ate_cells(spec, [Strategy.IPW, Strategy.DR])
+        assert built == []
+        _ate_cells(spec, [Strategy.DR], seed=62)
+        assert built == [80] * 3 and len(fit_calls) == 6
+
     def test_failed_cross_fits_are_not_stored(self, fit_calls):
         # D6 at a tiny n collapses an arm in some training complements
         first, second = _ate_cells(default_spec("D6"), [Strategy.RA, Strategy.DR], n=30, reps=12,
@@ -334,6 +350,11 @@ class TestTvStability:
     def test_reps_below_one_rejected(self, reps):
         with pytest.raises(DomainError, match="reps"):
             tv_stability(default_spec("D1"), 0.3, [100], base_seed=51, reps=reps)
+
+    @pytest.mark.parametrize("size", [0, 1, -5])
+    def test_sample_size_below_two_rejected(self, size):
+        with pytest.raises(DomainError, match=f"got {size}"):
+            tv_stability(default_spec("D1"), 0.3, [100, size], base_seed=51, reps=2)
 
     def test_tv_values_in_unit_interval(self):
         points = tv_stability(default_spec("D1"), 0.3, [100, 200], base_seed=52, reps=4)

@@ -460,6 +460,17 @@ class TestExperimentCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "reps" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", ["0", "1"])
+    def test_tv_sample_size_below_two_exits_2(self, tmp_path, size):
+        out = tmp_path / "tv.csv"
+        proc = run_cli([
+            "experiment", "--kind", "tv", "--n-grid", size, "--reps", "2", "--out", str(out),
+        ])
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"got {size}" in err[0]
+        assert not out.exists()
+
     def test_invalid_kind_exits_2(self, tmp_path):
         proc = run_cli(["experiment", "--kind", "nope", "--out", str(tmp_path / "x.csv")])
         assert proc.returncode == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gbcausal import dataset
 from gbcausal.dataset import Dataset, make_folds, read_csv, write_csv
 from gbcausal.dgp import default_spec, generate
 from gbcausal.errors import DomainError, InvalidFoldCount, ParseError, SchemaError
@@ -29,6 +30,14 @@ class TestDataset:
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(DomainError):
             Dataset(**kwargs)
+
+    @pytest.mark.parametrize(
+        "a, y", [([0.5, 1.7, 0.2], [0.0, 1.0, 2.0]), ([np.nan, 1.0], [0.0, 1.0])],
+        ids=["fractional", "nan"],
+    )
+    def test_non_binary_treatment_is_not_truncated(self, a, y):
+        with pytest.raises(DomainError, match="treatment must be binary 0/1"):
+            Dataset(x=np.zeros((len(a), 1)), a=a, y=y)
 
 
 class TestMakeFolds:
@@ -138,3 +147,111 @@ class TestCsv:
         assert raw.startswith("x1,x2,a,y\n")
         assert "\r" not in raw
         assert raw.endswith("\n")
+
+    def test_roundtrip_d8_draw_is_byte_identical(self, tmp_path):
+        ds = generate(default_spec("D8"), 150, Rng(14))
+        assert ds.d == 50
+        path = tmp_path / "d8.csv"
+        write_csv(ds, path)
+        back = read_csv(path)
+        for name in ("x", "a", "y"):
+            got, want = getattr(back, name), getattr(ds, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _loop_read(path):
+    """The row-by-row parse of a file, bypassing the vectorised pass."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return dataset._parse_rows(lines[1:], len(lines[0].split(",")) - 2)
+
+
+# Field values that float() and numpy's parser disagree on, that are not
+# finite, or that are not a 0/1 treatment, and lines that are not data.
+_LOOP_ONLY = ["1_0", "\u0661", "2_5e-1", "\u0661\u0662", "\u00a01"]
+_CELLS = ["+1", "nan", "inf", "-inf", "", " ", "#1", " 2.5 ", "\x1c1", "1e400"]
+_TREATMENTS = ["2", "0.5", "-0.0", "1.0", "+1", " 0 ", "1e0"]
+_EXTRA_LINES = ["# comment", "", "   ", "\t"]
+
+
+def _int(rng, n):
+    return int(rng.integers(n, 1)[0])
+
+
+def _pick(rng, options):
+    return options[_int(rng, len(options))]
+
+
+def _mutated_file(rng):
+    """A valid CSV (d in 1..3, n in 1..6) with up to three random mutations."""
+    d, n = 1 + _int(rng, 3), 1 + _int(rng, 6)
+    rows = [
+        [repr(float(v)) for v in rng.normal(d)] + [str(_int(rng, 2)), repr(float(rng.normal()))]
+        for _ in range(n)
+    ]
+    lines = [",".join(row) for row in rows]
+    for _ in range(_int(rng, 4)):
+        i = _int(rng, len(lines))
+        kind = _int(rng, 9)
+        parts = lines[i].split(",")
+        if kind == 0:
+            lines.insert(_int(rng, len(lines) + 1), _pick(rng, _EXTRA_LINES))
+        elif kind == 1:
+            lines[i] += "\r"  # CRLF
+        elif kind == 2:
+            parts[_int(rng, len(parts))] = _pick(rng, _CELLS)
+            lines[i] = ",".join(parts)
+        elif kind == 3 and len(parts) == d + 2:
+            parts[d] = _pick(rng, _TREATMENTS)
+            lines[i] = ",".join(parts)
+        elif kind == 4:
+            lines[i] = ",".join(parts[:-1])  # short row
+        elif kind == 5:
+            lines[i] += "," + repr(float(rng.normal()))  # long row
+        elif kind == 6:
+            lines[i] += ","  # trailing comma
+        elif kind == 7:
+            lines[i] = lines[i].replace(",", ",,", 1)  # empty field
+        else:
+            parts[_int(rng, len(parts))] = _pick(rng, _LOOP_ONLY)
+            lines[i] = ",".join(parts)
+    header = ",".join([f"x{j + 1}" for j in range(d)] + ["a", "y"])
+    return "\n".join([header] + lines) + "\n"
+
+
+def test_vectorised_and_loop_parses_agree(tmp_path, monkeypatch):
+    # read_csv must give the loop's bytes or the loop's ParseError on every
+    # file, and the mutated files must reach each of those outcomes.
+    loop_calls = []
+    original = dataset._parse_rows
+
+    def counting(body, d):
+        loop_calls.append(d)
+        return original(body, d)
+
+    monkeypatch.setattr(dataset, "_parse_rows", counting)
+    rng = Rng(140)
+    path = tmp_path / "fuzz.csv"
+    outcomes = {"vectorised": 0, "loop": 0, "error": 0}
+    for case in range(1000):
+        path.write_bytes(_mutated_file(rng.derive(case)).encode("utf-8"))
+        loop_calls.clear()
+        try:
+            got = read_csv(path)
+        except ParseError as err:
+            outcomes["error"] += 1
+            with pytest.raises(ParseError) as want:
+                _loop_read(path)
+            assert (err.row, err.col, str(err)) == (
+                want.value.row, want.value.col, str(want.value)
+            ), case
+            continue
+        outcomes["loop" if loop_calls else "vectorised"] += 1
+        want = _loop_read(path)
+        for name in ("x", "a", "y"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, case
+            assert getattr(got, name).shape == getattr(want, name).shape, case
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), case
+    assert min(outcomes.values()) >= 20, outcomes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from gbcausal import nuisance
 from gbcausal.dataset import Dataset
 from gbcausal.dgp import DGP_IDS, default_spec, generate, true_propensity
 from gbcausal.errors import DegenerateTreatment, EmptyArm, FoldArmCollapse
@@ -48,13 +49,13 @@ class TestFeatureMap:
 class TestOutcomeRidge:
     def test_zero_targets_give_zero_coefficients(self):
         x = Rng(1).normal((30, 2))
-        w = fit_outcome(x, np.zeros(30), 1e-3)
+        w = fit_outcome(feature_matrix(x), np.zeros(30), 1e-3)
         assert np.max(np.abs(w)) <= 1e-12
 
     def test_huge_penalty_shrinks_to_zero(self):
         x = Rng(2).normal((10, 2))
         y = Rng(3).normal(10) + 5.0
-        w = fit_outcome(x, y, 1e12)
+        w = fit_outcome(feature_matrix(x), y, 1e12)
         assert np.max(np.abs(w)) <= 1e-4
 
     def test_noiseless_recovery(self):
@@ -62,7 +63,7 @@ class TestOutcomeRidge:
         x = rng.normal((60, 2))
         w_star = rng.normal(8)
         y = feature_matrix(x) @ w_star
-        w = fit_outcome(x, y, 0.0)
+        w = fit_outcome(feature_matrix(x), y, 0.0)
         assert np.max(np.abs(w - w_star)) <= 1e-6
 
     def test_normal_equation_gradient_is_zero(self):
@@ -70,7 +71,7 @@ class TestOutcomeRidge:
         x = rng.normal((80, 2))
         y = rng.normal(80)
         lam = 1e-3
-        w = fit_outcome(x, y, lam)
+        w = fit_outcome(feature_matrix(x), y, lam)
         phi = feature_matrix(x)
         grad = 2.0 * (phi.T @ (phi @ w - y) + lam * w)
         assert np.linalg.norm(grad) <= 1e-8
@@ -79,14 +80,14 @@ class TestOutcomeRidge:
         rng = Rng(6)
         x = rng.normal((50, 2))
         y = rng.normal(50)
-        w = fit_outcome(x, y, 1e-3)
+        w = fit_outcome(feature_matrix(x), y, 1e-3)
         perm = Rng(7).permutation(50)
-        w_perm = fit_outcome(x[perm], y[perm], 1e-3)
+        w_perm = fit_outcome(feature_matrix(x[perm]), y[perm], 1e-3)
         assert np.max(np.abs(w - w_perm)) <= 1e-10
 
     def test_empty_arm(self):
         with pytest.raises(EmptyArm):
-            fit_outcome(np.zeros((0, 2)), np.zeros(0), 1e-3)
+            fit_outcome(feature_matrix(np.zeros((0, 2))), np.zeros(0), 1e-3)
 
 
 class TestPropensity:
@@ -96,9 +97,9 @@ class TestPropensity:
         rng = Rng(8)
         x = rng.normal((2000, 2))
         a = rng.bernoulli(np.full(2000, 0.5))
-        w, _ = fit_propensity(x, a, 1.0)
+        w, _ = fit_propensity(feature_matrix(x), a, 1.0)
         fit = NuisanceFit(w, np.zeros(8), np.zeros(8), 0.01, 1.0, 1e-3)
-        e_hat = fit.predict_propensity(x)
+        e_hat = fit.predict_propensity(feature_matrix(x))
         assert abs(float(np.mean(e_hat)) - 0.5) <= 0.05
         assert float(np.quantile(np.abs(e_hat - 0.5), 0.9)) <= 0.05
 
@@ -106,33 +107,33 @@ class TestPropensity:
         rng = Rng(9)
         x = rng.normal((200, 2))
         a = (x[:, 0] > 0).astype(int)
-        w, _ = fit_propensity(x, a, 1.0)
+        w, _ = fit_propensity(feature_matrix(x), a, 1.0)
         assert np.all(np.isfinite(w))
         assert np.linalg.norm(w) < 100.0
 
     def test_d1_recovers_true_propensity(self):
         spec = default_spec("D1")
         ds = generate(spec, 5000, Rng(10))
-        w, _ = fit_propensity(ds.x, ds.a, 1.0)
+        w, _ = fit_propensity(feature_matrix(ds.x), ds.a, 1.0)
         fit = NuisanceFit(w, np.zeros(8), np.zeros(8), 0.01, 1.0, 1e-3)
-        e_hat = fit.predict_propensity(ds.x)
+        e_hat = fit.predict_propensity(feature_matrix(ds.x))
         e_true = true_propensity(spec, ds.x)
         assert float(np.mean(np.abs(e_hat - e_true))) <= 0.05
 
     def test_degenerate_treatment(self):
         x = Rng(11).normal((20, 2))
         with pytest.raises(DegenerateTreatment):
-            fit_propensity(x, np.ones(20), 1.0)
+            fit_propensity(feature_matrix(x), np.ones(20), 1.0)
         with pytest.raises(DegenerateTreatment):
-            fit_propensity(x, np.zeros(20), 1.0)
+            fit_propensity(feature_matrix(x), np.zeros(20), 1.0)
 
     def test_row_order_invariance(self):
         rng = Rng(12)
         x = rng.normal((300, 2))
         a = rng.bernoulli(np.full(300, 0.4))
-        w, _ = fit_propensity(x, a, 1.0)
+        w, _ = fit_propensity(feature_matrix(x), a, 1.0)
         perm = Rng(13).permutation(300)
-        w_perm, _ = fit_propensity(x[perm], a[perm], 1.0)
+        w_perm, _ = fit_propensity(feature_matrix(x[perm]), a[perm], 1.0)
         assert np.max(np.abs(w - w_perm)) <= 1e-10
 
     def test_row_order_invariance_with_selected_penalty(self):
@@ -140,8 +141,8 @@ class TestPropensity:
         x = rng.normal((300, 2))
         a = rng.bernoulli(np.full(300, 0.4))
         perm = Rng(13).permutation(300)
-        w, lam = fit_propensity(x, a)
-        w_perm, lam_perm = fit_propensity(x[perm], a[perm])
+        w, lam = fit_propensity(feature_matrix(x), a)
+        w_perm, lam_perm = fit_propensity(feature_matrix(x[perm]), a[perm])
         assert abs(lam_perm - lam) <= 1e-10 * lam
         assert np.max(np.abs(w - w_perm)) <= 1e-10
 
@@ -149,9 +150,9 @@ class TestPropensity:
         rng = Rng(8)
         x = rng.normal((2000, 2))
         a = rng.bernoulli(np.full(2000, 0.5))
-        w, _ = fit_propensity(x, a)
+        w, _ = fit_propensity(feature_matrix(x), a)
         fit = NuisanceFit(w, np.zeros(8), np.zeros(8), 0.01, 0.0, 1e-3)
-        e_hat = fit.predict_propensity(x)
+        e_hat = fit.predict_propensity(feature_matrix(x))
         assert float(np.quantile(np.abs(e_hat - 0.5), 0.9)) <= 0.05
 
     @pytest.mark.parametrize("dgp_id", DGP_IDS)
@@ -181,7 +182,7 @@ class TestPropensity:
             return 0.5 * (grad @ np.linalg.solve(mat, grad) + hess.shape[0] * math.log(lam)
                           - np.linalg.slogdet(mat)[1])
 
-        _, lam = fit_propensity(ds.x, ds.a)
+        _, lam = fit_propensity(feature_matrix(ds.x), ds.a)
         assert 1e-4 <= lam <= 1e6
         best_on_grid = max(log_evidence(v) for v in np.logspace(-4, 6, 201))
         assert log_evidence(lam) >= best_on_grid - 1e-9
@@ -192,14 +193,14 @@ class TestPropensity:
         rng = Rng(26)
         x = np.column_stack([rng.normal(300), np.zeros(300)])
         a = rng.bernoulli(expit(x[:, 0]))
-        w, _ = fit_propensity(x, a)
+        w, _ = fit_propensity(feature_matrix(x), a)
         assert np.all(np.isfinite(w))
         np.testing.assert_array_equal(w[[1, 3, 5, 6]], 0.0)
 
     def test_all_features_constant_gives_intercept_only_fit(self):
         x = np.full((40, 2), 0.7)
         a = np.array([1, 0, 0, 0] * 10)
-        w, lam = fit_propensity(x, a)
+        w, lam = fit_propensity(feature_matrix(x), a)
         assert lam == 1e6
         np.testing.assert_array_equal(w[:-1], 0.0)
         assert abs(w[-1] - math.log(0.25 / 0.75)) <= 1e-12
@@ -211,7 +212,7 @@ class TestPenaltyRecord:
         cf = cross_fit(ds, 4, NuisanceConfig(), Rng(28))
         for k, fit in enumerate(cf.per_fold):
             idx = cf.folds.complement(k)
-            coef, lam = fit_propensity(ds.x[idx], ds.a[idx])
+            coef, lam = fit_propensity(feature_matrix(ds.x[idx]), ds.a[idx])
             assert lam == fit.lambda_prop
             np.testing.assert_array_equal(fit.propensity_coef, coef)
 
@@ -219,30 +220,32 @@ class TestPenaltyRecord:
         # The selected penalty warm-starts the slopes; the optimum is the
         # same as when that penalty is passed in and the fit starts at zero.
         ds = generate(default_spec("D5"), 400, Rng(29))
-        coef, lam = fit_propensity(ds.x, ds.a)
-        coef_explicit, _ = fit_propensity(ds.x, ds.a, lam)
+        coef, lam = fit_propensity(feature_matrix(ds.x), ds.a)
+        coef_explicit, _ = fit_propensity(feature_matrix(ds.x), ds.a, lam)
         np.testing.assert_allclose(coef, coef_explicit, rtol=0, atol=1e-8)
 
     def test_explicit_penalty_is_kept(self):
         ds = generate(default_spec("D1"), 400, Rng(27))
-        fit = fit_nuisances(ds.x, ds.a, ds.y, NuisanceConfig(lambda_prop=2.5))
+        fit = fit_nuisances(feature_matrix(ds.x), ds.a, ds.y, NuisanceConfig(lambda_prop=2.5))
         assert fit.lambda_prop == 2.5
-        np.testing.assert_array_equal(fit.propensity_coef, fit_propensity(ds.x, ds.a, 2.5)[0])
+        np.testing.assert_array_equal(
+            fit.propensity_coef, fit_propensity(feature_matrix(ds.x), ds.a, 2.5)[0]
+        )
 
 
 class TestClipping:
     def test_clip_binds_exactly_on_extreme_data(self):
         spec = default_spec("D6")
         ds = generate(spec, 2000, Rng(14))
-        fit = fit_nuisances(ds.x, ds.a, ds.y, NuisanceConfig())
-        e_hat = fit.predict_propensity(ds.x)
+        fit = fit_nuisances(feature_matrix(ds.x), ds.a, ds.y, NuisanceConfig())
+        e_hat = fit.predict_propensity(feature_matrix(ds.x))
         assert e_hat.max() == 0.99
         assert e_hat.min() >= 0.01
 
     def test_heldout_predictions_clipped(self):
         ds = generate(default_spec("D1"), 1000, Rng(15))
         cf = cross_fit(ds, 5, NuisanceConfig(), Rng(16))
-        e, _, _ = cf.held_out_predictions(ds)
+        e = cf.e_hat
         assert e.min() >= 0.01 and e.max() <= 0.99
 
 
@@ -307,10 +310,25 @@ class TestCrossFit:
     def test_heldout_assembled_in_original_order(self):
         ds = generate(default_spec("D2"), 300, Rng(21))
         cf = cross_fit(ds, 3, NuisanceConfig(), Rng(22))
-        e, m1, m0 = cf.held_out_predictions(ds)
+        e, m1, m0 = cf.e_hat, cf.m1_hat, cf.m0_hat
         for k in range(3):
             idx = cf.folds.indices(k)
             fit = cf.per_fold[k]
-            np.testing.assert_array_equal(e[idx], fit.predict_propensity(ds.x[idx]))
-            np.testing.assert_array_equal(m1[idx], fit.predict_outcome(ds.x[idx], 1))
-            np.testing.assert_array_equal(m0[idx], fit.predict_outcome(ds.x[idx], 0))
+            phi = feature_matrix(ds.x[idx])
+            np.testing.assert_array_equal(e[idx], fit.predict_propensity(phi))
+            np.testing.assert_array_equal(m1[idx], fit.predict_outcome(phi, 1))
+            np.testing.assert_array_equal(m0[idx], fit.predict_outcome(phi, 0))
+
+    def test_feature_map_is_built_once_per_cross_fit(self, monkeypatch):
+        calls = []
+        original = nuisance.feature_matrix
+
+        def counting(x):
+            calls.append(x.shape)
+            return original(x)
+
+        monkeypatch.setattr(nuisance, "feature_matrix", counting)
+        ds = generate(default_spec("D8"), 200, Rng(30))
+        cf = cross_fit(ds, 5, NuisanceConfig(), Rng(31))
+        assert calls == [ds.x.shape]
+        assert len(cf.per_fold) == 5

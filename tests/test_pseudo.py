@@ -7,7 +7,7 @@ from scipy.special import expit, logit
 from gbcausal.dataset import FoldAssignment
 from gbcausal.dgp import default_spec, generate, true_outcome_mean, true_propensity
 from gbcausal.errors import ConfigError
-from gbcausal.nuisance import CrossFit, NuisanceFit
+from gbcausal.nuisance import CrossFit, NuisanceFit, feature_matrix
 from gbcausal.numerics import Rng
 from gbcausal.pseudo import (
     PseudoOutcomes,
@@ -71,7 +71,7 @@ class TestCrossFittedPseudo:
         fold_of = np.array([0, 1, 0, 1])
         folds = FoldAssignment(k=2, fold_of=fold_of)
         fits = [_constant_fit(0.5, 2.0, 1.0), _constant_fit(0.25, 3.0, 0.0)]
-        return CrossFit(folds=folds, per_fold=fits)
+        return CrossFit.from_fits(folds, fits, feature_matrix(self._toy_dataset().x))
 
     def _toy_dataset(self):
         from gbcausal.dataset import Dataset
@@ -98,9 +98,10 @@ class TestCrossFittedPseudo:
     def test_fold_relabeling_permutes_consistently(self):
         ds = self._toy_dataset()
         cf = self._toy_crossfit()
-        swapped = CrossFit(
-            folds=FoldAssignment(k=2, fold_of=1 - cf.folds.fold_of),
-            per_fold=[cf.per_fold[1], cf.per_fold[0]],
+        swapped = CrossFit.from_fits(
+            FoldAssignment(k=2, fold_of=1 - cf.folds.fold_of),
+            [cf.per_fold[1], cf.per_fold[0]],
+            feature_matrix(ds.x),
         )
         np.testing.assert_array_equal(
             cross_fitted_pseudo(ds, cf, Strategy.DR).values,
@@ -110,7 +111,8 @@ class TestCrossFittedPseudo:
     def test_identical_heldout_predictions_give_identical_values(self):
         ds = self._toy_dataset()
         fits = [_constant_fit(0.5, 2.0, 1.0)] * 2
-        cf = CrossFit(folds=FoldAssignment(k=2, fold_of=np.array([0, 1, 0, 1])), per_fold=fits)
+        folds = FoldAssignment(k=2, fold_of=np.array([0, 1, 0, 1]))
+        cf = CrossFit.from_fits(folds, fits, feature_matrix(ds.x))
         vals = cross_fitted_pseudo(ds, cf, Strategy.DR).values
         # same (a, y) profile and same fit => same pseudo-outcome
         assert vals[0] == vals[1] and vals[2] == vals[3]
