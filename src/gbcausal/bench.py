@@ -9,7 +9,7 @@ Every repetition owns the stream (base_seed, rep), so repetitions can run in
 any order or in parallel without changing a single reported byte; the
 aggregation is a deterministic fold over rep index order. Cells that differ
 only in strategy share each repetition's data and cross-fitted nuisances,
-which are fitted once (see ``_memo``).
+which are drawn and fitted once (see ``_memo``).
 """
 
 import math
@@ -19,7 +19,6 @@ from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from . import dgp as dgp_mod
 from .calibrate import gpc_omega_from_pseudo, plugin_omega
@@ -28,7 +27,9 @@ from .errors import ConfigError, DomainError, NumericError
 from .gibbs_ate import NormalPrior, closed_form_posterior, credible_interval
 from .gibbs_cate import KernelParams, predict, svgp_fit
 from .nuisance import NuisanceConfig, cross_fit
-from .numerics import Rng, blas_threads, gaussian_tv, normal_quantile, set_blas_threads
+from .numerics import (
+    Rng, blas_threads, expit, gaussian_tv, logit, normal_quantile, set_blas_threads,
+)
 from .pseudo import Strategy, cross_fitted_pseudo, pseudo_values
 
 
@@ -100,16 +101,18 @@ def wilson_interval(hits, total, level_z):
 def _rep(cell: Cell, payload):
     """One repetition of the full pipeline on the stream (base_seed, rep).
 
-    ``payload`` is (rep, cross-fit or None): a cross-fit of the same data
-    from an earlier cell skips the nuisance fits. Returns (outcome, fit):
-    the outcome is a RunResult or the message of the NumericError that
-    ended it, and the fit is the cross-fit used, or None if it failed."""
-    rep, cf = payload
+    ``payload`` is (rep, (dataset, cross-fit) or None): the pair from an
+    earlier cell skips the draw and the nuisance fits. Returns (outcome,
+    pair): the outcome is a RunResult or the message of the NumericError
+    that ended it, and the pair is the one used, or None if the cross-fit
+    failed."""
+    rep, fitted = payload
+    rng = Rng(cell.base_seed).derive(rep)
     try:
-        rng = Rng(cell.base_seed).derive(rep)
-        ds = dgp_mod.generate(cell.spec, cell.n, rng.derive(0))
-        if cf is None:
-            cf = cross_fit(ds, cell.folds, cell.nuisance_config, rng.derive(1))
+        if fitted is None:
+            ds = dgp_mod.generate(cell.spec, cell.n, rng.derive(0))
+            fitted = ds, cross_fit(ds, cell.folds, cell.nuisance_config, rng.derive(1))
+        ds, cf = fitted
         pv = cross_fitted_pseudo(ds, cf, cell.strategy)
         if cell.calibration_mode == "plugin":
             omega = plugin_omega(pv)
@@ -119,22 +122,24 @@ def _rep(cell: Cell, payload):
             ).omega
         if cell.kernel is None:
             lo, hi = credible_interval(closed_form_posterior(pv, cell.prior, omega), cell.alpha)
-            return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega), cf
+            return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega), fitted
         gp = svgp_fit(ds.x, pv, cell.kernel, omega, cell.m_inducing, rng.derive(2))
         x_query = dgp_mod.draw_covariates(cell.spec, cell.k_points, rng.derive(3))
         means, variances = predict(gp, x_query)
         half = normal_quantile(1.0 - cell.alpha / 2.0) * np.sqrt(variances)
         truth = ds.truth.cate(x_query)
         hit = (means - half <= truth) & (truth <= means + half)
-        return RunResult(rep, int(hit.sum()), cell.k_points, float(np.mean(2.0 * half)), omega), cf
+        run = RunResult(rep, int(hit.sum()), cell.k_points, float(np.mean(2.0 * half)), omega)
+        return run, fitted
     except NumericError as exc:
-        return f"{type(exc).__name__}: {exc}", cf
+        return f"{type(exc).__name__}: {exc}", fitted
 
 
 # Cells that share a spec object, base seed, fold count and nuisance config
 # draw the same data and cross-fitted nuisances in each repetition (common
-# random numbers), so only the first of them fits. The memo holds those
-# fits by (n, rep) for one such key; a cell with another key replaces it.
+# random numbers), so only the first of them draws and fits. The memo holds
+# those (dataset, cross-fit) pairs by (n, rep) for one such key; a cell with
+# another key replaces it.
 # DgpSpec holds numpy arrays and is compared by identity.
 _memo = {"key": None, "fits": {}}
 
@@ -172,9 +177,9 @@ def _run_cell(cell: Cell, r_reps, parallelism, strategy_label) -> BenchReport:
     fits = _memo_fits(cell)
     payloads = [(rep, fits.get((cell.n, rep))) for rep in range(r_reps)]
     outcomes = []
-    for rep, (outcome, cf) in enumerate(_execute(partial(_rep, cell), payloads, parallelism)):
-        if cf is not None:
-            fits[(cell.n, rep)] = cf
+    for rep, (outcome, fitted) in enumerate(_execute(partial(_rep, cell), payloads, parallelism)):
+        if fitted is not None:
+            fits[(cell.n, rep)] = fitted
         outcomes.append(outcome)
     runs = [out for out in outcomes if isinstance(out, RunResult)]
     total = len(runs)

@@ -358,11 +358,14 @@ def cmd_bench(args):
     return 0
 
 
-def _parse_float_list(text, flag):
+def _parse_list(text, flag, kind=float):
+    """Comma-separated values of `kind` (float or int); anything else, an
+    integer written as 2.5 or 1e3 included, is a ConfigError."""
     try:
-        values = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError:
-        raise ConfigError(f"{flag} must be a comma-separated list of numbers") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag} must be a comma-separated list of {noun}") from None
     if not values:
         raise ConfigError(f"{flag} must contain at least one value")
     return values
@@ -372,7 +375,7 @@ def cmd_experiment(args):
     seed = _resolve_seed(args.seed)
     spec = dgp_mod.default_spec(args.dgp)
     if args.kind == "slopes":
-        deltas = _parse_float_list(args.deltas, "--deltas")
+        deltas = _parse_list(args.deltas, "--deltas")
         results = bench_mod.orthogonality_slopes(spec, deltas, args.n, seed)
         lines = ["strategy,delta,shift,slope"]
         for strategy in Strategy:
@@ -382,7 +385,7 @@ def cmd_experiment(args):
             lines.append(f"{strategy.value},,,{res.slope:.6g}")
         text = "\n".join(lines) + "\n"
     else:
-        n_grid = [int(v) for v in _parse_float_list(args.n_grid, "--n-grid")]
+        n_grid = _parse_list(args.n_grid, "--n-grid", int)
         strategy = Strategy.parse(args.strategy)
         points = bench_mod.tv_stability(
             spec, args.beta, n_grid, seed, strategy=strategy, reps=args.reps

@@ -9,13 +9,13 @@ potential-outcome oracle sampler valid.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import Dataset, GroundTruth
 from .errors import InvalidSpec, UnknownDgp
-from .numerics import Rng
+from .numerics import Rng, expit
 
 DGP_IDS = ("D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9")
 
@@ -204,7 +204,8 @@ def _noise(spec: DgpSpec, x, rng: Rng) -> np.ndarray:
 
 
 def _ground_truth(spec: DgpSpec) -> GroundTruth:
-    return GroundTruth(ate=true_ate(spec), cate=lambda x, s=spec: true_cate(s, x))
+    # a partial, not a lambda, so that datasets pickle into bench workers
+    return GroundTruth(ate=true_ate(spec), cate=partial(true_cate, spec))
 
 
 def generate(spec: DgpSpec, n, rng: Rng) -> Dataset:

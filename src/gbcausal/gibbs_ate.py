@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DomainError
-from .numerics import OptimizerConfig, Rng, adam_minimize, normal_quantile
+from .numerics import OptimizerConfig, Rng, adam_minimize, ndtri, normal_quantile
 from .pseudo import PseudoOutcomes
 
 
@@ -84,12 +83,16 @@ def credible_interval(post: GaussianPosterior, alpha):
     return post.m_p - half, post.m_p + half
 
 
-def _stratified_normals(batch_size, rng: Rng):
-    # One uniform shift per step; stratifying the inverse-CDF draws removes
-    # almost all Monte Carlo noise from the batch means while keeping the
-    # estimator an unbiased sample average.
-    u = rng.uniform()
-    probs = (np.arange(batch_size) + u) / batch_size
+def _stratified_normals(batch_size, epochs, rng: Rng):
+    """(epochs, batch_size) normals, one row per Adam step.
+
+    One uniform shift per step; stratifying the inverse-CDF draws removes
+    almost all Monte Carlo noise from the batch means while keeping the
+    estimator an unbiased sample average. The shifts are taken in one draw,
+    which gives the values of one draw per step, and go through ndtri
+    together."""
+    shifts = rng.uniform(epochs)
+    probs = (np.arange(batch_size) + shifts[:, None]) / batch_size
     return ndtri(np.maximum(probs, 1e-300))
 
 
@@ -104,7 +107,8 @@ def vi_posterior(
 
     Each Adam step draws `config.batch_size` reparameterized samples
     theta = mu + sigma * eps and descends the stochastic gradient of
-    omega n E_q[L_n] + KL(q || pi) in (mu, log sigma).
+    omega n E_q[L_n] + KL(q || pi) in (mu, log sigma). The draws of all
+    `config.epochs` steps are taken from `rng` before the first step.
     """
     if not omega > 0:
         raise DomainError("omega must be positive")
@@ -121,10 +125,12 @@ def vi_posterior(
     # many log-units away within a fixed epoch budget).
     log_sigma0 = -0.5 * math.log(wn + prec0)
 
-    def gradient(theta, step_rng):
+    draws = iter(_stratified_normals(config.batch_size, config.epochs, rng))
+
+    def gradient(theta, _rng):
         mu, log_sigma = theta
         sigma = math.exp(log_sigma)
-        eps = _stratified_normals(config.batch_size, step_rng)
+        eps = next(draws)
         resid = mu + sigma * eps - ybar  # dL_n/dtheta at the sampled thetas
         g_mu = wn * float(np.mean(resid)) + prec0 * (mu - m0)
         # KL(q||pi) in log sigma: -1 + prec0 sigma^2 (the -1 survives the

@@ -19,10 +19,9 @@ fitting and added back to predictions.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError
-from .numerics import Rng, cholesky_factor
+from .numerics import Rng, cholesky_factor, solve_triangular
 from .pseudo import PseudoOutcomes
 
 _SQRT5 = np.sqrt(5.0)
@@ -84,38 +83,35 @@ def _prior_var(params: KernelParams):
     return params.variance + params.jitter
 
 
+def _whitened_moments(params, z, v, const_mean):
+    """Predictive moments from whitened coordinates: with L the Cholesky
+    factor of the noisy Gram matrix, z = L^-1 (y - const) and V = L^-1 k_q^T,
+    the means are V^T z + const and the variances k_** - |V|^2 by column."""
+    variances = _prior_var(params) - np.sum(v * v, axis=0)
+    return v.T @ z + const_mean, np.maximum(variances, _VAR_FLOOR)
+
+
 @dataclass(frozen=True)
 class ExactGpPredictor:
-    """Dense GP posterior over the centered pseudo-outcomes."""
+    """Dense GP posterior over the centered pseudo-outcomes, in whitened
+    form: the Cholesky factor L of the noisy Gram matrix and
+    z = L^-1 (values - const_mean)."""
 
     params: KernelParams
     x_train: np.ndarray
     chol: np.ndarray
-    alpha: np.ndarray
+    z: np.ndarray
     const_mean: float
 
     def predict(self, x_query):
-        return self._moments(kernel_matrix(self.params, x_query, self.x_train))
-
-    def _moments(self, k_q):
-        # k_q: cross-covariance of the query rows with the training rows
-        means = k_q @ self.alpha + self.const_mean
+        k_q = kernel_matrix(self.params, x_query, self.x_train)
         v = solve_triangular(self.chol, k_q.T, lower=True)
-        variances = _prior_var(self.params) - np.sum(v * v, axis=0)
-        return means, np.maximum(variances, _VAR_FLOOR)
+        return _whitened_moments(self.params, self.z, v, self.const_mean)
 
 
 def _check_exact_n(n):
     if n > _EXACT_GP_MAX_N:
         raise DomainError(f"exact GP is guarded to n <= {_EXACT_GP_MAX_N}, got n={n}")
-
-
-def _exact_fit(params, x_train, gram, values, const_mean) -> ExactGpPredictor:
-    # One factor of the noisy Gram matrix gives the weights on the centered values.
-    chol, _ = cholesky_factor(gram)
-    y_c = values - const_mean
-    alpha = solve_triangular(chol.T, solve_triangular(chol, y_c, lower=True), lower=False)
-    return ExactGpPredictor(params, x_train, chol, alpha, const_mean)
 
 
 def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega) -> ExactGpPredictor:
@@ -127,8 +123,9 @@ def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega
     n = x.shape[0]
     _check_exact_n(n)
     const_mean = float(np.mean(pseudo.values))
-    gram = kernel_matrix(params, x) + (1.0 / omega) * np.eye(n)
-    return _exact_fit(params, x, gram, pseudo.values, const_mean)
+    chol, _ = cholesky_factor(kernel_matrix(params, x) + (1.0 / omega) * np.eye(n))
+    z = solve_triangular(chol, pseudo.values - const_mean, lower=True)
+    return ExactGpPredictor(params, x, chol, z, const_mean)
 
 
 def exact_gp_resampler(params: KernelParams, x, values, x_query):
@@ -141,18 +138,26 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     c times enters once with noise (jitter + 1/omega) / c. With S the
     selection matrix of `rows` and C = S^T S its diagonal of counts, the
     push-through identity S^T (S K S^T + s^2 I)^-1 S = (K + s^2 C^-1)^-1
-    makes the two the same posterior.
+    makes the two the same posterior. Each fit factors that Gram matrix and
+    makes one lower solve of the stacked right-hand sides
+    [values - const | k(x_query, x)^T] for the whitened moments.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     _check_exact_n(x.shape[0])
     k_xx = kernel_matrix(params, x, x)
-    k_qx = kernel_matrix(params, x_query, x)
+    # row i: [values[i] | k(x_query, x[i])], gathered by each fit
+    stacked = np.column_stack([values, kernel_matrix(params, x_query, x).T])
 
     def fit(rows, omega):
         u, counts = np.unique(rows, return_counts=True)
-        gram = k_xx[np.ix_(u, u)] + np.diag((params.jitter + 1.0 / omega) / counts)
-        gp = _exact_fit(params, x[u], gram, values[u], float(np.mean(values[rows])))
-        return gp._moments(k_qx[:, u])
+        const_mean = float(np.mean(values[rows]))
+        gram = k_xx[u][:, u]
+        gram.flat[:: u.size + 1] += (params.jitter + 1.0 / omega) / counts
+        chol, _ = cholesky_factor(gram)
+        rhs = stacked[u]
+        rhs[:, 0] -= const_mean
+        zv = solve_triangular(chol, rhs, lower=True)
+        return _whitened_moments(params, zv[:, 0], zv[:, 1:], const_mean)
 
     return fit
 

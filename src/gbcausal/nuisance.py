@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .dataset import Dataset, FoldAssignment, make_folds
 from .errors import DegenerateTreatment, DomainError, EmptyArm, FoldArmCollapse
-from .numerics import Rng, cholesky_solve
+from .numerics import Rng, cholesky_solve, expit, logit
 
 
 def feature_matrix(x) -> np.ndarray:

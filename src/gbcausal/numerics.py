@@ -1,12 +1,19 @@
-"""Shared numerical kernels: keyed random streams, SPD solves, normal
-distribution helpers, the bias-corrected Adam optimizer of the ATE
-variational engine, and the OpenBLAS thread-count pin.
+"""Shared numerical kernels: keyed random streams, triangular and SPD
+solves, the normal quantile and CDF, the logistic link, the chi-square
+quantile, the bias-corrected Adam optimizer of the ATE variational engine,
+and the OpenBLAS thread-count pin.
 
 Random streams are counter-based (Philox keyed by a 64-bit seed and a 64-bit
 stream index), so any (repetition, fold, purpose) tuple can be mapped to an
 independent stream without coordination. Normal draws go through the inverse
 CDF of the stream's uniforms, which makes every distributional draw a pure
 function of the uniform sequence.
+
+The special functions and the triangular solve are numpy and standard-library
+code, so no gbcausal process imports scipy (whose import costs more than the
+rest of the package). ``ndtri`` follows cephes (Moshier 1989) and
+``gammaincinv`` the inverse incomplete gamma of DiDonato & Morris (1986, ACM
+TOMS 12:377); the tests hold each against scipy.
 """
 
 import ctypes
@@ -16,8 +23,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaincinv, ndtr, ndtri
 
 from .errors import DomainError, NonFiniteGradient, NotPositiveDefinite
 
@@ -39,6 +44,45 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
     for suffix in ("64_", "")
 )
 _PROC_MAPS = "/proc/self/maps"
+
+# Rational approximations of cephes' ndtri, highest degree first; the Q
+# polynomials have an implicit leading coefficient 1. P0/Q0 cover the body
+# exp(-2) < y < 1 - exp(-2); P1/Q1 and P2/Q2 cover the tails in
+# x = sqrt(-2 log y) below and above 8.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+_SQRT1_2 = math.sqrt(0.5)
+# Elements per pass of the vectorised ndtri: enough to spread numpy's cost
+# per call, few enough that its temporaries (128 KB each) stay in cache.
+_NDTRI_CHUNK = 16384
+
+# Inverse incomplete gamma: the Halley iteration stops for an element once
+# its step is below this fraction of x (the cubic convergence leaves an error
+# near its cube), and gives up after _GAMMA_MAX_STEPS; the series and the
+# continued fraction stop after _GAMMA_MAX_TERMS terms.
+_GAMMA_STEP_TOL = 1e-5
+_GAMMA_MAX_STEPS = 50
+_GAMMA_MAX_TERMS = 10_000
+
+# Rows per diagonal block of the blocked triangular solve.
+_TRI_BLOCK = 32
 
 
 def _splitmix64(z):
@@ -80,7 +124,10 @@ class Rng:
         return ndtri(np.maximum(u, 1e-300))
 
     def integers(self, n, size=None):
-        """Uniform integers in [0, n), derived from the uniform stream."""
+        """Uniform integers in [0, n), derived from the uniform stream; a
+        Python int when size is None."""
+        if size is None:
+            return int(self._gen.random() * n)
         return (self._gen.random(size) * n).astype(np.int64)
 
     def permutation(self, n):
@@ -91,6 +138,7 @@ class Rng:
         return (self._gen.random(p.shape) < p).astype(np.int64)
 
     def chi_square(self, df, size=None):
+        """Chi-square(df) draws for a scalar df, by the inverse CDF."""
         u = np.maximum(self._gen.random(size), 1e-300)
         return 2.0 * gammaincinv(df / 2.0, u)
 
@@ -151,12 +199,42 @@ def cholesky_factor(a):
                 ) from None
 
 
-def cholesky_solve(a, b):
-    """Solve A X = B for symmetric positive-definite A."""
-    L, _ = cholesky_factor(a)
+def solve_triangular(a, b, lower=False):
+    """Solve A X = B for a triangular A with a nonzero diagonal whose other
+    triangle holds zeros, such as a Cholesky factor or its transpose.
+
+    Left-looking block substitution: for each diagonal block of at most
+    _TRI_BLOCK rows, the rows already solved are taken off the block's rows
+    of B with one matrix product, and the rest is multiplied by the block's
+    inverse. Inverting the small block and multiplying costs less than
+    np.linalg.solve on it once B has more than a few columns, as in the GP
+    solves.
+    """
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    z = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, z, lower=False)
+    n = a.shape[0]
+    rhs = b.reshape(n, -1)
+    x = np.empty(rhs.shape)
+    starts = range(0, n, _TRI_BLOCK)
+    for s in starts if lower else reversed(starts):
+        e = min(s + _TRI_BLOCK, n)
+        solved = slice(0, s) if lower else slice(e, n)
+        x[s:e] = np.linalg.inv(a[s:e, s:e]) @ (rhs[s:e] - a[s:e, solved] @ x[solved])
+    return x.reshape(b.shape)
+
+
+def cholesky_solve(a, b):
+    """Solve A X = B for symmetric positive-definite A.
+
+    The Cholesky factor checks A and sets the jitter; the system itself,
+    with that jitter, goes to one LAPACK solve, which at the nuisance fits'
+    usual sizes (up to a few dozen features) costs less than two triangular
+    solves."""
+    _, jitter = cholesky_factor(a)
+    a = np.asarray(a, dtype=float)
+    if jitter:
+        a = a + jitter * np.eye(a.shape[0])
+    return np.linalg.solve(a, np.asarray(b, dtype=float))
 
 
 def _openblas_thread_controls():
@@ -225,12 +303,228 @@ def blas_threads(n):
         restore()
 
 
+def _polevl(x, coefs):
+    # Horner's rule in cephes' operation order; in place on arrays
+    ans = x * coefs[0]
+    for c in coefs[1:-1]:
+        ans += c
+        ans *= x
+    ans += coefs[-1]
+    return ans
+
+
+def _p1evl(x, coefs):
+    # polevl with an implicit leading coefficient 1
+    ans = x + coefs[0]
+    for c in coefs[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _ndtri_body(y):
+    # exp(-2) < y < 1 - exp(-2)
+    y = y - 0.5
+    y2 = y * y
+    return (y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _SQRT_2PI
+
+
+def _ndtri_tail(x, log, far):
+    # minus the quantile of y <= exp(-2), from x = sqrt(-2 log y); cephes
+    # takes the far-tail polynomials once x >= 8
+    z = 1.0 / x
+    p, q = (_NDTRI_P2, _NDTRI_Q2) if far else (_NDTRI_P1, _NDTRI_Q1)
+    return x - log(x) / x - z * _polevl(z, p) / _p1evl(z, q)
+
+
+def _ndtri_scalar(p):
+    if not 0.0 < p < 1.0:
+        return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        return _ndtri_body(y)
+    x = math.sqrt(-2.0 * math.log(y))
+    x = _ndtri_tail(x, math.log, x >= 8.0)
+    return x if upper else -x
+
+
+def _ndtri_chunk(p):
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = _ndtri_body(y)
+    tail = np.flatnonzero(~(y > _EXP_M2))
+    if tail.size:
+        y = y[tail]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.sqrt(-2.0 * np.log(y))
+            far = x >= 8.0
+            t = _ndtri_tail(x, np.log, False)
+            if far.any():
+                t[far] = _ndtri_tail(x[far], np.log, True)
+        t[y == 0.0] = np.inf  # y < 0 (p outside [0, 1]) is already nan
+        out[tail] = np.where(upper[tail], t, -t)
+    return out
+
+
+def ndtri(p):
+    """Inverse standard normal CDF, elementwise: cephes' rational
+    approximations. -inf at 0, inf at 1, nan outside [0, 1].
+
+    A scalar takes the C library's log, as scipy's compiled ndtri does, and
+    equals scipy.special.ndtri bit for bit. Arrays take np.log on the tails,
+    whose SIMD loop differs from the C library's log in the last bit on a
+    small share of inputs, so their tail values lie within a few ulp of
+    scipy's (their body values are equal); they are computed
+    _NDTRI_CHUNK elements at a time."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        return _ndtri_scalar(float(p))
+    flat = p.reshape(-1)
+    out = np.empty(flat.shape)
+    for s in range(0, flat.size, _NDTRI_CHUNK):
+        out[s:s + _NDTRI_CHUNK] = _ndtri_chunk(flat[s:s + _NDTRI_CHUNK])
+    return out.reshape(p.shape)
+
+
+def ndtr(x):
+    """Standard normal CDF of a scalar, arranged as cephes' ndtr."""
+    x = float(x) * _SQRT1_2
+    if abs(x) < _SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)), elementwise (scipy's formula)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def logit(p):
+    """log(p / (1 - p)), elementwise; on [0.3, 0.65] it takes scipy's
+    log1p(s) - log1p(-s) with s = 2(p - 1/2), which keeps precision near 1/2."""
+    p = np.asarray(p, dtype=float)
+    s = 2.0 * (p - 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = np.log1p(s) - np.log1p(-s)
+        return np.where((p >= 0.3) & (p <= 0.65), mid, np.log(p / (1.0 - p)))[()]
+
+
+def _gamma_series(a, x):
+    # sum_k x^k / ((a+1)...(a+k)), so that P(a, x) = x^a e^-x / Gamma(a+1)
+    # times it. An element's terms are set to 0 once they fall below its
+    # sum's rounding (checked every fourth term), which freezes its sum.
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    ap = a
+    for k in range(1, _GAMMA_MAX_TERMS):
+        ap += 1.0
+        term *= x
+        term /= ap
+        total += term
+        if k % 4 == 0:
+            term[term <= total * 2.0**-53] = 0.0
+            if not term.any():
+                break
+    return total
+
+
+def _gamma_cfrac(a, x):
+    # Legendre's continued fraction by Lentz's method, so that
+    # Q(a, x) = x^a e^-x / Gamma(a) times it; converges fast for
+    # x > a + 1. An element's value is taken at the first check (every
+    # fourth step) after its step factor reaches 1 within rounding.
+    b = x + 1.0 - a
+    c = np.full_like(x, 1e300)
+    d = 1.0 / b
+    h = d
+    out = h
+    live = np.ones(x.shape, dtype=bool)
+    for i in range(1, _GAMMA_MAX_TERMS):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h = h * delta
+        if i % 4 == 0:
+            conv = live & (np.abs(delta - 1.0) <= 2.0**-53)
+            out = np.where(conv, h, out)
+            live &= ~conv
+            if not live.any():
+                break
+    return out
+
+
+def _gamma_pq(a, x):
+    """Regularized incomplete gammas (P(a, x), Q(a, x)) at x > 0: the series
+    below a + 1 + 2 sqrt(a), where the complement 1 - P is still accurate
+    and the series is the cheaper, the continued fraction above."""
+    cf = x > a + 1.0 + 2.0 * math.sqrt(a)
+    log_gamma = math.lgamma(a)
+    p, q = np.empty_like(x), np.empty_like(x)
+    xs, xc = x[~cf], x[cf]
+    p[~cf] = np.exp(a * np.log(xs) - xs - log_gamma) / a * _gamma_series(a, xs)
+    q[~cf] = 1.0 - p[~cf]
+    q[cf] = np.exp(a * np.log(xc) - xc - log_gamma) * _gamma_cfrac(a, xc)
+    p[cf] = 1.0 - q[cf]
+    return p, q
+
+
+def gammaincinv(a, p):
+    """x with P(a, x) = p for the regularized lower incomplete gamma P and a
+    scalar a > 0, elementwise over p: 0 at p = 0, inf at 1, nan outside.
+
+    Starts, as DiDonato & Morris (1986) do, from the Wilson-Hilferty cube
+    a (1 - 1/(9a) + ndtri(p) / (3 sqrt a))^3, or in the lower tail from the
+    first two terms of the series inversion x = (p Gamma(a+1))^(1/a)
+    (1 + x/(a+1)). Then Halley steps on P(a, x) - p, or on its equal
+    (1 - p) - Q(a, x) for p > 1/2 so that the upper tail keeps its
+    relative accuracy, until each element's step is below 1e-5 x.
+    """
+    p = np.asarray(p, dtype=float)
+    flat = p.reshape(-1)
+    out = np.where(flat == 0.0, 0.0, np.where(flat == 1.0, np.inf, np.nan))
+    rows = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    pt = flat[rows]
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+        small = np.exp((np.log(pt) + math.lgamma(a + 1.0)) / a)
+        small *= 1.0 + small / (a + 1.0)
+        cube = 1.0 - 1.0 / (9.0 * a) + ndtri(pt) / (3.0 * math.sqrt(a))
+        x = np.where((cube > 0.0) & (small > 0.5 * a), a * cube**3, small)
+        # a start that underflows to 0 is the quantile rounded to a double
+        zero = x == 0.0
+        out[rows[zero]] = 0.0
+        rows, pt, x = rows[~zero], pt[~zero], x[~zero]
+        upper = pt > 0.5
+        qt = 1.0 - pt
+        log_gamma = math.lgamma(a)
+        for _ in range(_GAMMA_MAX_STEPS):
+            lo, hi = _gamma_pq(a, x)
+            # Halley: f / f' with f' = x^(a-1) e^-x / Gamma(a), f''/f' = (a-1)/x - 1
+            step = np.where(upper, qt - hi, lo - pt) / np.exp((a - 1.0) * np.log(x) - x - log_gamma)
+            step /= 1.0 - 0.5 * np.minimum(step * ((a - 1.0) / x - 1.0), 1.0)
+            new = x - step
+            x = np.where(new > 0.0, new, 0.5 * x)
+            done = np.abs(step) <= _GAMMA_STEP_TOL * x
+            if done.any():
+                out[rows[done]] = x[done]
+                keep = ~done
+                rows, pt, qt, upper, x = rows[keep], pt[keep], qt[keep], upper[keep], x[keep]
+                if not rows.size:
+                    break
+        out[rows] = x
+    return out.reshape(p.shape)[()]
+
+
 def normal_quantile(p):
     """Inverse standard normal CDF; p must lie strictly inside (0, 1)."""
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile level must lie in (0, 1), got {p}")
-    return float(ndtri(p))
+    return _ndtri_scalar(p)
 
 
 def gaussian_tv(mean1, mean2, shared_sd):
@@ -239,7 +533,7 @@ def gaussian_tv(mean1, mean2, shared_sd):
     if not (shared_sd > 0 and math.isfinite(shared_sd)):
         raise DomainError("shared_sd must be positive and finite")
     delta = abs(float(mean1) - float(mean2))
-    return float(2.0 * ndtr(delta / (2.0 * shared_sd)) - 1.0)
+    return 2.0 * ndtr(delta / (2.0 * shared_sd)) - 1.0
 
 
 def adam_minimize(gradient_fn, init, config, rng):

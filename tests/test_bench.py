@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gbcausal import bench, nuisance, numerics
+from gbcausal import dgp as dgp_mod
 from gbcausal.bench import (
     BenchReport,
     _execute,
@@ -206,6 +207,18 @@ class TestNuisanceMemo:
     def test_strategies_share_each_repetitions_fit(self, fit_calls):
         _ate_cells(default_spec("D1"), [Strategy.RA, Strategy.IPW, Strategy.DR])
         assert fit_calls == [80] * 3
+
+    def test_strategies_share_each_repetitions_data(self, fit_calls, monkeypatch):
+        drawn = []
+        original = dgp_mod.generate
+
+        def counting(spec, n, rng):
+            drawn.append(n)
+            return original(spec, n, rng)
+
+        monkeypatch.setattr(dgp_mod, "generate", counting)
+        _ate_cells(default_spec("D1"), [Strategy.RA, Strategy.IPW, Strategy.DR])
+        assert drawn == [80] * 3 and fit_calls == [80] * 3
 
     def test_length_sweep_fits_once_per_size_and_rep(self, fit_calls):
         length_sweep(default_spec("D1"), [Strategy.DR, Strategy.RA], [60, 120], 2, base_seed=31)

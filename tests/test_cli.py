@@ -471,6 +471,18 @@ class TestExperimentCommand:
         assert len(err) == 1 and err[0].startswith("error:") and f"got {size}" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["inf", "nan", "1e30", "2.5", "200,2.5"])
+    def test_tv_non_integer_sample_size_exits_2(self, tmp_path, grid):
+        out = tmp_path / "tv.csv"
+        proc = run_cli([
+            "experiment", "--kind", "tv", "--n-grid", grid, "--reps", "2", "--out", str(out),
+        ])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: --n-grid must be a comma-separated list of integers"
+        ]
+        assert not out.exists()
+
     def test_invalid_kind_exits_2(self, tmp_path):
         proc = run_cli(["experiment", "--kind", "nope", "--out", str(tmp_path / "x.csv")])
         assert proc.returncode == 2

@@ -176,32 +176,28 @@ _TREATMENTS = ["2", "0.5", "-0.0", "1.0", "+1", " 0 ", "1e0"]
 _EXTRA_LINES = ["# comment", "", "   ", "\t"]
 
 
-def _int(rng, n):
-    return int(rng.integers(n, 1)[0])
-
-
 def _pick(rng, options):
-    return options[_int(rng, len(options))]
+    return options[rng.integers(len(options))]
 
 
 def _mutated_file(rng):
     """A valid CSV (d in 1..3, n in 1..6) with up to three random mutations."""
-    d, n = 1 + _int(rng, 3), 1 + _int(rng, 6)
+    d, n = 1 + rng.integers(3), 1 + rng.integers(6)
     rows = [
-        [repr(float(v)) for v in rng.normal(d)] + [str(_int(rng, 2)), repr(float(rng.normal()))]
+        [repr(float(v)) for v in rng.normal(d)] + [str(rng.integers(2)), repr(float(rng.normal()))]
         for _ in range(n)
     ]
     lines = [",".join(row) for row in rows]
-    for _ in range(_int(rng, 4)):
-        i = _int(rng, len(lines))
-        kind = _int(rng, 9)
+    for _ in range(rng.integers(4)):
+        i = rng.integers(len(lines))
+        kind = rng.integers(9)
         parts = lines[i].split(",")
         if kind == 0:
-            lines.insert(_int(rng, len(lines) + 1), _pick(rng, _EXTRA_LINES))
+            lines.insert(rng.integers(len(lines) + 1), _pick(rng, _EXTRA_LINES))
         elif kind == 1:
             lines[i] += "\r"  # CRLF
         elif kind == 2:
-            parts[_int(rng, len(parts))] = _pick(rng, _CELLS)
+            parts[rng.integers(len(parts))] = _pick(rng, _CELLS)
             lines[i] = ",".join(parts)
         elif kind == 3 and len(parts) == d + 2:
             parts[d] = _pick(rng, _TREATMENTS)
@@ -215,7 +211,7 @@ def _mutated_file(rng):
         elif kind == 7:
             lines[i] = lines[i].replace(",", ",,", 1)  # empty field
         else:
-            parts[_int(rng, len(parts))] = _pick(rng, _LOOP_ONLY)
+            parts[rng.integers(len(parts))] = _pick(rng, _LOOP_ONLY)
             lines[i] = ",".join(parts)
     header = ",".join([f"x{j + 1}" for j in range(d)] + ["a", "y"])
     return "\n".join([header] + lines) + "\n"

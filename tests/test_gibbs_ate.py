@@ -8,6 +8,7 @@ from gbcausal.dgp import default_spec, generate
 from gbcausal.errors import DomainError
 from gbcausal.gibbs_ate import (
     DIFFUSE_PRIOR,
+    _stratified_normals,
     GaussianPosterior,
     NormalPrior,
     closed_form_posterior,
@@ -15,7 +16,7 @@ from gbcausal.gibbs_ate import (
     vi_posterior,
 )
 from gbcausal.nuisance import NuisanceConfig, cross_fit
-from gbcausal.numerics import OptimizerConfig, Rng
+from gbcausal.numerics import OptimizerConfig, Rng, ndtri
 from gbcausal.pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo
 
 
@@ -123,6 +124,15 @@ class TestCredibleInterval:
 
 
 class TestViPosterior:
+    def test_batched_draws_equal_one_draw_per_step(self):
+        # step t must see what a uniform draw of its own at step t would give
+        rows = _stratified_normals(7, 1203, Rng(3, 1))
+        step_rng = Rng(3, 1)
+        assert rows.shape == (1203, 7)
+        for row in rows:
+            probs = (np.arange(7) + step_rng.uniform()) / 7
+            np.testing.assert_array_equal(row, ndtri(np.maximum(probs, 1e-300)))
+
     def test_matches_closed_form_hand_case(self):
         pv = _pv([1.4, 2.6, 1.8, 2.2])  # mean 2.0
         prior = NormalPrior(0.0, 1.0)

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from scipy.special import ndtr, ndtri
 
 from gbcausal import numerics
@@ -17,6 +19,7 @@ from gbcausal.numerics import (
     cholesky_solve,
     gaussian_tv,
     normal_quantile,
+    solve_triangular,
 )
 
 
@@ -84,6 +87,97 @@ class TestCholeskySolve:
     def test_factor_reports_jitter(self):
         _, jit = cholesky_factor(np.eye(2))
         assert jit == 0.0
+
+
+def ulps_apart(a, b):
+    """Distance between float64 arrays in units in the last place."""
+    ia = np.asarray(a, dtype=float).view(np.int64)
+    ib = np.asarray(b, dtype=float).view(np.int64)
+    # map the sign-magnitude bit patterns onto one monotone integer line
+    ia = np.where(ia < 0, np.iinfo(np.int64).min - ia, ia)
+    ib = np.where(ib < 0, np.iinfo(np.int64).min - ib, ib)
+    return np.abs(ia - ib)
+
+
+_EXP_M2 = 0.13533528323661269189
+
+
+class TestScipyPorts:
+    """The numpy kernels against the scipy functions they replace."""
+
+    def test_ndtri_on_a_million_uniforms_and_the_edges(self):
+        edges = [0.0, 1e-300, 5e-324, 1e-20, np.exp(-32.0), 0.5, _EXP_M2, 1.0 - _EXP_M2,
+                 1.0 - 2.0**-53, 1.0]
+        p = np.concatenate([Rng(31).uniform(1_000_000), edges])
+        got, want = numerics.ndtri(p), ndtri(p)
+        body = (p > _EXP_M2) & (p <= 1.0 - _EXP_M2)
+        np.testing.assert_array_equal(got[body], want[body])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        assert ulps_apart(got[finite], want[finite]).max() <= 8
+
+    def test_ndtri_outside_the_unit_interval_is_nan(self):
+        assert np.isnan(numerics.ndtri(np.array([-0.5, 1.5, np.nan]))).all()
+        assert math.isnan(numerics.ndtri(-0.5))
+
+    def test_ndtri_scalars_equal_scipy_bit_for_bit(self):
+        for p in [*Rng(32).uniform(2000).tolist(), 1e-300, 0.025, 0.975, 1.0 - 2.0**-53]:
+            assert numerics.ndtri(p) == ndtri(p)
+
+    def test_ndtri_keeps_the_shape_and_each_value_across_chunks(self):
+        # 18000 elements cross a chunk boundary that the 6000-element rows do not
+        u = Rng(33).uniform((3, 6000))
+        np.testing.assert_array_equal(numerics.ndtri(u), [numerics.ndtri(row) for row in u])
+
+    def test_ndtr_matches_scipy(self):
+        for x in np.concatenate([np.linspace(-9.0, 9.0, 721), [0.0, 0.7071, 0.7072, 40.0]]):
+            assert abs(numerics.ndtr(x) - ndtr(x)) <= 2e-16
+
+    def test_expit_within_four_ulp(self):
+        x = np.concatenate([Rng(34).normal(200_000) * 8.0, [0.0, -745.0, 710.0, -1e6, 1e6]])
+        assert ulps_apart(numerics.expit(x), scipy.special.expit(x)).max() <= 4
+
+    def test_logit_within_four_ulp(self):
+        p = np.concatenate([Rng(35).uniform(200_000), [0.3, 0.65, 0.5, 1e-300, 1.0 - 2.0**-53]])
+        assert ulps_apart(numerics.logit(p), scipy.special.logit(p)).max() <= 4
+
+    def test_logit_and_expit_edges_without_warnings(self):
+        with np.errstate(all="raise"):
+            assert numerics.logit(np.array([0.0, 1.0])).tolist() == [-np.inf, np.inf]
+            assert numerics.expit(np.array([-1e6])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("df", [2.5, 3.0, 5.0, 10.0, 30.0])
+    def test_chi_square_quantile_within_1e_12(self, df):
+        u = np.concatenate([np.maximum(Rng(36).uniform(100_000), 1e-300), [1e-300, 1.0 - 2.0**-53]])
+        got = 2.0 * numerics.gammaincinv(df / 2.0, u)
+        want = 2.0 * scipy.special.gammaincinv(df / 2.0, u)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_gammaincinv_edges(self):
+        got = numerics.gammaincinv(1.5, np.array([0.0, 1.0, -0.1, 1.1, np.nan]))
+        assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2:]).all()
+        # the start underflows: the quantile is below the smallest double
+        assert numerics.gammaincinv(0.5, np.array([1e-300])).tolist() == [0.0]
+
+    def test_chi_square_draws_are_quantiles_of_the_uniforms(self):
+        u = np.maximum(Rng(37).uniform(300), 1e-300)
+        np.testing.assert_array_equal(Rng(37).chi_square(3.0, 300),
+                                      2.0 * numerics.gammaincinv(1.5, u))
+
+    @pytest.mark.parametrize("n", [1, 21, 32, 33, 152, 190, 1000])
+    @pytest.mark.parametrize("rhs", [None, 1, 100], ids=["vector", "one_column", "100_columns"])
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_solve_triangular_within_1e_13(self, n, rhs, lower):
+        rng = Rng(38, n)
+        q = rng.normal((n, n))
+        chol = np.linalg.cholesky(q @ q.T + n * np.eye(n))
+        a = chol if lower else chol.T
+        b = rng.normal(n if rhs is None else (n, rhs))
+        got = solve_triangular(a, b, lower=lower)
+        want = scipy.linalg.solve_triangular(a, b, lower=lower)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestNormalQuantile:
@@ -250,6 +344,11 @@ class TestRng:
     def test_integers_in_range(self):
         vals = Rng(1).integers(7, 10000)
         assert vals.min() >= 0 and vals.max() <= 6
+
+    def test_integers_without_size_is_a_python_int(self):
+        draws = [Rng(1, s).integers(7) for s in range(40)]
+        assert all(type(v) is int and 0 <= v <= 6 for v in draws)
+        assert draws == [int(Rng(1, s).integers(7, 1)[0]) for s in range(40)]
 
     def test_permutation(self):
         perm = Rng(2).permutation(50)
