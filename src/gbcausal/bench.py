@@ -25,7 +25,7 @@ from .calibrate import gpc_omega_from_pseudo, plugin_omega
 from .dgp import DgpSpec
 from .errors import ConfigError, DomainError, NumericError
 from .gibbs_ate import NormalPrior, closed_form_posterior, credible_interval
-from .gibbs_cate import KernelParams, predict, svgp_fit
+from .gibbs_cate import KernelParams, sparse_gp_resampler
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import (
     Rng, blas_threads, expit, gaussian_tv, logit, normal_quantile, set_blas_threads,
@@ -123,9 +123,11 @@ def _rep(cell: Cell, payload):
         if cell.kernel is None:
             lo, hi = credible_interval(closed_form_posterior(pv, cell.prior, omega), cell.alpha)
             return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega), fitted
-        gp = svgp_fit(ds.x, pv, cell.kernel, omega, cell.m_inducing, rng.derive(2))
         x_query = dgp_mod.draw_covariates(cell.spec, cell.k_points, rng.derive(3))
-        means, variances = predict(gp, x_query)
+        fit = sparse_gp_resampler(
+            cell.kernel, ds.x, pv.values, x_query, min(cell.m_inducing, ds.n), rng.derive(2)
+        )
+        means, variances = fit(np.arange(ds.n), omega)
         half = normal_quantile(1.0 - cell.alpha / 2.0) * np.sqrt(variances)
         truth = ds.truth.cate(x_query)
         hit = (means - half <= truth) & (truth <= means + half)

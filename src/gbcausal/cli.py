@@ -14,19 +14,20 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import dgp as dgp_mod
 from .calibrate import gpc_omega_cate_from_pseudo, gpc_omega_from_pseudo, plugin_omega
 from .dataset import read_csv, write_csv
-from .errors import ConfigError, GbcError, NumericError, SchemaError
+from .errors import ConfigError, GbcError, SchemaError
 from .gibbs_ate import (
     NormalPrior,
     closed_form_posterior,
     credible_interval,
     vi_posterior,
 )
-from .gibbs_cate import KernelParams, exact_gp_posterior, predict, svgp_fit
-from .gibbs_cate import exact_gp_resampler, sparse_gp_resampler
+from .gibbs_cate import KernelParams, exact_gp_resampler, sparse_gp_resampler
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import OptimizerConfig, Rng, blas_threads, normal_quantile
 from .pseudo import Strategy, cross_fitted_pseudo
@@ -156,25 +157,20 @@ def cmd_fit(args):
         kernel = _kernel(args)
         grid_size = min(args.grid_size, ds.n)
         x_query = ds.x[rng.derive(4).permutation(ds.n)[:grid_size]]
-        m_inducing = min(args.m_inducing, ds.n)
+        if args.engine == "vi":
+            fit = sparse_gp_resampler(
+                kernel, ds.x, pv.values, x_query, min(args.m_inducing, ds.n), rng.derive(3)
+            )
+        else:
+            fit = exact_gp_resampler(kernel, ds.x, pv.values, x_query)
         if args.calibration == "plugin":
             omega = plugin_omega(pv)
         else:
-            # the sparse resampler picks the inducing rows svgp_fit picks below
-            if args.engine == "vi":
-                fit = sparse_gp_resampler(
-                    kernel, ds.x, pv.values, x_query, m_inducing, rng.derive(3)
-                )
-            else:
-                fit = exact_gp_resampler(kernel, ds.x, pv.values, x_query)
             omega = _gpc_omega(args, gpc_omega_cate_from_pseudo(
                 pv, args.alpha, args.b_boot, args.max_iter, rng.derive(2), fit
             ))
-        if args.engine == "vi":
-            gp = svgp_fit(ds.x, pv, kernel, omega, m_inducing, rng.derive(3))
-            means, variances = predict(gp, x_query)
-        else:
-            means, variances = exact_gp_posterior(ds.x, pv, kernel, omega).predict(x_query)
+        # the full-data fit is the resample that takes every row once
+        means, variances = fit(np.arange(ds.n), omega)
         half = normal_quantile(1.0 - args.alpha / 2.0) * variances**0.5
         summary = {
             "estimand": "cate",
@@ -276,6 +272,8 @@ def _load_bench_config(path):
         raise SchemaError("key 'reps' must be an integer >= 2")
     if cfg["k_points"] < 1:
         raise SchemaError("key 'k_points' must be an integer >= 1")
+    if cfg["m_inducing"] < 1:
+        raise SchemaError("key 'm_inducing' must be an integer >= 1")
     if not 0 < cfg["alpha"] < 1:
         raise SchemaError("key 'alpha' must lie in (0, 1)")
     if cfg["estimand"] not in ("ate", "cate"):
@@ -499,9 +497,6 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except GbcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,16 +1,17 @@
 """Generalized posterior over the CATE function.
 
 With the squared-error pseudo-outcome loss, the Gibbs update is GP
-regression under a Gaussian working likelihood with noise variance 1/omega:
-the exact posterior (dense solves, guarded to n <= 2000) serves as the
-oracle, and a sparse inducing-point variational engine is the scalable
-route. Kernel hyperparameters and inducing locations stay fixed at their
-configured values, so the optimal variational distribution over the
-inducing values has a closed form and no optimizer is run.
+regression under a Gaussian working likelihood with noise variance 1/omega,
+which has a closed form per engine: exact (dense solves, guarded to
+n <= 2000) and sparse (the optimal q over inducing values of Titsias 2009).
+Kernel hyperparameters and inducing rows stay at their configured values,
+so no optimizer is run.
 
-Each engine also has a resampler, fit(rows, omega), that refits the same
-closed form to a bootstrap resample of the rows; the CATE gpc calibration
-searches omega with the resampler of the engine it reports.
+Each engine's resampler fit(rows, omega) is the package's one route to a
+CATE posterior, for `fit`, the CATE bench and gpc alike: the moments at
+fixed query rows after a fit to any resample of the rows, the full-data fit
+being the resample that takes every row once. exact_gp_posterior and
+svgp_fit with predict give the same closed forms to library callers.
 
 A constant mean equal to the average pseudo-outcome is subtracted before
 fitting and added back to predictions.
@@ -164,15 +165,16 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
 
 @dataclass(frozen=True)
 class GpPosterior:
-    """Sparse variational posterior: q(u) = N(q_mean, q_cov) over the
-    inducing values, the Cholesky factor of K_mm that predictions reuse, and
-    the constant mean added back at prediction."""
+    """Sparse variational posterior in the whitened coordinates u = L_K v,
+    with L_K the Cholesky factor of K_mm: q(v) = N(v_mean, P^-1) held as
+    v_mean and the Cholesky factor chol_p of P, and the constant mean added
+    back at prediction. Unwhitened, q(u) = N(L_K v_mean, L_K P^-1 L_K^T)."""
 
     kernel: KernelParams
     inducing_x: np.ndarray
     chol_k: np.ndarray
-    q_mean: np.ndarray
-    q_cov: np.ndarray
+    chol_p: np.ndarray
+    v_mean: np.ndarray
     const_mean: float
 
 
@@ -203,6 +205,15 @@ def _whitened_optimum(c, counts, y_c, omega):
     return chol_p, v_mean
 
 
+def _sparse_moments(params, b, chol_p, v_mean, const_mean):
+    """Predictive moments of q(v) = N(v_mean, P^-1) at the query columns
+    B = L_K^-1 K_mq: means B^T m + const and variances
+    (k_** - |B|^2) + |L_P^-1 B|^2 by column."""
+    recovered = solve_triangular(chol_p, b, lower=True)
+    variances = (_prior_var(params) - np.sum(b * b, axis=0)) + np.sum(recovered * recovered, axis=0)
+    return b.T @ v_mean + const_mean, np.maximum(variances, _VAR_FLOOR)
+
+
 def svgp_fit(
     ds_x,
     pseudo: PseudoOutcomes,
@@ -221,10 +232,7 @@ def svgp_fit(
     z, chol_k, c = _inducing_basis(params, ds_x, m_inducing, rng)
     const_mean = float(np.mean(pseudo.values))
     chol_p, v_mean = _whitened_optimum(c, np.ones(pseudo.n), pseudo.values - const_mean, omega)
-    # q_cov = L_K S L_K^T = A^T A with A = L_P^-1 L_K^T
-    a = solve_triangular(chol_p, chol_k.T, lower=True)
-    return GpPosterior(kernel=params, inducing_x=z, chol_k=chol_k, q_mean=chol_k @ v_mean,
-                       q_cov=a.T @ a, const_mean=const_mean)
+    return GpPosterior(params, z, chol_k, chol_p, v_mean, const_mean)
 
 
 def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rng: Rng):
@@ -235,34 +243,22 @@ def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rn
     values[rows], with the inducing rows svgp_fit(x, ..., rng) picks held
     fixed. C = L_K^-1 K_mn and B = L_K^-1 K_mq are built once here; a row
     drawn c times enters P with weight c, so each fit factors one M x M
-    matrix over the distinct rows of the resample. In whitened coordinates
-    the moments are B^T m + const and k_** - |B|^2 + |L_P^-1 B|^2.
+    matrix over the distinct rows of the resample and reads the moments
+    off it with _sparse_moments.
     """
     z, chol_k, c = _inducing_basis(params, x, m_inducing, rng)
     b = solve_triangular(chol_k, kernel_matrix(params, z, x_query), lower=True)
-    prior_left = _prior_var(params) - np.sum(b * b, axis=0)
 
     def fit(rows, omega):
         u, counts = np.unique(rows, return_counts=True)
         const_mean = float(np.mean(values[rows]))
         chol_p, v_mean = _whitened_optimum(c[:, u], counts, values[u] - const_mean, omega)
-        recovered = solve_triangular(chol_p, b, lower=True)
-        variances = prior_left + np.sum(recovered * recovered, axis=0)
-        return b.T @ v_mean + const_mean, np.maximum(variances, _VAR_FLOOR)
+        return _sparse_moments(params, b, chol_p, v_mean, const_mean)
 
     return fit
 
 
 def predict(gp: GpPosterior, x_query):
     """Pointwise predictive means and variances at the query rows."""
-    chol_k = gp.chol_k
-    k_qm = kernel_matrix(gp.kernel, x_query, gp.inducing_x)
-    # K_mm^{-1} k_mq, reused for both moments
-    half = solve_triangular(chol_k, k_qm.T, lower=True)
-    kinv_kq = solve_triangular(chol_k.T, half, lower=False)
-    means = kinv_kq.T @ gp.q_mean + gp.const_mean
-    var_prior = _prior_var(gp.kernel)
-    explained = np.sum(k_qm.T * kinv_kq, axis=0)
-    recovered = np.sum(kinv_kq * (gp.q_cov @ kinv_kq), axis=0)
-    variances = var_prior - explained + recovered
-    return means, np.maximum(variances, _VAR_FLOOR)
+    b = solve_triangular(gp.chol_k, kernel_matrix(gp.kernel, gp.inducing_x, x_query), lower=True)
+    return _sparse_moments(gp.kernel, b, gp.chol_p, gp.v_mean, gp.const_mean)

@@ -9,6 +9,7 @@ import pytest
 
 from gbcausal import cli
 from gbcausal import dgp as dgp_mod
+from gbcausal import gibbs_cate
 from gbcausal.calibrate import gpc_omega_from_pseudo
 from gbcausal.gibbs_ate import NormalPrior
 from gbcausal.nuisance import NuisanceConfig, cross_fit
@@ -233,6 +234,30 @@ class TestFitCommand:
         summary = json.loads(out.read_text(encoding="utf-8"))
         assert len(summary["posterior"]["pointwise"]) == 5
 
+    @pytest.mark.parametrize("engine, calls", [("exact-gp", 2), ("vi", 3)])
+    @pytest.mark.parametrize("calibration", ["plugin", "gpc"])
+    def test_cate_fit_builds_each_kernel_matrix_once(
+        self, tmp_path, monkeypatch, engine, calls, calibration
+    ):
+        # exact: k(x, x) and k(x_query, x); sparse: K_mm, K_mn and K_mq. The
+        # gpc search and the reported fit share the resampler that built them.
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        count = [0]
+        original = gibbs_cate.kernel_matrix
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs_cate, "kernel_matrix", counting)
+        code = cli.main([
+            "fit", "--dgp", "D4", "--n", "120", "--estimand", "cate", "--engine", engine,
+            "--calibration", calibration, "--b-boot", "50", "--max-iter", "2",
+            "--out", str(tmp_path / "fit.json"),
+        ])
+        assert code == 0
+        assert count[0] == calls
+
     def test_cate_gpc_calibration_runs(self, tmp_path):
         out = tmp_path / "cate_gpc.json"
         proc = run_cli([
@@ -355,6 +380,28 @@ class TestBenchCommand:
         assert code == 2
         assert "'k_points'" in capsys.readouterr().err
         assert not (tmp_path / "bench_report.csv").exists()
+
+    @pytest.mark.parametrize("m_inducing", [0, -2])
+    def test_cate_m_inducing_below_one_exits_2(self, tmp_path, capsys, monkeypatch, m_inducing):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, datasets=["D1"], strategies=["DR"], estimand="cate",
+                           m_inducing=m_inducing)
+        code = cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "'m_inducing'" in capsys.readouterr().err
+        assert not (tmp_path / "bench_report.csv").exists()
+
+    def test_cate_m_inducing_is_clipped_to_n(self, tmp_path, monkeypatch):
+        # as in `fit --n 15`, the default 20 inducing points clip to n=15
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, datasets=["D2"], strategies=["DR"], estimand="cate", n=None,
+                           n_grid=[15, 200], k_points=5)
+        code = cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").strip().split("\n")
+        assert [line.split(",")[2] for line in lines[1:]] == ["15", "200"]
 
     def test_default_parallelism_counts_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -322,9 +322,9 @@ class TestSvgp:
         x, pv, omega = self._training_setup(n=15)
         a = svgp_fit(x, pv, KernelParams(), omega, 8, Rng(20, 5))
         b = svgp_fit(x, pv, KernelParams(), omega, 8, Rng(20, 5))
-        np.testing.assert_array_equal(a.q_mean, b.q_mean)
-        np.testing.assert_array_equal(a.q_cov, b.q_cov)
-        np.testing.assert_array_equal(a.inducing_x, b.inducing_x)
+        for name in ("inducing_x", "chol_k", "chol_p", "v_mean"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.const_mean == b.const_mean and a.kernel == b.kernel
 
     def test_closed_form_is_stationary_point_of_bound(self):
         x, pv, omega = self._training_setup(n=40)
@@ -334,17 +334,17 @@ class TestSvgp:
         c = np.linalg.solve(chol_k, kernel_matrix(params, gp.inducing_x, x))
         y_c = pv.values - gp.const_mean
         p_mat = np.eye(15) + omega * (c @ c.T)
-        # whitened moments m~ = L_K^-1 q_mean, S~ = L_K^-1 q_cov L_K^-T
-        v_mean = np.linalg.solve(chol_k, gp.q_mean)
-        half = np.linalg.solve(chol_k, gp.q_cov)
-        s_tilde = np.linalg.solve(chol_k, half.T)
-        assert np.linalg.norm(p_mat @ v_mean - omega * (c @ y_c)) <= 1e-10
+        # whitened covariance S~ = P^-1 = L_P^-T L_P^-1
+        s_tilde = np.linalg.solve(gp.chol_p.T, np.linalg.solve(gp.chol_p, np.eye(15)))
+        assert np.linalg.norm(p_mat @ gp.v_mean - omega * (c @ y_c)) <= 1e-10
         assert np.linalg.norm(p_mat @ s_tilde - np.eye(15)) <= 1e-10
 
     def test_q_cov_is_spd(self):
         x, pv, omega = self._training_setup(n=30)
         gp = svgp_fit(x, pv, KernelParams(), omega, 15, Rng(21))
-        eigvals = np.linalg.eigvalsh(gp.q_cov)
+        # q_cov = L_K S~ L_K^T = A^T A with A = L_P^-1 L_K^T
+        a = np.linalg.solve(gp.chol_p, gp.chol_k.T)
+        eigvals = np.linalg.eigvalsh(a.T @ a)
         assert eigvals.min() > -1e-10
 
 

@@ -1,6 +1,7 @@
 """The traced benchmark (perfbench/) wraps gbcausal functions by name and
 treats each ``run_*_bench`` call as one bench cell; these tests pin the
-names it looks up and the one-call-per-cell shape of ``gbcausal bench``."""
+names it looks up, the one-call-per-cell shape of ``gbcausal bench``, and
+the module-level helpers through which every sparse CATE fit passes."""
 
 import importlib
 import json
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from gbcausal import bench, cli
+from gbcausal import bench, cli, gibbs_cate
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+SPARSE_HELPERS = ("_whitened_optimum", "_sparse_moments")
 
 
 def _load_layertrace():
@@ -20,6 +22,22 @@ def _load_layertrace():
     module.__file__ = str(LAYERTRACE)
     exec(compile(LAYERTRACE.read_text(encoding="utf-8"), str(LAYERTRACE), "exec"), module.__dict__)
     return module
+
+
+def _count_calls(monkeypatch, owner, names):
+    """Wrap each named function of `owner` with a call counter; returns the
+    counts, which the wrappers update."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    monkeypatch.delenv("GBC_SEED", raising=False)
+    return calls
 
 
 def test_every_traced_layer_function_resolves():
@@ -42,16 +60,7 @@ def test_every_traced_layer_function_resolves():
     ],
 )
 def test_bench_calls_each_cell_function_once_per_cell(tmp_path, monkeypatch, config, cells):
-    calls = {name: 0 for name in cells}
-    for name in cells:
-        original = getattr(bench, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(bench, name, counting)
-    monkeypatch.delenv("GBC_SEED", raising=False)
+    calls = _count_calls(monkeypatch, bench, cells)
     path = tmp_path / "bench.json"
     path.write_text(
         json.dumps({"alpha": 0.05, "calibration": "plugin", "seed": 3, **config}),
@@ -64,3 +73,28 @@ def test_bench_calls_each_cell_function_once_per_cell(tmp_path, monkeypatch, con
     assert calls == cells
     rows = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").strip().split("\n")
     assert len(rows) == 1 + sum(cells.values())
+
+
+def test_sparse_fit_helpers_are_looked_up_by_module_name(tmp_path, monkeypatch):
+    # The resampler's fit is a closure the tracer cannot wrap; it reaches the
+    # sparse closed form through these two module-level names, so wrapping
+    # them by name catches every sparse fit.
+    calls = _count_calls(monkeypatch, gibbs_cate, SPARSE_HELPERS)
+    code = cli.main([
+        "fit", "--dgp", "D2", "--n", "80", "--estimand", "cate", "--engine", "vi",
+        "--m-inducing", "8", "--grid-size", "5", "--out", str(tmp_path / "fit.json"),
+    ])
+    assert code == 0
+    assert calls == {"_whitened_optimum": 1, "_sparse_moments": 1}
+
+    calls = _count_calls(monkeypatch, gibbs_cate, SPARSE_HELPERS)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({
+        "datasets": ["D2"], "strategies": ["DR"], "n": 80, "reps": 2, "estimand": "cate",
+        "m_inducing": 8, "k_points": 5, "alpha": 0.05, "calibration": "plugin", "seed": 3,
+    }), encoding="utf-8")
+    code = cli.main(
+        ["bench", "--config", str(path), "--out-dir", str(tmp_path), "--parallelism", "1"]
+    )
+    assert code == 0
+    assert calls == {"_whitened_optimum": 2, "_sparse_moments": 2}
