@@ -33,6 +33,10 @@ class CalibrationResult:
     converged: bool
 
 
+# gpc_search stops once the bootstrap coverage is this close to 1 - alpha
+COVERAGE_TOL = 0.01
+
+
 def plugin_omega(pseudo: PseudoOutcomes) -> float:
     """Reciprocal of the unbiased sample variance of the pseudo-outcomes."""
     if pseudo.n < 2:
@@ -43,7 +47,7 @@ def plugin_omega(pseudo: PseudoOutcomes) -> float:
     return 1.0 / var
 
 
-def gpc_search(coverage_fn, omega0, alpha, max_iter, tol=0.01) -> CalibrationResult:
+def gpc_search(coverage_fn, omega0, alpha, max_iter) -> CalibrationResult:
     """Solve coverage_fn(omega) = 1 - alpha on the log-omega scale.
 
     `coverage_fn(omega)` is the bootstrap coverage of the (1 - alpha)
@@ -66,7 +70,7 @@ def gpc_search(coverage_fn, omega0, alpha, max_iter, tol=0.01) -> CalibrationRes
         c_hat = float(coverage_fn(omega))
         evals.append((omega, c_hat))
         gap = c_hat - target
-        converged = abs(gap) <= tol + 1e-12  # 0.94 - 0.95 rounds to just over 0.01
+        converged = abs(gap) <= COVERAGE_TOL + 1e-12  # 0.94 - 0.95 rounds to just over 0.01
         if converged:
             break
         side = 1 if gap > 0 else -1
@@ -89,7 +93,7 @@ def _resample_rows(rng: Rng, n, b_boot):
     return rng.integers(n, (b_boot, n))
 
 
-def _ate_gpc(pseudo: PseudoOutcomes, prior: NormalPrior, alpha, max_iter, tol, means):
+def _ate_gpc(pseudo: PseudoOutcomes, prior: NormalPrior, alpha, max_iter, means):
     """ATE coverage matching over the resamples' pseudo-outcome means `means`:
     each resample's credible interval is checked for the full-data estimate."""
     theta_hat = float(np.mean(pseudo.values))
@@ -99,7 +103,7 @@ def _ate_gpc(pseudo: PseudoOutcomes, prior: NormalPrior, alpha, max_iter, tol, m
         m_p_b, s_p_sq = normal_update(prior, omega, pseudo.n, means)
         return float(np.mean(np.abs(theta_hat - m_p_b) <= z * math.sqrt(s_p_sq)))
 
-    return gpc_search(coverage, plugin_omega(pseudo), alpha, max_iter, tol)
+    return gpc_search(coverage, plugin_omega(pseudo), alpha, max_iter)
 
 
 def gpc_omega_from_pseudo(
@@ -109,12 +113,11 @@ def gpc_omega_from_pseudo(
     b_boot,
     max_iter,
     rng: Rng,
-    tol=0.01,
 ) -> CalibrationResult:
     """Coverage-matching calibration for the scalar ATE posterior, given
     already cross-fitted pseudo-outcomes."""
     rows = _resample_rows(rng.derive(1), pseudo.n, b_boot)
-    return _ate_gpc(pseudo, prior, alpha, max_iter, tol, pseudo.values[rows].mean(axis=1))
+    return _ate_gpc(pseudo, prior, alpha, max_iter, pseudo.values[rows].mean(axis=1))
 
 
 def gpc_omega(
@@ -128,14 +131,13 @@ def gpc_omega(
     folds=5,
     nuisance_config: NuisanceConfig = NuisanceConfig(),
     refit_nuisances=False,
-    tol=0.01,
 ) -> CalibrationResult:
     """End-to-end calibration: cross-fit the nuisances once, then run the
     bootstrap coverage search on the resulting pseudo-outcomes."""
     cf = cross_fit(ds, folds, nuisance_config, rng.derive(0))
     pseudo = cross_fitted_pseudo(ds, cf, strategy)
     if not refit_nuisances:
-        return gpc_omega_from_pseudo(pseudo, prior, alpha, b_boot, max_iter, rng.derive(1), tol)
+        return gpc_omega_from_pseudo(pseudo, prior, alpha, b_boot, max_iter, rng.derive(1))
 
     boot_rng = rng.derive(1).derive(1)
     means = []
@@ -148,11 +150,11 @@ def gpc_omega(
             continue  # degenerate resample (e.g. an arm collapsed)
     if not means:
         raise DegenerateVariance("every bootstrap resample failed to refit nuisances")
-    return _ate_gpc(pseudo, prior, alpha, max_iter, tol, np.array(means))
+    return _ate_gpc(pseudo, prior, alpha, max_iter, np.array(means))
 
 
 def gpc_omega_cate_from_pseudo(
-    pseudo: PseudoOutcomes, alpha, b_boot, max_iter, rng: Rng, fit, tol=0.01
+    pseudo: PseudoOutcomes, alpha, b_boot, max_iter, rng: Rng, fit
 ) -> CalibrationResult:
     """Coverage-matching calibration for the CATE posterior, targeting the
     reported functional: the average pointwise coverage over the query rows.
@@ -176,4 +178,4 @@ def gpc_omega_cate_from_pseudo(
             hits += int(np.sum(np.abs(point_est - means_b) <= z * np.sqrt(vars_b)))
         return hits / (b_boot * point_est.shape[0])
 
-    return gpc_search(coverage, plugin_omega(pseudo), alpha, max_iter, tol)
+    return gpc_search(coverage, plugin_omega(pseudo), alpha, max_iter)

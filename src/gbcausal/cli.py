@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -42,21 +43,6 @@ def _resolve_seed(fallback):
         except ValueError:
             raise ConfigError(f"GBC_SEED must be an integer, got {env!r}") from None
     return fallback
-
-
-def _nuisance_config(args):
-    return NuisanceConfig(
-        clip_eps=args.clip_eps, lambda_prop=args.lambda_prop, lambda_out=args.lambda_out
-    )
-
-
-def _kernel(args):
-    return KernelParams(
-        family=args.kernel,
-        lengthscale=args.lengthscale,
-        variance=args.variance,
-        jitter=args.jitter,
-    )
 
 
 def _add_nuisance_flags(p):
@@ -123,14 +109,21 @@ def cmd_fit(args):
     if args.estimand == "ate" and args.engine == "exact-gp":
         raise ConfigError("engine=exact-gp is only valid for estimand=cate")
 
-    rng = Rng(seed)
-    ds = _fit_dataset(args, seed)
+    # every flag is checked before the data are read or drawn
     strategy = Strategy.parse(args.strategy)
     label = args.strategy.strip().upper()
-    config = _nuisance_config(args)
+    config = NuisanceConfig(
+        clip_eps=args.clip_eps, lambda_prop=args.lambda_prop, lambda_out=args.lambda_out
+    )
+    prior = NormalPrior(m0=args.prior_mean, s0_sq=args.prior_var)
+    if args.estimand == "cate":
+        kernel = KernelParams(family=args.kernel, lengthscale=args.lengthscale,
+                              variance=args.variance, jitter=args.jitter)
+
+    rng = Rng(seed)
+    ds = _fit_dataset(args, seed)
     cf = cross_fit(ds, args.folds, config, rng.derive(1))
     pv = cross_fitted_pseudo(ds, cf, strategy)
-    prior = NormalPrior(m0=args.prior_mean, s0_sq=args.prior_var)
 
     if args.estimand == "ate":
         if args.calibration == "plugin":
@@ -154,7 +147,6 @@ def cmd_fit(args):
             "seed": seed,
         }
     else:
-        kernel = _kernel(args)
         grid_size = min(args.grid_size, ds.n)
         x_query = ds.x[rng.derive(4).permutation(ds.n)[:grid_size]]
         if args.engine == "vi":
@@ -201,31 +193,6 @@ def cmd_fit(args):
     return 0
 
 
-_BENCH_REQUIRED = ("datasets", "strategies", "reps", "alpha", "estimand", "calibration", "seed")
-_BENCH_OPTIONAL = {
-    "n": None,
-    "n_grid": None,
-    "parallelism": None,
-    "folds": 5,
-    "clip_eps": 0.01,
-    "lambda_prop": None,
-    "lambda_out": 0.001,
-    "b_boot": 200,
-    "max_iter": 50,
-    "prior_mean": 0.0,
-    "prior_var": 1.0,
-    "m_inducing": 20,
-    "k_points": 100,
-}
-
-
-_BENCH_INT_KEYS = (
-    "seed", "reps", "parallelism", "folds", "b_boot", "max_iter", "m_inducing", "k_points"
-)
-_BENCH_FLOAT_KEYS = ("alpha", "clip_eps", "lambda_prop", "lambda_out", "prior_mean", "prior_var")
-_BENCH_NULLABLE = ("parallelism", "lambda_prop")
-
-
 def _is_int(value):
     # JSON true/false load as bools, which Python counts as ints
     return isinstance(value, int) and not isinstance(value, bool)
@@ -235,7 +202,53 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_nonempty_list(value):
+    return isinstance(value, list) and len(value) > 0
+
+
+def _one_of(*choices):
+    return lambda value: value in choices, f"must be {' or '.join(map(repr, choices))}"
+
+
+def _at_least(low):
+    return lambda value: value >= low, f"must be an integer >= {low}"
+
+
+_REQUIRED = object()  # the default of a key that every bench config must give
+_INT = (_is_int, "must be an integer, got {!r}")
+_NUMBER = (_is_number, "must be a number, got {!r}")
+
+# Every bench config key: its default, then the rules its value must pass in
+# order, each a test and the end of the message when the test fails. A key
+# whose default is None may be null; "n" and "n_grid" are checked together.
+_BENCH_KEYS = {
+    "datasets": (_REQUIRED, (_is_nonempty_list, "must be a non-empty list of DGP ids")),
+    "strategies": (_REQUIRED, (_is_nonempty_list, "must be a non-empty list")),
+    "reps": (_REQUIRED, _INT, _at_least(2)),
+    "alpha": (_REQUIRED, _NUMBER, (lambda value: 0 < value < 1, "must lie in (0, 1)")),
+    "estimand": (_REQUIRED, _one_of("ate", "cate")),
+    "calibration": (_REQUIRED, _one_of("plugin", "gpc")),
+    "seed": (_REQUIRED, _INT),
+    "n": (None,),
+    "n_grid": (None,),
+    "parallelism": (None, _INT),
+    "folds": (5, _INT),
+    "clip_eps": (0.01, _NUMBER),
+    "lambda_prop": (None, _NUMBER),
+    "lambda_out": (0.001, _NUMBER),
+    "b_boot": (200, _INT),
+    "max_iter": (50, _INT),
+    "prior_mean": (0.0, _NUMBER),
+    "prior_var": (1.0, _NUMBER),
+    "m_inducing": (20, _INT, _at_least(1)),
+    "k_points": (100, _INT, _at_least(1)),
+}
+
+
 def _load_bench_config(path):
+    """The bench config at `path`, checked whole before anything runs, with
+    `datasets` resolved to DgpSpecs, `strategies` to (Strategy, label) pairs
+    and `n`/`n_grid` to the list `n_grid`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -243,43 +256,24 @@ def _load_bench_config(path):
         raise SchemaError(f"could not read bench config {path!r}: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("bench config must be a JSON object")
-    for key in _BENCH_REQUIRED:
-        if key not in raw:
+    for key, (default, *_) in _BENCH_KEYS.items():
+        if default is _REQUIRED and key not in raw:
             raise SchemaError(f"bench config is missing required key {key!r}")
     for key in raw:
-        if key not in _BENCH_REQUIRED and key not in _BENCH_OPTIONAL:
+        if key not in _BENCH_KEYS:
             raise SchemaError(f"bench config has unknown key {key!r}")
-    cfg = dict(_BENCH_OPTIONAL)
-    cfg.update(raw)
-
-    for key in _BENCH_INT_KEYS + _BENCH_FLOAT_KEYS:
-        value = cfg[key]
-        if value is None and key in _BENCH_NULLABLE:
+    cfg = {key: raw.get(key, default) for key, (default, *_) in _BENCH_KEYS.items()}
+    for key, (default, *rules) in _BENCH_KEYS.items():
+        if cfg[key] is None and default is None:
             continue
-        if key in _BENCH_INT_KEYS and not _is_int(value):
-            raise SchemaError(f"key {key!r} must be an integer, got {value!r}")
-        if not _is_number(value):
-            raise SchemaError(f"key {key!r} must be a number, got {value!r}")
+        for test, message in rules:
+            if not test(cfg[key]):
+                raise SchemaError(f"key {key!r} {message.format(cfg[key])}")
+
     if cfg["n"] is None and cfg["n_grid"] is None:
         raise SchemaError("bench config needs key 'n' or 'n_grid'")
     if cfg["n"] is not None and cfg["n_grid"] is not None:
         raise SchemaError("bench config keys 'n' and 'n_grid' are mutually exclusive")
-    if not isinstance(cfg["datasets"], list) or not cfg["datasets"]:
-        raise SchemaError("key 'datasets' must be a non-empty list of DGP ids")
-    if not isinstance(cfg["strategies"], list) or not cfg["strategies"]:
-        raise SchemaError("key 'strategies' must be a non-empty list")
-    if cfg["reps"] < 2:
-        raise SchemaError("key 'reps' must be an integer >= 2")
-    if cfg["k_points"] < 1:
-        raise SchemaError("key 'k_points' must be an integer >= 1")
-    if cfg["m_inducing"] < 1:
-        raise SchemaError("key 'm_inducing' must be an integer >= 1")
-    if not 0 < cfg["alpha"] < 1:
-        raise SchemaError("key 'alpha' must lie in (0, 1)")
-    if cfg["estimand"] not in ("ate", "cate"):
-        raise SchemaError("key 'estimand' must be 'ate' or 'cate'")
-    if cfg["calibration"] not in ("plugin", "gpc"):
-        raise SchemaError("key 'calibration' must be 'plugin' or 'gpc'")
     if cfg["estimand"] == "cate" and cfg["calibration"] != "plugin":
         raise SchemaError("key 'calibration' must be 'plugin' for the cate bench")
     n_grid = cfg["n_grid"] if cfg["n_grid"] is not None else [cfg["n"]]
@@ -290,6 +284,8 @@ def _load_bench_config(path):
         labels = [str(v).strip().upper() for v in cfg[key]]
         if len(set(labels)) < len(labels):
             raise SchemaError(f"key {key!r} repeats an entry: {cfg[key]!r}")
+    cfg["datasets"] = [dgp_mod.default_spec(v) for v in cfg["datasets"]]
+    cfg["strategies"] = [(Strategy.parse(v), str(v).strip().upper()) for v in cfg["strategies"]]
     return cfg
 
 
@@ -317,33 +313,24 @@ def cmd_bench(args):
         clip_eps=cfg["clip_eps"], lambda_prop=cfg["lambda_prop"], lambda_out=cfg["lambda_out"]
     )
     prior = NormalPrior(m0=cfg["prior_mean"], s0_sq=cfg["prior_var"])
-    reports = []
-    for dataset_id in cfg["datasets"]:
-        spec = dgp_mod.default_spec(dataset_id)
-        for raw_label in cfg["strategies"]:
-            strategy = Strategy.parse(raw_label)
-            label = str(raw_label).strip().upper()
-            for n in cfg["n_grid"]:
-                if cfg["estimand"] == "ate":
-                    reports.append(
-                        bench_mod.run_ate_bench(
-                            spec, strategy, n, cfg["reps"], prior, cfg["calibration"],
-                            seed, alpha=cfg["alpha"], folds=cfg["folds"],
-                            nuisance_config=nconf, parallelism=parallelism,
-                            b_boot=cfg["b_boot"], max_iter=cfg["max_iter"],
-                            strategy_label=label,
-                        )
-                    )
-                else:
-                    reports.append(
-                        bench_mod.run_cate_bench(
-                            spec, strategy, n, cfg["reps"], KernelParams(),
-                            cfg["m_inducing"], cfg["k_points"], seed,
-                            alpha=cfg["alpha"], folds=cfg["folds"],
-                            nuisance_config=nconf, parallelism=parallelism,
-                            strategy_label=label,
-                        )
-                    )
+    if cfg["estimand"] == "ate":
+        run_cell = partial(
+            bench_mod.run_ate_bench, r_reps=cfg["reps"], prior=prior,
+            calibration_mode=cfg["calibration"], base_seed=seed,
+            b_boot=cfg["b_boot"], max_iter=cfg["max_iter"],
+        )
+    else:
+        run_cell = partial(
+            bench_mod.run_cate_bench, r_reps=cfg["reps"], kernel=KernelParams(),
+            m_inducing=cfg["m_inducing"], k_points=cfg["k_points"], base_seed=seed,
+        )
+    reports = [
+        run_cell(spec, strategy, n, alpha=cfg["alpha"], folds=cfg["folds"],
+                 nuisance_config=nconf, parallelism=parallelism, strategy_label=label)
+        for spec in cfg["datasets"]
+        for strategy, label in cfg["strategies"]
+        for n in cfg["n_grid"]
+    ]
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, "bench_report.csv")

@@ -31,17 +31,12 @@ class DgpSpec:
         _validate(self.id, self.params)
 
 
-def default_spec(dgp_id) -> DgpSpec:
-    """Pinned default parameters for each process id.
-
-    Values give moderate confounding, nonzero treatment-effect heterogeneity
-    where the process has any, and finite noise moments.
-    """
-    if dgp_id not in DGP_IDS:
-        raise UnknownDgp(f"unknown DGP id {dgp_id!r}; expected one of {DGP_IDS}")
+def _default_params(dgp_id) -> dict:
+    """Fresh default parameters for a known process id, so that no two specs
+    share an array; their names are the parameters the process requires."""
     beta = np.array([0.5, -0.5])
     gamma = np.array([1.0, 1.0])
-    defaults = {
+    return {
         "D1": {"tau": 2.0, "beta": beta, "gamma": gamma},
         "D2": {"theta0": 2.0, "theta": np.array([1.0, 0.5]), "beta": beta, "gamma": gamma},
         "D3": {
@@ -57,25 +52,22 @@ def default_spec(dgp_id) -> DgpSpec:
         "D7": {"tau": 2.0, "beta": beta, "gamma": gamma, "nu": 3.0},
         "D8": {"tau": 2.0, "p": 50, "s": 5},
         "D9": {},
-    }
-    return DgpSpec(id=dgp_id, params=defaults[dgp_id])
+    }[dgp_id]
 
 
-_REQUIRED = {
-    "D1": ("tau", "beta", "gamma"),
-    "D2": ("theta0", "theta", "beta", "gamma"),
-    "D3": ("theta0", "theta", "mu", "beta", "gamma"),
-    "D4": ("alpha0", "alpha1", "beta"),
-    "D5": ("tau", "b"),
-    "D6": ("tau", "gamma"),
-    "D7": ("tau", "beta", "gamma", "nu"),
-    "D8": ("tau", "p", "s"),
-    "D9": (),
-}
+def default_spec(dgp_id) -> DgpSpec:
+    """Pinned default parameters for each process id.
+
+    Values give moderate confounding, nonzero treatment-effect heterogeneity
+    where the process has any, and finite noise moments.
+    """
+    if dgp_id not in DGP_IDS:
+        raise UnknownDgp(f"unknown DGP id {dgp_id!r}; expected one of {DGP_IDS}")
+    return DgpSpec(id=dgp_id, params=_default_params(dgp_id))
 
 
 def _validate(dgp_id, params):
-    for name in _REQUIRED[dgp_id]:
+    for name in _default_params(dgp_id):
         if name not in params:
             raise InvalidSpec(f"{dgp_id} requires parameter {name!r}")
         val = np.asarray(params[name], dtype=float)

@@ -90,7 +90,7 @@ class TestGpcSearch:
         # With 50 resamples coverage moves in steps of 0.02, so 0.94 and 0.96
         # are the closest it gets to 0.95; in floating point both differ from
         # 1 - 0.05 by just over 0.01.
-        res = gpc_search(lambda o: c_hat, omega0=2.0, alpha=0.05, max_iter=50, tol=0.01)
+        res = gpc_search(lambda o: c_hat, omega0=2.0, alpha=0.05, max_iter=50)
         assert res.converged and res.iterations == 1
 
     def test_converges_from_near_calibrated_start(self):
@@ -101,7 +101,7 @@ class TestGpcSearch:
         def coverage(omega):
             return 0.95 - 0.5 * (math.log(omega) - target_log)
 
-        res = gpc_search(coverage, omega0=1.0, alpha=0.05, max_iter=50, tol=0.01)
+        res = gpc_search(coverage, omega0=1.0, alpha=0.05, max_iter=50)
         assert res.converged
         assert res.iterations <= 3
         assert abs(res.achieved_bootstrap_coverage - 0.95) <= 0.0101
@@ -252,6 +252,8 @@ class TestGpcOmegaCate:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(gibbs_cate, "kernel_matrix", counting)
+        # so tight a tolerance that the search runs all max_iter evaluations
+        monkeypatch.setattr(calibrate, "COVERAGE_TOL", 1e-6)
         ds = generate(default_spec("D4"), 80, Rng(43))
         pv = _pv(Rng(44).normal(80) + ds.x[:, 0])
         for engine, builds in (("exact", 2), ("sparse", 3)):
@@ -260,6 +262,6 @@ class TestGpcOmegaCate:
             assert len(calls) == builds
             # 60 resamples of 7 query rows give coverages in steps of 1/420,
             # and 60 * 7 * 0.95 = 399, so a coverage of exactly 0.95 is possible
-            res = gpc_omega_cate_from_pseudo(pv, 0.05, b_boot, max_iter, Rng(46), fit, tol=1e-6)
+            res = gpc_omega_cate_from_pseudo(pv, 0.05, b_boot, max_iter, Rng(46), fit)
             assert res.iterations == max_iter
             assert len(calls) == builds

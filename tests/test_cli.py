@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gbcausal import bench as bench_mod
 from gbcausal import cli
 from gbcausal import dgp as dgp_mod
 from gbcausal import gibbs_cate
@@ -208,6 +209,28 @@ class TestFitCommand:
         summary = json.loads(out.read_text(encoding="utf-8"))
         assert summary["n"] == 300
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--prior-var", "0"],
+            ["--estimand", "cate", "--engine", "vi", "--lengthscale", "0"],
+            ["--strategy", "XYZ"],
+            ["--clip-eps", "0.7"],
+        ],
+    )
+    @pytest.mark.parametrize("source", [["--data", "data.csv"], ["--dgp", "D8", "--n", "300"]])
+    def test_bad_flag_exits_2_before_the_data(self, tmp_path, capsys, monkeypatch, flags, source):
+        def unreachable(*args, **kwargs):
+            pytest.fail("a bad flag reached the data")
+
+        monkeypatch.setattr(cli, "read_csv", unreachable)
+        monkeypatch.setattr(cli, "cross_fit", unreachable)
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        out = tmp_path / "fit.json"
+        assert cli.main(["fit", *source, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_cate_exact_gp_pointwise_summary(self, tmp_path):
         out = tmp_path / "cate.json"
         proc = run_cli([
@@ -402,6 +425,34 @@ class TestBenchCommand:
         assert code == 0
         lines = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").strip().split("\n")
         assert [line.split(",")[2] for line in lines[1:]] == ["15", "200"]
+
+    @pytest.mark.parametrize(
+        "overrides, bad",
+        [
+            (dict(datasets=["D1", "D10"]), "'D10'"),
+            (dict(strategies=["RA", "XYZ"]), "'XYZ'"),
+        ],
+    )
+    def test_bad_last_entry_exits_2_before_any_cross_fit(
+        self, tmp_path, capsys, monkeypatch, overrides, bad
+    ):
+        def unreachable(*args, **kwargs):
+            pytest.fail("a cell ran before the whole config was checked")
+
+        monkeypatch.setattr(bench_mod, "cross_fit", unreachable)
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, **overrides)
+        code = cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert bad in capsys.readouterr().err
+        assert not (tmp_path / "bench_report.csv").exists()
+
+    def test_fit_and_bench_share_defaults(self):
+        fit = cli.build_parser().parse_args(["fit"])
+        for key in ("folds", "clip_eps", "lambda_prop", "lambda_out", "b_boot", "max_iter",
+                    "prior_mean", "prior_var", "m_inducing"):
+            assert getattr(fit, key) == cli._BENCH_KEYS[key][0], key
 
     def test_default_parallelism_counts_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
