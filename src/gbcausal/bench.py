@@ -98,21 +98,27 @@ def wilson_interval(hits, total, level_z):
     return lo, hi
 
 
-def _rep(cell: Cell, payload):
-    """One repetition of the full pipeline on the stream (base_seed, rep).
-
-    ``payload`` is (rep, (dataset, cross-fit) or None): the pair from an
-    earlier cell skips the draw and the nuisance fits. Returns (outcome,
-    pair): the outcome is a RunResult or the message of the NumericError
-    that ended it, and the pair is the one used, or None if the cross-fit
-    failed."""
-    rep, fitted = payload
+def _fit_rep(cell: Cell, rep):
+    """Draw repetition `rep`'s dataset on the stream (base_seed, rep) and
+    cross-fit its nuisances. Returns the (dataset, cross-fit) pair, or the
+    message of the NumericError that ended it."""
     rng = Rng(cell.base_seed).derive(rep)
     try:
-        if fitted is None:
-            ds = dgp_mod.generate(cell.spec, cell.n, rng.derive(0))
-            fitted = ds, cross_fit(ds, cell.folds, cell.nuisance_config, rng.derive(1))
-        ds, cf = fitted
+        ds = dgp_mod.generate(cell.spec, cell.n, rng.derive(0))
+        return ds, cross_fit(ds, cell.folds, cell.nuisance_config, rng.derive(1))
+    except NumericError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _rep(cell: Cell, rep, fitted):
+    """Repetition `rep` of the cell from `fitted`, its _fit_rep result: a
+    RunResult, or the message of the NumericError that ended it (a failed
+    cross-fit's own)."""
+    if isinstance(fitted, str):
+        return fitted
+    ds, cf = fitted
+    rng = Rng(cell.base_seed).derive(rep)
+    try:
         pv = cross_fitted_pseudo(ds, cf, cell.strategy)
         if cell.calibration_mode == "plugin":
             omega = plugin_omega(pv)
@@ -122,7 +128,7 @@ def _rep(cell: Cell, payload):
             ).omega
         if cell.kernel is None:
             lo, hi = credible_interval(closed_form_posterior(pv, cell.prior, omega), cell.alpha)
-            return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega), fitted
+            return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega)
         x_query = dgp_mod.draw_covariates(cell.spec, cell.k_points, rng.derive(3))
         fit = sparse_gp_resampler(
             cell.kernel, ds.x, pv.values, x_query, min(cell.m_inducing, ds.n), rng.derive(2)
@@ -131,17 +137,16 @@ def _rep(cell: Cell, payload):
         half = normal_quantile(1.0 - cell.alpha / 2.0) * np.sqrt(variances)
         truth = ds.truth.cate(x_query)
         hit = (means - half <= truth) & (truth <= means + half)
-        run = RunResult(rep, int(hit.sum()), cell.k_points, float(np.mean(2.0 * half)), omega)
-        return run, fitted
+        return RunResult(rep, int(hit.sum()), cell.k_points, float(np.mean(2.0 * half)), omega)
     except NumericError as exc:
-        return f"{type(exc).__name__}: {exc}", fitted
+        return f"{type(exc).__name__}: {exc}"
 
 
 # Cells that share a spec object, base seed, fold count and nuisance config
 # draw the same data and cross-fitted nuisances in each repetition (common
 # random numbers), so only the first of them draws and fits. The memo holds
-# those (dataset, cross-fit) pairs by (n, rep) for one such key; a cell with
-# another key replaces it.
+# the _fit_rep results, failures included, by (n, rep) for one such key; a
+# cell with another key replaces it.
 # DgpSpec holds numpy arrays and is compared by identity.
 _memo = {"key": None, "fits": {}}
 
@@ -177,12 +182,11 @@ def _run_cell(cell: Cell, r_reps, parallelism, strategy_label) -> BenchReport:
     if r_reps < 2:
         raise DomainError("r_reps must be >= 2")
     fits = _memo_fits(cell)
-    payloads = [(rep, fits.get((cell.n, rep))) for rep in range(r_reps)]
-    outcomes = []
-    for rep, (outcome, fitted) in enumerate(_execute(partial(_rep, cell), payloads, parallelism)):
-        if fitted is not None:
+    missing = [rep for rep in range(r_reps) if (cell.n, rep) not in fits]
+    if missing:  # a fully memoised cell starts no pool
+        for rep, fitted in zip(missing, _execute(partial(_fit_rep, cell), missing, parallelism)):
             fits[(cell.n, rep)] = fitted
-        outcomes.append(outcome)
+    outcomes = [_rep(cell, rep, fits[(cell.n, rep)]) for rep in range(r_reps)]
     runs = [out for out in outcomes if isinstance(out, RunResult)]
     total = len(runs)
     hits = sum(r.hits for r in runs)

@@ -1,9 +1,10 @@
 """Learning-rate selection for the generalized posterior.
 
 Two routes: the plug-in rule omega = 1 / Var(pseudo-outcomes), and bootstrap
-coverage matching. The latter draws b_boot resamples once per calibration,
-which makes the bootstrap coverage of the credible set a deterministic
-function of omega, and solves for nominal coverage on log omega (gpc_search).
+coverage matching. The latter takes b_boot resamples from one fixed stream
+per calibration, one row of indices at a time, which makes the bootstrap
+coverage of the credible set a deterministic function of omega, and solves
+for nominal coverage on log omega (gpc_search).
 The CATE search is told how to refit the engine it calibrates: it takes
 that engine's resampler from gibbs_cate and builds no kernel matrix itself.
 
@@ -87,10 +88,12 @@ def gpc_search(coverage_fn, omega0, alpha, max_iter) -> CalibrationResult:
 
 
 def _resample_rows(rng: Rng, n, b_boot):
-    """The b_boot bootstrap resamples of one calibration, as index rows."""
+    """The b_boot bootstrap resamples of one calibration, as index rows drawn
+    from `rng` one at a time: the rows of one (b_boot, n) draw, in O(n)
+    memory. b_boot is checked on the call, before any row is drawn."""
     if b_boot < 50:
         raise DomainError("b_boot must be >= 50")
-    return rng.integers(n, (b_boot, n))
+    return (rng.integers(n, n) for _ in range(b_boot))
 
 
 def _ate_gpc(pseudo: PseudoOutcomes, prior: NormalPrior, alpha, max_iter, means):
@@ -117,7 +120,8 @@ def gpc_omega_from_pseudo(
     """Coverage-matching calibration for the scalar ATE posterior, given
     already cross-fitted pseudo-outcomes."""
     rows = _resample_rows(rng.derive(1), pseudo.n, b_boot)
-    return _ate_gpc(pseudo, prior, alpha, max_iter, pseudo.values[rows].mean(axis=1))
+    means = np.array([pseudo.values[r].mean() for r in rows])
+    return _ate_gpc(pseudo, prior, alpha, max_iter, means)
 
 
 def gpc_omega(
@@ -167,13 +171,14 @@ def gpc_omega_cate_from_pseudo(
     omega.
     """
     n = pseudo.n
-    resamples = _resample_rows(rng.derive(1), n, b_boot)
+    _resample_rows(rng, n, b_boot)  # checks b_boot now; draws nothing
     z = normal_quantile(1.0 - alpha / 2.0)
 
     def coverage(omega):
         point_est, _ = fit(np.arange(n), omega)
         hits = 0
-        for rows in resamples:
+        # a fresh stream per evaluation: every omega sees the same resamples
+        for rows in _resample_rows(rng.derive(1), n, b_boot):
             means_b, vars_b = fit(rows, omega)
             hits += int(np.sum(np.abs(point_est - means_b) <= z * np.sqrt(vars_b)))
         return hits / (b_boot * point_est.shape[0])

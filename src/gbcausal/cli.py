@@ -108,6 +108,10 @@ def cmd_fit(args):
         raise ConfigError("engine=closed is only valid for estimand=ate; use vi or exact-gp")
     if args.estimand == "ate" and args.engine == "exact-gp":
         raise ConfigError("engine=exact-gp is only valid for estimand=cate")
+    for flag, value, low in (("--folds", args.folds, 2), ("--b-boot", args.b_boot, 50),
+                             ("--max-iter", args.max_iter, 1)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}")
 
     # every flag is checked before the data are read or drawn
     strategy = Strategy.parse(args.strategy)
@@ -232,12 +236,12 @@ _BENCH_KEYS = {
     "n": (None,),
     "n_grid": (None,),
     "parallelism": (None, _INT),
-    "folds": (5, _INT),
+    "folds": (5, _INT, _at_least(2)),
     "clip_eps": (0.01, _NUMBER),
     "lambda_prop": (None, _NUMBER),
     "lambda_out": (0.001, _NUMBER),
-    "b_boot": (200, _INT),
-    "max_iter": (50, _INT),
+    "b_boot": (200, _INT, _at_least(50)),
+    "max_iter": (50, _INT, _at_least(1)),
     "prior_mean": (0.0, _NUMBER),
     "prior_var": (1.0, _NUMBER),
     "m_inducing": (20, _INT, _at_least(1)),
@@ -279,6 +283,8 @@ def _load_bench_config(path):
     n_grid = cfg["n_grid"] if cfg["n_grid"] is not None else [cfg["n"]]
     if not (isinstance(n_grid, list) and all(_is_int(v) and v >= 1 for v in n_grid)):
         raise SchemaError("sample sizes in 'n'/'n_grid' must be integers >= 1")
+    if cfg["folds"] > min(n_grid):
+        raise SchemaError(f"key 'folds' must be <= the smallest sample size {min(n_grid)}")
     cfg["n_grid"] = n_grid
     for key in ("datasets", "strategies", "n_grid"):
         labels = [str(v).strip().upper() for v in cfg[key]]

@@ -127,7 +127,7 @@ def vi_posterior(
 
     draws = iter(_stratified_normals(config.batch_size, config.epochs, rng))
 
-    def gradient(theta, _rng):
+    def gradient(theta):
         mu, log_sigma = theta
         sigma = math.exp(log_sigma)
         eps = next(draws)
@@ -139,5 +139,5 @@ def vi_posterior(
         return np.array([g_mu, g_ls])
 
     init = np.array([m0 if prec0 > 0 else 0.0, log_sigma0])
-    mu_fit, log_sigma_fit = adam_minimize(gradient, init, config, rng)
+    mu_fit, log_sigma_fit = adam_minimize(gradient, init, config)
     return GaussianPosterior(m_p=float(mu_fit), s_p_sq=float(math.exp(log_sigma_fit) ** 2))

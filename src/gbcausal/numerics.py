@@ -536,15 +536,15 @@ def gaussian_tv(mean1, mean2, shared_sd):
     return 2.0 * ndtr(delta / (2.0 * shared_sd)) - 1.0
 
 
-def adam_minimize(gradient_fn, init, config, rng):
+def adam_minimize(gradient_fn, init, config):
     """Run `config.epochs` bias-corrected Adam updates and return the mean of
     the iterates over the second half of the epochs.
 
     Constant steps leave the last iterate circling the optimum; the average
     of the late iterates settles on it (Polyak & Juditsky 1992).
-    `gradient_fn(theta, rng)` returns the (possibly stochastic) gradient at
-    theta; it may consume draws from `rng`, which is advanced sequentially so
-    the whole run is deterministic given (init, config, rng).
+    `gradient_fn(theta)` returns the (possibly stochastic) gradient at
+    theta; a stochastic one brings its own draws, so the run is as
+    deterministic as they are.
     """
     theta = np.array(init, dtype=float).reshape(-1).copy()
     m = np.zeros_like(theta)
@@ -558,7 +558,7 @@ def adam_minimize(gradient_fn, init, config, rng):
     burn_in = config.epochs // 2
     total = np.zeros_like(theta)
     for t in range(1, config.epochs + 1):
-        g = np.asarray(gradient_fn(theta, rng), dtype=float).reshape(-1)
+        g = np.asarray(gradient_fn(theta), dtype=float).reshape(-1)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(
                 f"non-finite gradient at epoch {t}", epoch=t, last_iterate=theta.copy()

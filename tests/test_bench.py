@@ -259,12 +259,13 @@ class TestNuisanceMemo:
         _ate_cells(spec, [Strategy.DR], seed=62)
         assert built == [80] * 3 and len(fit_calls) == 6
 
-    def test_failed_cross_fits_are_not_stored(self, fit_calls):
-        # D6 at a tiny n collapses an arm in some training complements
+    def test_failed_cross_fits_are_fitted_once(self, fit_calls):
+        # D6 at a tiny n collapses an arm in some training complements; the
+        # memo keeps those failures, so the DR cell counts them without a refit
         first, second = _ate_cells(default_spec("D6"), [Strategy.RA, Strategy.DR], n=30, reps=12,
                                    seed=0)
-        assert first.failures > 0
-        assert len(fit_calls) == 12 + second.failures
+        assert first.failures == second.failures == 3
+        assert len(fit_calls) == 12
 
     def test_cell_after_other_cells_matches_a_fresh_process(self, tmp_path):
         script = textwrap.dedent(
@@ -295,13 +296,13 @@ class TestNuisanceMemo:
         assert report.failures > 0
         assert report == fresh and report.runs == fresh_runs
 
-    def test_pool_payloads_carry_the_cached_fits(self, fit_calls, monkeypatch):
-        payloads = []
+    def test_pool_maps_only_missing_repetitions(self, fit_calls, monkeypatch):
+        mapped = []
         original = bench._execute
 
         def recording(worker, items, parallelism):
-            payloads.append(list(items))
-            return original(worker, payloads[-1], parallelism)
+            mapped.append(list(items))
+            return original(worker, mapped[-1], parallelism)
 
         strategies = [Strategy.RA, Strategy.DR]
         serial = _ate_cells(default_spec("D2"), strategies)
@@ -309,9 +310,10 @@ class TestNuisanceMemo:
         pooled = _ate_cells(default_spec("D2"), strategies, parallelism=2)
         assert [r.runs for r in pooled] == [r.runs for r in serial]
         assert reports_to_csv(pooled) == reports_to_csv(serial)
-        assert [rep for rep, _ in payloads[1]] == [0, 1, 2]
-        assert all(cf is None for _, cf in payloads[0])
-        assert all(cf is not None for _, cf in payloads[1])
+        # the first cell's draws and cross-fits go to the pool as bare rep
+        # indices; the second cell finds them all in the memo and starts none
+        assert mapped == [[0, 1, 2]]
+        assert all(type(rep) is int for rep in mapped[0])
 
 
 class TestLengthSweep:

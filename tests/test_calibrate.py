@@ -265,3 +265,76 @@ class TestGpcOmegaCate:
             res = gpc_omega_cate_from_pseudo(pv, 0.05, b_boot, max_iter, Rng(46), fit)
             assert res.iterations == max_iter
             assert len(calls) == builds
+
+
+@pytest.fixture
+def integer_sizes(monkeypatch):
+    """Record the `size` of every Rng.integers draw."""
+    sizes = []
+    original = Rng.integers
+
+    def recording(self, n, size=None):
+        sizes.append(size)
+        return original(self, n, size)
+
+    monkeypatch.setattr(Rng, "integers", recording)
+    return sizes
+
+
+class TestResamplesInLinearMemory:
+    """gpc draws its resamples one row of n indices at a time, and its
+    results equal those of the one (b_boot, n) matrix of the same stream."""
+
+    def test_ate_matches_the_matrix_formula(self, integer_sizes):
+        n, b_boot, alpha, prior = 300, 80, 0.05, NormalPrior(0.5, 2.0)
+        pv = _pv(Rng(51).normal(n) * 1.7 + 0.4)
+        got = gpc_omega_from_pseudo(pv, prior, alpha, b_boot, 50, Rng(52))
+        assert integer_sizes == [n] * b_boot
+
+        means = pv.values[Rng(52).derive(1).integers(n, (b_boot, n))].mean(axis=1)
+        theta_hat = float(np.mean(pv.values))
+        z = normal_quantile(1.0 - alpha / 2.0)
+
+        def coverage(omega):
+            m_p_b, s_p_sq = normal_update(prior, omega, n, means)
+            return float(np.mean(np.abs(theta_hat - m_p_b) <= z * math.sqrt(s_p_sq)))
+
+        assert got == gpc_search(coverage, plugin_omega(pv), alpha, 50)
+
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    def test_cate_matches_the_matrix_formula(self, integer_sizes, monkeypatch, engine):
+        # so tight a tolerance that every evaluation redraws the resamples
+        monkeypatch.setattr(calibrate, "COVERAGE_TOL", 1e-6)
+        n, b_boot, max_iter, alpha = 90, 50, 4, 0.05
+        ds = generate(default_spec("D4"), n, Rng(53))
+        pv = _pv(Rng(54).normal(n) + ds.x[:, 0])
+        fit = _resampler(engine, ds, pv, ds.x[:9])
+        got = gpc_omega_cate_from_pseudo(pv, alpha, b_boot, max_iter, Rng(55), fit)
+        assert got.iterations == max_iter
+        assert integer_sizes == [n] * (b_boot * max_iter)
+
+        rows = Rng(55).derive(1).integers(n, (b_boot, n))
+        z = normal_quantile(1.0 - alpha / 2.0)
+
+        def coverage(omega):
+            point_est, _ = fit(np.arange(n), omega)
+            hits = 0
+            for r in rows:
+                means_b, vars_b = fit(r, omega)
+                hits += int(np.sum(np.abs(point_est - means_b) <= z * np.sqrt(vars_b)))
+            return hits / (b_boot * point_est.shape[0])
+
+        assert got == gpc_search(coverage, plugin_omega(pv), alpha, max_iter)
+
+    def test_refit_path_draws_one_row_at_a_time(self, integer_sizes):
+        ds = generate(default_spec("D1"), 120, Rng(56))
+        gpc_omega(ds, Strategy.DR, NormalPrior(), 0.05, 50, 2, Rng(57), refit_nuisances=True)
+        assert integer_sizes and all(np.prod(size) <= ds.n for size in integer_sizes)
+
+    def test_b_boot_is_checked_before_the_search(self, integer_sizes):
+        def never(rows, omega):
+            pytest.fail("the CATE search ran with too few resamples")
+
+        with pytest.raises(DomainError):
+            gpc_omega_cate_from_pseudo(_pv(Rng(58).normal(40)), 0.05, 49, 5, Rng(59), never)
+        assert integer_sizes == []

@@ -216,6 +216,9 @@ class TestFitCommand:
             ["--estimand", "cate", "--engine", "vi", "--lengthscale", "0"],
             ["--strategy", "XYZ"],
             ["--clip-eps", "0.7"],
+            ["--folds", "1"],
+            ["--calibration", "gpc", "--b-boot", "10"],
+            ["--calibration", "gpc", "--max-iter", "0"],
         ],
     )
     @pytest.mark.parametrize("source", [["--data", "data.csv"], ["--dgp", "D8", "--n", "300"]])
@@ -448,6 +451,33 @@ class TestBenchCommand:
         assert bad in capsys.readouterr().err
         assert not (tmp_path / "bench_report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            # the sizes run in config order, so 25 folds would meet n=20 only
+            # after the D8 cells at n=1000
+            ("folds", dict(datasets=["D8"], strategies=["RA", "IPW", "AIPW"], n=None,
+                           n_grid=[1000, 20], reps=6, folds=25)),
+            ("folds", dict(folds=1)),
+            ("b_boot", dict(calibration="gpc", b_boot=10)),
+            ("max_iter", dict(calibration="gpc", max_iter=0)),
+        ],
+    )
+    def test_fold_and_gpc_limits_exit_2_before_any_cross_fit(
+        self, tmp_path, capsys, monkeypatch, key, overrides
+    ):
+        def unreachable(*args, **kwargs):
+            pytest.fail("a cell ran before the fold and gpc limits were checked")
+
+        monkeypatch.setattr(bench_mod, "cross_fit", unreachable)
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, **overrides)
+        code = cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "bench_report.csv").exists()
+
     def test_fit_and_bench_share_defaults(self):
         fit = cli.build_parser().parse_args(["fit"])
         for key in ("folds", "clip_eps", "lambda_prop", "lambda_out", "b_boot", "max_iter",
@@ -472,19 +502,21 @@ class TestBenchCommand:
         lines = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize(
         "name, overrides",
         [
-            # D6 at n=30 loses some repetitions to arm collapse: the failure path
+            # D6 at n=30 loses some repetitions to arm collapse: the failure
+            # path, which at parallelism 2 also runs through the pool
             ("ate", dict(datasets=["D1", "D6"], strategies=["RA", "AIPW"], n=30, reps=12,
                          seed=0)),
             ("cate", dict(datasets=["D2"], strategies=["DR"], n=150, reps=3, estimand="cate",
                           m_inducing=10, k_points=25, seed=21)),
         ],
     )
-    def test_reports_match_golden_bytes(self, tmp_path, name, overrides):
+    def test_reports_match_golden_bytes(self, tmp_path, name, overrides, parallelism):
         cfg = tmp_path / "bench.json"
-        write_bench_config(cfg, **overrides)
+        write_bench_config(cfg, parallelism=parallelism, **overrides)
         proc = run_cli(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert proc.returncode == 0
         for ext in ("csv", "md"):

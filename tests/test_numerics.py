@@ -237,23 +237,23 @@ class TestGaussianTv:
 class TestAdam:
     def test_quadratic_converges(self):
         config = OptimizerConfig(learning_rate=0.1, epochs=500, batch_size=1)
-        theta = adam_minimize(lambda t, _r: 2.0 * t, np.array([1.0]), config, Rng(0))
+        theta = adam_minimize(lambda t: 2.0 * t, np.array([1.0]), config)
         assert abs(theta[0]) <= 1e-3
 
     def test_zero_gradient_is_fixed_point(self):
         config = OptimizerConfig(learning_rate=0.1, epochs=50, batch_size=1)
-        theta = adam_minimize(lambda t, _r: np.zeros_like(t), np.array([3.25]), config, Rng(0))
+        theta = adam_minimize(lambda t: np.zeros_like(t), np.array([3.25]), config)
         assert theta[0] == 3.25
 
     def test_shifted_quadratic_default_rate(self):
         config = OptimizerConfig(learning_rate=0.03, epochs=2000, batch_size=1)
-        theta = adam_minimize(lambda t, _r: 2.0 * (t - 3.0), np.array([0.0]), config, Rng(0))
+        theta = adam_minimize(lambda t: 2.0 * (t - 3.0), np.array([0.0]), config)
         assert abs(theta[0] - 3.0) <= 1e-2
 
     def test_non_finite_gradient_aborts_with_last_iterate(self):
         calls = {"n": 0}
 
-        def grad(t, _r):
+        def grad(t):
             calls["n"] += 1
             if calls["n"] >= 4:
                 return np.array([np.nan])
@@ -261,19 +261,19 @@ class TestAdam:
 
         config = OptimizerConfig(learning_rate=0.1, epochs=100, batch_size=1)
         with pytest.raises(NonFiniteGradient) as err:
-            adam_minimize(grad, np.array([1.0]), config, Rng(0))
+            adam_minimize(grad, np.array([1.0]), config)
         assert err.value.epoch == 4
         assert np.all(np.isfinite(err.value.last_iterate))
 
     def test_deterministic_given_rng(self):
         config = OptimizerConfig(learning_rate=0.05, epochs=100, batch_size=1)
 
-        def noisy_grad(t, r):
-            return 2.0 * t + r.normal(t.shape)
+        def run(rng):
+            return adam_minimize(
+                lambda t: 2.0 * t + rng.normal(t.shape), np.array([1.0, -1.0]), config
+            )
 
-        a = adam_minimize(noisy_grad, np.array([1.0, -1.0]), config, Rng(9, 2))
-        b = adam_minimize(noisy_grad, np.array([1.0, -1.0]), config, Rng(9, 2))
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(run(Rng(9, 2)), run(Rng(9, 2)))
 
 
 class TestOptimizerConfig:
