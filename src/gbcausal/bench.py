@@ -13,7 +13,6 @@ which are drawn and fitted once (see ``_memo``).
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Tuple
@@ -161,6 +160,8 @@ def _memo_fits(cell: Cell):
 
 def _execute(worker, payloads, parallelism):
     if parallelism and parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # One OpenBLAS thread per worker: the pool already fills the cores.
         # Forked workers inherit the parent's pinned count (setting it inside
         # a fork restarts OpenBLAS's thread pool); the initializer pins

@@ -30,7 +30,7 @@ from .gibbs_ate import (
 )
 from .gibbs_cate import KernelParams, exact_gp_resampler, sparse_gp_resampler
 from .nuisance import NuisanceConfig, cross_fit
-from .numerics import OptimizerConfig, Rng, blas_threads, normal_quantile
+from .numerics import Rng, blas_threads, normal_quantile
 from .pseudo import Strategy, cross_fitted_pseudo
 
 
@@ -109,7 +109,8 @@ def cmd_fit(args):
     if args.estimand == "ate" and args.engine == "exact-gp":
         raise ConfigError("engine=exact-gp is only valid for estimand=cate")
     for flag, value, low in (("--folds", args.folds, 2), ("--b-boot", args.b_boot, 50),
-                             ("--max-iter", args.max_iter, 1)):
+                             ("--max-iter", args.max_iter, 1),
+                             ("--m-inducing", args.m_inducing, 1)):
         if value < low:
             raise ConfigError(f"{flag} must be >= {low}")
 
@@ -139,7 +140,7 @@ def cmd_fit(args):
         if args.engine == "closed":
             post = closed_form_posterior(pv, prior, omega)
         else:
-            post = vi_posterior(pv, prior, omega, OptimizerConfig(), rng.derive(3))
+            post = vi_posterior(pv, prior, omega)
         lo, hi = credible_interval(post, args.alpha)
         summary = {
             "estimand": "ate",

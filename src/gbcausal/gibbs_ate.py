@@ -7,10 +7,12 @@ is conjugate for a normal prior, giving the exact posterior
     s_p^2 = (s0^-2 + omega n)^-1
     m_p   = s_p^2 (s0^-2 m0 + omega n theta_hat),   theta_hat = mean(values).
 
-A Gaussian variational engine minimizing
+The Gaussian variational engine minimizes
     J(q) = omega n E_q[L_n] + KL(q || pi)
-over (mu, log sigma) is provided as the optimization-based route; the closed
-form doubles as its oracle in tests.
+over (mu, log sigma). Over Gaussian q the loss is conjugate, so J's minimum is
+the exact posterior above and the engine returns it without an optimizer
+loop. (``numerics.adam_minimize`` has no caller in the package; it stays only
+while the benchmark's tracer names it.)
 """
 
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import OptimizerConfig, Rng, adam_minimize, ndtri, normal_quantile
+from .numerics import normal_quantile
 from .pseudo import PseudoOutcomes
 
 
@@ -83,61 +85,13 @@ def credible_interval(post: GaussianPosterior, alpha):
     return post.m_p - half, post.m_p + half
 
 
-def _stratified_normals(batch_size, epochs, rng: Rng):
-    """(epochs, batch_size) normals, one row per Adam step.
+def vi_posterior(pseudo: PseudoOutcomes, prior: NormalPrior, omega) -> GaussianPosterior:
+    """Gaussian variational fit of the generalized posterior: the minimizer
+    of J(q) = omega n E_q[L_n] + KL(q || pi) over q = N(mu, sigma^2).
 
-    One uniform shift per step; stratifying the inverse-CDF draws removes
-    almost all Monte Carlo noise from the batch means while keeping the
-    estimator an unbiased sample average. The shifts are taken in one draw,
-    which gives the values of one draw per step, and go through ndtri
-    together."""
-    shifts = rng.uniform(epochs)
-    probs = (np.arange(batch_size) + shifts[:, None]) / batch_size
-    return ndtri(np.maximum(probs, 1e-300))
-
-
-def vi_posterior(
-    pseudo: PseudoOutcomes,
-    prior: NormalPrior,
-    omega,
-    config: OptimizerConfig,
-    rng: Rng,
-) -> GaussianPosterior:
-    """Gaussian variational fit of the generalized posterior.
-
-    Each Adam step draws `config.batch_size` reparameterized samples
-    theta = mu + sigma * eps and descends the stochastic gradient of
-    omega n E_q[L_n] + KL(q || pi) in (mu, log sigma). The draws of all
-    `config.epochs` steps are taken from `rng` before the first step.
+    The gradient of J in (mu, log sigma) is
+        (omega n (mu - theta_hat) + s0^-2 (mu - m0),  omega n sigma^2 - 1 + s0^-2 sigma^2),
+    which vanishes exactly at the conjugate update, so the optimum is the
+    closed form itself.
     """
-    if not omega > 0:
-        raise DomainError("omega must be positive")
-    values = pseudo.values
-    n = values.shape[0]
-    wn = omega * n
-    ybar = float(np.mean(values))
-    prec0 = prior.precision
-    m0 = prior.m0
-    # Start log sigma at the objective's natural posterior scale
-    # (omega n + s0^-2)^(-1/2): with a tempered-likelihood term of curvature
-    # omega n, the fitted sd is an O(1) multiple of this, so the search stays
-    # short regardless of n (Adam's step sizes cannot chase a target that is
-    # many log-units away within a fixed epoch budget).
-    log_sigma0 = -0.5 * math.log(wn + prec0)
-
-    draws = iter(_stratified_normals(config.batch_size, config.epochs, rng))
-
-    def gradient(theta):
-        mu, log_sigma = theta
-        sigma = math.exp(log_sigma)
-        eps = next(draws)
-        resid = mu + sigma * eps - ybar  # dL_n/dtheta at the sampled thetas
-        g_mu = wn * float(np.mean(resid)) + prec0 * (mu - m0)
-        # KL(q||pi) in log sigma: -1 + prec0 sigma^2 (the -1 survives the
-        # diffuse limit, where KL is defined up to an additive constant)
-        g_ls = wn * float(np.mean(resid * eps)) * sigma - 1.0 + prec0 * sigma**2
-        return np.array([g_mu, g_ls])
-
-    init = np.array([m0 if prec0 > 0 else 0.0, log_sigma0])
-    mu_fit, log_sigma_fit = adam_minimize(gradient, init, config)
-    return GaussianPosterior(m_p=float(mu_fit), s_p_sq=float(math.exp(log_sigma_fit) ** 2))
+    return closed_form_posterior(pseudo, prior, omega)

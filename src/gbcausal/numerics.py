@@ -1,7 +1,10 @@
 """Shared numerical kernels: keyed random streams, triangular and SPD
 solves, the normal quantile and CDF, the logistic link, the chi-square
-quantile, the bias-corrected Adam optimizer of the ATE variational engine,
-and the OpenBLAS thread-count pin.
+quantile, a bias-corrected Adam optimizer and the OpenBLAS thread-count pin.
+
+``adam_minimize`` (with ``OptimizerConfig``) has no caller in the package:
+both variational engines are conjugate and computed in closed form. It stays
+only while the benchmark's layer tracer names it.
 
 Random streams are counter-based (Philox keyed by a 64-bit seed and a 64-bit
 stream index), so any (repetition, fold, purpose) tuple can be mapped to an

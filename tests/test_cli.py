@@ -98,6 +98,20 @@ class TestFitCommand:
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("calibration", ["plugin", "gpc"])
+    def test_ate_vi_output_equals_closed(self, tmp_path, monkeypatch, calibration):
+        # the variational optimum over Gaussian q is the conjugate posterior
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        outs = {}
+        for engine in ("closed", "vi"):
+            outs[engine] = tmp_path / f"{engine}.json"
+            assert cli.main([
+                "fit", "--dgp", "D2", "--n", "300", "--engine", engine, "--calibration",
+                calibration, "--b-boot", "50", "--max-iter", "5", "--seed", "8",
+                "--out", str(outs[engine]),
+            ]) == 0
+        assert outs["vi"].read_bytes() == outs["closed"].read_bytes()
+
     def test_cate_with_closed_engine_exits_2(self, tmp_path):
         proc = run_cli([
             "fit", "--dgp", "D1", "--n", "100", "--estimand", "cate",
@@ -219,6 +233,7 @@ class TestFitCommand:
             ["--folds", "1"],
             ["--calibration", "gpc", "--b-boot", "10"],
             ["--calibration", "gpc", "--max-iter", "0"],
+            ["--estimand", "cate", "--engine", "vi", "--m-inducing", "0"],
         ],
     )
     @pytest.mark.parametrize("source", [["--data", "data.csv"], ["--dgp", "D8", "--n", "300"]])

@@ -1,6 +1,8 @@
 """Startup cost: no gbcausal process loads scipy. Importing the CLI, each of
 the benchmark's seven fit requests and a bench over every DGP (D7's
-Student-t noise included) run on numpy and the standard library alone."""
+Student-t noise included) run on numpy and the standard library alone, and
+none of them loads the process pool, which only a bench at parallelism > 1
+imports."""
 
 import json
 import os
@@ -12,14 +14,17 @@ import gbcausal
 
 SRC = str(Path(gbcausal.__file__).resolve().parents[1])
 
-# Defines report(), which prints the scipy modules loaded so far as one line.
+# Defines report(), which prints the scipy, multiprocessing and
+# concurrent.futures.process modules loaded so far as one line.
 _PRELUDE = """import json, sys
 def report():
-    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m.split('.')[0] in ('scipy', 'multiprocessing')
+                            or m == 'concurrent.futures.process')))
 """
 
 
-def scipy_modules_after(code, *args):
+def heavy_modules_after(code, *args):
     """Run `code` in a fresh interpreter, with `args` as sys.argv[1:], and
     return what each of its report() calls saw."""
     env = dict(os.environ)
@@ -32,11 +37,16 @@ def scipy_modules_after(code, *args):
 
 
 def test_the_check_sees_scipy():
-    assert "scipy.special" in scipy_modules_after("import scipy.special\nreport()")[0]
+    assert "scipy.special" in heavy_modules_after("import scipy.special\nreport()")[0]
+
+
+def test_the_check_sees_the_process_pool():
+    seen = heavy_modules_after("from concurrent.futures import ProcessPoolExecutor\nreport()")[0]
+    assert {"concurrent.futures.process", "multiprocessing"} <= set(seen)
 
 
 def test_importing_the_cli_loads_no_scipy():
-    assert scipy_modules_after("import gbcausal.cli\nreport()") == [[]]
+    assert heavy_modules_after("import gbcausal.cli\nreport()") == [[]]
 
 
 # The fit requests of the benchmark's fit-cli workload; the CSV is smaller.
@@ -63,7 +73,7 @@ def test_each_fit_request_loads_no_scipy(tmp_path):
         argv = ["fit", "--estimand", *[f.format(csv=csv) for f in request], "--seed", str(11 + i),
                 "--out", str(tmp_path / f"fit{i}.json")]
         code += f"assert cli.main({argv!r}) == 0\nreport()\n"
-    assert scipy_modules_after(code, str(csv)) == [[]] * (1 + len(_FIT_REQUESTS))
+    assert heavy_modules_after(code, str(csv)) == [[]] * (1 + len(_FIT_REQUESTS))
 
 
 def test_a_bench_over_every_dgp_loads_no_scipy(tmp_path):
@@ -75,4 +85,4 @@ def test_a_bench_over_every_dgp_loads_no_scipy(tmp_path):
     argv = ["bench", "--config", str(config), "--out-dir", str(tmp_path / "out"),
             "--parallelism", "1"]
     code = f"from gbcausal import cli\nassert cli.main({argv!r}) == 0\nreport()\n"
-    assert scipy_modules_after(code) == [[]]
+    assert heavy_modules_after(code) == [[]]
