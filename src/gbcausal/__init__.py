@@ -33,9 +33,7 @@ from .gibbs_cate import (
 )
 from .nuisance import CrossFit, NuisanceConfig, NuisanceFit, cross_fit
 from .numerics import (
-    OptimizerConfig,
     Rng,
-    adam_minimize,
     cholesky_solve,
     gaussian_tv,
     normal_quantile,
@@ -59,11 +57,9 @@ __all__ = [
     "NormalPrior",
     "NuisanceConfig",
     "NuisanceFit",
-    "OptimizerConfig",
     "PseudoOutcomes",
     "Rng",
     "Strategy",
-    "adam_minimize",
     "ate_loss",
     "cholesky_solve",
     "closed_form_posterior",

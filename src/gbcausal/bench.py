@@ -23,13 +23,15 @@ from . import dgp as dgp_mod
 from .calibrate import gpc_omega_from_pseudo, plugin_omega
 from .dgp import DgpSpec
 from .errors import ConfigError, DomainError, NumericError
-from .gibbs_ate import NormalPrior, closed_form_posterior, credible_interval
+from .gibbs_ate import (
+    DIFFUSE_PRIOR, NormalPrior, closed_form_posterior, credible_interval, normal_update,
+)
 from .gibbs_cate import KernelParams, sparse_gp_resampler
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import (
     Rng, blas_threads, expit, gaussian_tv, logit, normal_quantile, set_blas_threads,
 )
-from .pseudo import Strategy, cross_fitted_pseudo, pseudo_values
+from .pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo, pseudo_values
 
 
 @dataclass(frozen=True)
@@ -364,10 +366,10 @@ def tv_stability(
             oracle = pseudo_values(ds.a, ds.y, e0, m1, m0, strategy)
             e_d, m1_d, m0_d = _perturbed_nuisances(e0, m1, m0, r_n)
             feasible = pseudo_values(ds.a, ds.y, e_d, m1_d, m0_d, strategy)
-            var_or = float(np.var(oracle, ddof=1))
-            omega = 1.0 / var_or
-            s_p = math.sqrt(1.0 / (omega * n))
-            tvs[rep] = gaussian_tv(float(np.mean(feasible)), float(np.mean(oracle)), s_p)
+            oracle_mean = float(np.mean(oracle))
+            omega = plugin_omega(PseudoOutcomes(oracle, strategy, cross_fitted=False))
+            _, s_p_sq = normal_update(DIFFUSE_PRIOR, omega, n, oracle_mean)
+            tvs[rep] = gaussian_tv(float(np.mean(feasible)), oracle_mean, math.sqrt(s_p_sq))
         se = float(np.std(tvs, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         points.append(
             TvPoint(n=int(n), r_n=r_n, tv_mean=float(np.mean(tvs)), tv_se=se)

@@ -5,6 +5,10 @@ posterior fit, JSON summary), ``bench`` (Monte Carlo coverage/length study
 from a JSON config, CSV + markdown reports), ``experiment`` (orthogonality
 slopes and TV-stability runs, CSV).
 
+``fit`` runs one pipeline for both estimands; only the posterior and its
+credible set depend on the estimand. Flags shared with the bench config
+take their defaults and limits from the bench key table.
+
 Exit codes: 0 success, 2 configuration or file error, 3 numeric failure. The
 environment variable GBC_SEED, when set, overrides --seed everywhere.
 """
@@ -28,7 +32,7 @@ from .gibbs_ate import (
     credible_interval,
     vi_posterior,
 )
-from .gibbs_cate import KernelParams, exact_gp_resampler, sparse_gp_resampler
+from .gibbs_cate import KernelParams, check_exact_n, exact_gp_resampler, sparse_gp_resampler
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import Rng, blas_threads, normal_quantile
 from .pseudo import Strategy, cross_fitted_pseudo
@@ -46,13 +50,14 @@ def _resolve_seed(fallback):
 
 
 def _add_nuisance_flags(p):
-    p.add_argument("--folds", type=int, default=5, help="cross-fitting folds (default: %(default)s)")
-    p.add_argument("--clip-eps", type=float, default=0.01,
+    p.add_argument("--folds", type=int, default=_BENCH_KEYS["folds"][0],
+                   help="cross-fitting folds (default: %(default)s)")
+    p.add_argument("--clip-eps", type=float, default=_BENCH_KEYS["clip_eps"][0],
                    help="propensity clip bound (default: %(default)s)")
-    p.add_argument("--lambda-prop", type=float, default=None,
+    p.add_argument("--lambda-prop", type=float, default=_BENCH_KEYS["lambda_prop"][0],
                    help="propensity slope penalty on standardised features "
                         "(default: chosen per training fold by Laplace evidence)")
-    p.add_argument("--lambda-out", type=float, default=0.001,
+    p.add_argument("--lambda-out", type=float, default=_BENCH_KEYS["lambda_out"][0],
                    help="outcome ridge penalty (default: %(default)s)")
 
 
@@ -90,33 +95,19 @@ def _fit_dataset(args, seed):
     return read_csv(args.data)
 
 
-def _gpc_omega(args, cal):
-    """The calibrated omega; warns on stderr if the search did not converge."""
-    if not cal.converged:
-        print(f"warning: gpc did not converge in {cal.iterations} iterations: coverage "
-              f"{cal.achieved_bootstrap_coverage:.4f}, target {1 - args.alpha:.4f}", file=sys.stderr)
-    return cal.omega
-
-
 def cmd_fit(args):
     seed = _resolve_seed(args.seed)
     if args.grid_size < 1:
         raise ConfigError("--grid-size must be >= 1")
-    if not 0 < args.alpha < 1:
-        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     if args.estimand == "cate" and args.engine == "closed":
         raise ConfigError("engine=closed is only valid for estimand=ate; use vi or exact-gp")
     if args.estimand == "ate" and args.engine == "exact-gp":
         raise ConfigError("engine=exact-gp is only valid for estimand=cate")
-    for flag, value, low in (("--folds", args.folds, 2), ("--b-boot", args.b_boot, 50),
-                             ("--max-iter", args.max_iter, 1),
-                             ("--m-inducing", args.m_inducing, 1)):
-        if value < low:
-            raise ConfigError(f"{flag} must be >= {low}")
+    for key in ("alpha", "folds", "b_boot", "max_iter", "m_inducing"):
+        _check(key, getattr(args, key), "--" + key.replace("_", "-"))
 
     # every flag is checked before the data are read or drawn
     strategy = Strategy.parse(args.strategy)
-    label = args.strategy.strip().upper()
     config = NuisanceConfig(
         clip_eps=args.clip_eps, lambda_prop=args.lambda_prop, lambda_out=args.lambda_out
     )
@@ -127,66 +118,53 @@ def cmd_fit(args):
 
     rng = Rng(seed)
     ds = _fit_dataset(args, seed)
+    if args.engine == "exact-gp":
+        check_exact_n(ds.n)
     cf = cross_fit(ds, args.folds, config, rng.derive(1))
     pv = cross_fitted_pseudo(ds, cf, strategy)
 
-    if args.estimand == "ate":
-        if args.calibration == "plugin":
-            omega = plugin_omega(pv)
-        else:
-            omega = _gpc_omega(args, gpc_omega_from_pseudo(
-                pv, prior, args.alpha, args.b_boot, args.max_iter, rng.derive(2)
-            ))
-        if args.engine == "closed":
-            post = closed_form_posterior(pv, prior, omega)
-        else:
-            post = vi_posterior(pv, prior, omega)
-        lo, hi = credible_interval(post, args.alpha)
-        summary = {
-            "estimand": "ate",
-            "strategy": label,
-            "omega": omega,
-            "posterior": {"mean": post.m_p, "sd": post.sd},
-            "cri": {"lo": lo, "hi": hi},
-            "n": ds.n,
-            "seed": seed,
-        }
-    else:
-        grid_size = min(args.grid_size, ds.n)
-        x_query = ds.x[rng.derive(4).permutation(ds.n)[:grid_size]]
+    if args.estimand == "cate":
+        x_query = ds.x[rng.derive(4).permutation(ds.n)[:min(args.grid_size, ds.n)]]
         if args.engine == "vi":
             fit = sparse_gp_resampler(
                 kernel, ds.x, pv.values, x_query, min(args.m_inducing, ds.n), rng.derive(3)
             )
         else:
             fit = exact_gp_resampler(kernel, ds.x, pv.values, x_query)
-        if args.calibration == "plugin":
-            omega = plugin_omega(pv)
+
+    if args.calibration == "plugin":
+        omega = plugin_omega(pv)
+    else:
+        search = (args.alpha, args.b_boot, args.max_iter, rng.derive(2))
+        if args.estimand == "ate":
+            cal = gpc_omega_from_pseudo(pv, prior, *search)
         else:
-            omega = _gpc_omega(args, gpc_omega_cate_from_pseudo(
-                pv, args.alpha, args.b_boot, args.max_iter, rng.derive(2), fit
-            ))
+            cal = gpc_omega_cate_from_pseudo(pv, *search, fit)
+        if not cal.converged:
+            print(f"warning: gpc did not converge in {cal.iterations} iterations: coverage "
+                  f"{cal.achieved_bootstrap_coverage:.4f}, target {1 - args.alpha:.4f}",
+                  file=sys.stderr)
+        omega = cal.omega
+
+    summary = {"estimand": args.estimand, "strategy": args.strategy.strip().upper(),
+               "omega": omega, "n": ds.n, "seed": seed}
+    if args.estimand == "ate":
+        engine = closed_form_posterior if args.engine == "closed" else vi_posterior
+        post = engine(pv, prior, omega)
+        lo, hi = credible_interval(post, args.alpha)
+        summary["posterior"] = {"mean": post.m_p, "sd": post.sd}
+        summary["cri"] = {"lo": lo, "hi": hi}
+    else:
         # the full-data fit is the resample that takes every row once
         means, variances = fit(np.arange(ds.n), omega)
         half = normal_quantile(1.0 - args.alpha / 2.0) * variances**0.5
-        summary = {
-            "estimand": "cate",
-            "strategy": label,
-            "omega": omega,
-            "posterior": {
-                "pointwise": [
-                    {"x": [float(v) for v in x_query[i]], "mean": float(means[i]),
-                     "sd": float(variances[i] ** 0.5)}
-                    for i in range(x_query.shape[0])
-                ]
-            },
-            "cri": [
-                {"lo": float(means[i] - half[i]), "hi": float(means[i] + half[i])}
-                for i in range(x_query.shape[0])
-            ],
-            "n": ds.n,
-            "seed": seed,
-        }
+        summary["posterior"] = {"pointwise": [
+            {"x": [float(v) for v in x], "mean": float(mean), "sd": float(var**0.5)}
+            for x, mean, var in zip(x_query, means, variances)
+        ]}
+        summary["cri"] = [
+            {"lo": float(mean - h), "hi": float(mean + h)} for mean, h in zip(means, half)
+        ]
 
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -250,6 +228,14 @@ _BENCH_KEYS = {
 }
 
 
+def _check(key, value, name):
+    """Apply the rules of bench key `key` to `value`, a config value or the
+    `fit` flag of that name; the ConfigError names `name`."""
+    for test, message in _BENCH_KEYS[key][1:]:
+        if not test(value):
+            raise ConfigError(f"{name} {message.format(value)}")
+
+
 def _load_bench_config(path):
     """The bench config at `path`, checked whole before anything runs, with
     `datasets` resolved to DgpSpecs, `strategies` to (Strategy, label) pairs
@@ -268,12 +254,9 @@ def _load_bench_config(path):
         if key not in _BENCH_KEYS:
             raise SchemaError(f"bench config has unknown key {key!r}")
     cfg = {key: raw.get(key, default) for key, (default, *_) in _BENCH_KEYS.items()}
-    for key, (default, *rules) in _BENCH_KEYS.items():
-        if cfg[key] is None and default is None:
-            continue
-        for test, message in rules:
-            if not test(cfg[key]):
-                raise SchemaError(f"key {key!r} {message.format(cfg[key])}")
+    for key, (default, *_) in _BENCH_KEYS.items():
+        if cfg[key] is not None or default is not None:
+            _check(key, cfg[key], f"key {key!r}")
 
     if cfg["n"] is None and cfg["n_grid"] is None:
         raise SchemaError("bench config needs key 'n' or 'n_grid'")
@@ -423,19 +406,19 @@ def build_parser():
                        "ate: closed|vi, cate: vi|exact-gp")
     p_fit.add_argument("--calibration", choices=["plugin", "gpc"], default="plugin",
                        help="omega selection rule (default: %(default)s)")
-    p_fit.add_argument("--prior-mean", type=float, default=0.0,
+    p_fit.add_argument("--prior-mean", type=float, default=_BENCH_KEYS["prior_mean"][0],
                        help="normal prior mean (default: %(default)s)")
-    p_fit.add_argument("--prior-var", type=float, default=1.0,
+    p_fit.add_argument("--prior-var", type=float, default=_BENCH_KEYS["prior_var"][0],
                        help="normal prior variance; inf for diffuse (default: %(default)s)")
     p_fit.add_argument("--alpha", type=float, default=0.05,
                        help="credible level is 1 - alpha (default: %(default)s)")
     p_fit.add_argument("--seed", type=int, default=0,
                        help="random seed (default: %(default)s); GBC_SEED overrides")
-    p_fit.add_argument("--b-boot", type=int, default=200,
+    p_fit.add_argument("--b-boot", type=int, default=_BENCH_KEYS["b_boot"][0],
                        help="bootstrap resamples for gpc (default: %(default)s)")
-    p_fit.add_argument("--max-iter", type=int, default=50,
+    p_fit.add_argument("--max-iter", type=int, default=_BENCH_KEYS["max_iter"][0],
                        help="max gpc iterations (default: %(default)s)")
-    p_fit.add_argument("--m-inducing", type=int, default=20,
+    p_fit.add_argument("--m-inducing", type=int, default=_BENCH_KEYS["m_inducing"][0],
                        help="inducing points for the cate engine (default: %(default)s)")
     p_fit.add_argument("--grid-size", type=int, default=100,
                        help="query points reported for cate (default: %(default)s)")

@@ -34,6 +34,8 @@ class NormalPrior:
     s0_sq: float = 1.0
 
     def __post_init__(self):
+        if not -math.inf < self.m0 < math.inf:
+            raise DomainError(f"prior mean must be finite, got {self.m0}")
         if not self.s0_sq > 0:
             raise DomainError("prior variance must be positive (inf for diffuse)")
 

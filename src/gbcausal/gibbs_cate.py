@@ -40,10 +40,10 @@ class KernelParams:
     def __post_init__(self):
         if self.family not in ("Matern52", "RBF"):
             raise DomainError(f"kernel family must be Matern52 or RBF, got {self.family!r}")
-        if not (self.lengthscale > 0 and self.variance > 0):
-            raise DomainError("lengthscale and variance must be positive")
-        if self.jitter < 0:
-            raise DomainError("jitter must be >= 0")
+        if not (self.lengthscale > 0 and 0 < self.variance < np.inf):
+            raise DomainError("lengthscale must be positive, variance positive and finite")
+        if not 0 <= self.jitter < np.inf:
+            raise DomainError("jitter must be finite and >= 0")
 
 
 DEFAULT_KERNEL = KernelParams()
@@ -110,7 +110,8 @@ class ExactGpPredictor:
         return _whitened_moments(self.params, self.z, v, self.const_mean)
 
 
-def _check_exact_n(n):
+def check_exact_n(n):
+    """Raise DomainError unless the exact GP may run on n rows."""
     if n > _EXACT_GP_MAX_N:
         raise DomainError(f"exact GP is guarded to n <= {_EXACT_GP_MAX_N}, got n={n}")
 
@@ -122,7 +123,7 @@ def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega
         raise DomainError("omega must be positive")
     x = np.atleast_2d(np.asarray(ds_x, dtype=float))
     n = x.shape[0]
-    _check_exact_n(n)
+    check_exact_n(n)
     const_mean = float(np.mean(pseudo.values))
     chol, _ = cholesky_factor(kernel_matrix(params, x) + (1.0 / omega) * np.eye(n))
     z = solve_triangular(chol, pseudo.values - const_mean, lower=True)
@@ -144,7 +145,7 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     [values - const | k(x_query, x)^T] for the whitened moments.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _check_exact_n(x.shape[0])
+    check_exact_n(x.shape[0])
     k_xx = kernel_matrix(params, x, x)
     # row i: [values[i] | k(x_query, x[i])], gathered by each fit
     stacked = np.column_stack([values, kernel_matrix(params, x_query, x).T])

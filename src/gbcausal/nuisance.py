@@ -53,8 +53,9 @@ class NuisanceConfig:
     def __post_init__(self):
         if not 0.0 < self.clip_eps < 0.5:
             raise DomainError("clip_eps must lie in (0, 0.5)")
-        if (self.lambda_prop is not None and self.lambda_prop < 0) or self.lambda_out < 0:
-            raise DomainError("ridge penalties must be >= 0")
+        lambda_prop = 0.0 if self.lambda_prop is None else self.lambda_prop
+        if not (0.0 <= lambda_prop < math.inf and 0.0 <= self.lambda_out < math.inf):
+            raise DomainError("ridge penalties must be finite and >= 0")
 
 
 def fit_outcome(phi, y, lam) -> np.ndarray:

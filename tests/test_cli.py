@@ -11,7 +11,7 @@ from gbcausal import bench as bench_mod
 from gbcausal import cli
 from gbcausal import dgp as dgp_mod
 from gbcausal import gibbs_cate
-from gbcausal.calibrate import gpc_omega_from_pseudo
+from gbcausal.calibrate import gpc_omega_cate_from_pseudo, gpc_omega_from_pseudo
 from gbcausal.gibbs_ate import NormalPrior
 from gbcausal.nuisance import NuisanceConfig, cross_fit
 from gbcausal.numerics import Rng, blas_threads
@@ -155,15 +155,22 @@ class TestFitCommand:
         assert err.startswith("error:") and "--grid-size" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("max_iter", [1, 50])
+    # one warning site serves both estimands; the ATE cases keep their ids
+    @pytest.mark.parametrize(
+        "engine, max_iter",
+        [pytest.param("closed", 1, id="1"), pytest.param("closed", 50, id="50")]
+        + [pytest.param(e, m, id=f"{e}-{m}") for e in ("vi", "exact-gp") for m in (1, 50)],
+    )
     def test_gpc_warns_exactly_when_search_does_not_converge(
-        self, tmp_path, capsys, monkeypatch, max_iter
+        self, tmp_path, capsys, monkeypatch, engine, max_iter
     ):
         monkeypatch.delenv("GBC_SEED", raising=False)
         seed, out = 3, tmp_path / "fit.json"
+        estimand = "ate" if engine == "closed" else "cate"
         code = cli.main([
-            "fit", "--dgp", "D1", "--n", "200", "--calibration", "gpc", "--b-boot", "50",
-            "--max-iter", str(max_iter), "--seed", str(seed), "--out", str(out),
+            "fit", "--dgp", "D1", "--n", "200", "--estimand", estimand, "--engine", engine,
+            "--calibration", "gpc", "--b-boot", "50", "--max-iter", str(max_iter),
+            "--seed", str(seed), "--out", str(out),
         ])
         assert code == 0
         rng = Rng(seed)
@@ -171,7 +178,19 @@ class TestFitCommand:
         with blas_threads(1):
             pv = cross_fitted_pseudo(ds, cross_fit(ds, 5, NuisanceConfig(), rng.derive(1)),
                                      Strategy.DR)
-            want = gpc_omega_from_pseudo(pv, NormalPrior(), 0.05, 50, max_iter, rng.derive(2))
+            if estimand == "ate":
+                want = gpc_omega_from_pseudo(pv, NormalPrior(), 0.05, 50, max_iter, rng.derive(2))
+            else:
+                x_query = ds.x[rng.derive(4).permutation(ds.n)[:100]]
+                if engine == "vi":
+                    fit = gibbs_cate.sparse_gp_resampler(
+                        gibbs_cate.KernelParams(), ds.x, pv.values, x_query, 20, rng.derive(3)
+                    )
+                else:
+                    fit = gibbs_cate.exact_gp_resampler(
+                        gibbs_cate.KernelParams(), ds.x, pv.values, x_query
+                    )
+                want = gpc_omega_cate_from_pseudo(pv, 0.05, 50, max_iter, rng.derive(2), fit)
         assert json.loads(out.read_text(encoding="utf-8"))["omega"] == want.omega
         warned = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("warning: gpc did not converge")]
@@ -234,6 +253,10 @@ class TestFitCommand:
             ["--calibration", "gpc", "--b-boot", "10"],
             ["--calibration", "gpc", "--max-iter", "0"],
             ["--estimand", "cate", "--engine", "vi", "--m-inducing", "0"],
+            ["--prior-mean", "nan"],
+            ["--lambda-out", "inf"],
+            ["--lambda-prop", "nan"],
+            ["--estimand", "cate", "--engine", "vi", "--jitter", "nan"],
         ],
     )
     @pytest.mark.parametrize("source", [["--data", "data.csv"], ["--dgp", "D8", "--n", "300"]])
@@ -247,6 +270,24 @@ class TestFitCommand:
         out = tmp_path / "fit.json"
         assert cli.main(["fit", *source, *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("calibration", ["plugin", "gpc"])
+    def test_exact_gp_size_guard_exits_2_before_the_cross_fit(
+        self, tmp_path, capsys, monkeypatch, calibration
+    ):
+        def unreachable(*args, **kwargs):
+            pytest.fail("the exact GP size guard ran after the cross-fit")
+
+        monkeypatch.setattr(cli, "cross_fit", unreachable)
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        out = tmp_path / "fit.json"
+        code = cli.main([
+            "fit", "--dgp", "D8", "--n", "3000", "--estimand", "cate", "--engine", "exact-gp",
+            "--calibration", calibration, "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: exact GP is guarded to n <= 2000, got n=3000\n"
         assert not out.exists()
 
     def test_cate_exact_gp_pointwise_summary(self, tmp_path):
@@ -498,6 +539,50 @@ class TestBenchCommand:
         for key in ("folds", "clip_eps", "lambda_prop", "lambda_out", "b_boot", "max_iter",
                     "prior_mean", "prior_var", "m_inducing"):
             assert getattr(fit, key) == cli._BENCH_KEYS[key][0], key
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("alpha", 0.0), ("alpha", 1.0), ("folds", 1), ("b_boot", 49), ("max_iter", 0),
+         ("m_inducing", 0)],
+    )
+    def test_fit_and_bench_share_limits(self, tmp_path, capsys, monkeypatch, key, bad):
+        def unreachable(*args, **kwargs):
+            pytest.fail("a limit was checked after the cross-fit")
+
+        monkeypatch.setattr(cli, "cross_fit", unreachable)
+        monkeypatch.setattr(bench_mod, "cross_fit", unreachable)
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        flag = "--" + key.replace("_", "-")
+        assert cli.main(["fit", "--dgp", "D1", "--n", "100", flag, str(bad)]) == 2
+        fit_err = capsys.readouterr().err
+        assert fit_err.startswith(f"error: {flag} must ")
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, **{key: bad})
+        assert cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        bench_err = capsys.readouterr().err
+        assert bench_err == fit_err.replace(flag, f"key {key!r}", 1)
+        assert not (tmp_path / "bench_report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("prior_mean", math.nan), ("prior_mean", math.inf), ("lambda_out", math.inf),
+         ("lambda_prop", math.nan)],
+    )
+    def test_non_finite_setting_exits_2_before_any_cross_fit(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        # json.load accepts the NaN and Infinity tokens json.dumps writes
+        def unreachable(*args, **kwargs):
+            pytest.fail("a non-finite setting reached a cell")
+
+        monkeypatch.setattr(bench_mod, "cross_fit", unreachable)
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, **{key: value})
+        assert cli.main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert not (tmp_path / "bench_report.csv").exists()
 
     def test_default_parallelism_counts_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -95,7 +95,14 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             NormalPrior(0.0, 0.0)
         with pytest.raises(DomainError):
+            NormalPrior(0.0, math.nan)
+        with pytest.raises(DomainError):
             GaussianPosterior(0.0, -1.0)
+
+    @pytest.mark.parametrize("m0", [math.nan, math.inf, -math.inf])
+    def test_prior_mean_must_be_finite(self, m0):
+        with pytest.raises(DomainError, match="prior mean"):
+            NormalPrior(m0, 1.0)
 
 
 class TestCredibleInterval:

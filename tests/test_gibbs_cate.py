@@ -7,6 +7,7 @@ from gbcausal.dgp import default_spec, generate
 from gbcausal.errors import DomainError
 from gbcausal.gibbs_cate import (
     KernelParams,
+    check_exact_n,
     exact_gp_posterior,
     exact_gp_resampler,
     kernel_matrix,
@@ -77,6 +78,15 @@ class TestKernelMatrix:
         with pytest.raises(DomainError):
             KernelParams(jitter=-1e-9)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(variance=math.inf), dict(variance=math.nan), dict(lengthscale=math.nan),
+         dict(jitter=math.nan), dict(jitter=math.inf)],
+    )
+    def test_rejects_non_finite_settings(self, kwargs):
+        with pytest.raises(DomainError):
+            KernelParams(**kwargs)
+
 
 class TestExactGp:
     def test_constant_pseudo_outcomes_reproduce_constant(self):
@@ -144,6 +154,9 @@ class TestExactGp:
         np.testing.assert_array_equal(var_a, var_b)
 
     def test_size_guard(self):
+        check_exact_n(2000)
+        with pytest.raises(DomainError, match="n <= 2000"):
+            check_exact_n(2001)
         x = np.zeros((2001, 1))
         with pytest.raises(DomainError):
             exact_gp_posterior(x, _pv(np.zeros(2001)), KernelParams(), 1.0)

@@ -7,7 +7,7 @@ from scipy.special import expit
 from gbcausal import nuisance
 from gbcausal.dataset import Dataset
 from gbcausal.dgp import DGP_IDS, default_spec, generate, true_propensity
-from gbcausal.errors import DegenerateTreatment, EmptyArm, FoldArmCollapse
+from gbcausal.errors import DegenerateTreatment, DomainError, EmptyArm, FoldArmCollapse
 from gbcausal.nuisance import (
     NuisanceConfig,
     NuisanceFit,
@@ -231,6 +231,21 @@ class TestPenaltyRecord:
         np.testing.assert_array_equal(
             fit.propensity_coef, fit_propensity(feature_matrix(ds.x), ds.a, 2.5)[0]
         )
+
+
+class TestNuisanceConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(lambda_prop=-1.0), dict(lambda_prop=math.nan), dict(lambda_prop=math.inf),
+         dict(lambda_out=-1e-9), dict(lambda_out=math.nan), dict(lambda_out=math.inf),
+         dict(clip_eps=math.nan)],
+    )
+    def test_rejects_out_of_domain_settings(self, kwargs):
+        with pytest.raises(DomainError):
+            NuisanceConfig(**kwargs)
+
+    def test_zero_penalties_are_valid(self):
+        NuisanceConfig(lambda_prop=0.0, lambda_out=0.0)
 
 
 class TestClipping:
