@@ -310,8 +310,8 @@ def orthogonality_slopes(spec: DgpSpec, delta_grid, n, base_seed):
     """Point-estimate shift |theta_fe(delta) - theta_or| per strategy with
     true nuisances perturbed by magnitude delta; returns log-log slopes."""
     deltas = np.asarray(list(delta_grid), dtype=float)
-    if np.any(deltas <= 0):
-        raise DomainError("delta_grid entries must be positive")
+    if not np.all((deltas > 0) & np.isfinite(deltas)):
+        raise DomainError("delta_grid entries must be positive and finite")
     ds = dgp_mod.generate(spec, n, Rng(base_seed).derive(0))
     e0 = dgp_mod.true_propensity(spec, ds.x)
     m1 = dgp_mod.true_outcome_mean(spec, ds.x, 1)
@@ -350,6 +350,8 @@ def tv_stability(
     shared plug-in omega, so TV is exactly 2 Phi(|m_fe - m_or| / (2 s_p)) - 1."""
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
+    if not beta >= 0:  # NaN fails too; beta = inf means oracle nuisances
+        raise DomainError(f"beta must be >= 0, got {beta}")
     for n in n_grid:
         if n < 2:  # the oracle variance takes two draws
             raise DomainError(f"n_grid sizes must be >= 2, got {n}")

@@ -186,7 +186,11 @@ def cholesky_factor(a):
         raise DomainError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
-    if a.shape[0] and np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+    if (
+        a.shape[0]
+        and not np.array_equal(a, a.T)  # exact test first: no float temporaries
+        and np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a)))
+    ):
         raise DomainError("matrix is not symmetric within tolerance 1e-10")
 
     jitter = 0.0

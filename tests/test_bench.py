@@ -351,8 +351,9 @@ class TestOrthogonalitySlopes:
             assert math.isfinite(res[strategy].slope)
 
     def test_rejects_nonpositive_deltas(self):
-        with pytest.raises(DomainError):
-            orthogonality_slopes(default_spec("D1"), [0.1, 0.0], 100, 0)
+        for deltas in ([0.1, 0.0], [-0.1], [math.nan], [0.1, math.inf], [-math.inf]):
+            with pytest.raises(DomainError, match="positive and finite"):
+                orthogonality_slopes(default_spec("D1"), deltas, 100, 0)
 
 
 class TestTvStability:
@@ -360,6 +361,15 @@ class TestTvStability:
         points = tv_stability(default_spec("D1"), math.inf, [100, 200], base_seed=51, reps=3)
         assert all(p.r_n == 0.0 for p in points)
         assert all(p.tv_mean == 0.0 for p in points)
+
+    @pytest.mark.parametrize("beta", [math.nan, -0.5, -math.inf])
+    def test_beta_below_zero_or_nan_rejected(self, beta):
+        with pytest.raises(DomainError, match="beta"):
+            tv_stability(default_spec("D1"), beta, [100], base_seed=51, reps=2)
+
+    def test_beta_zero_is_a_constant_error(self):
+        points = tv_stability(default_spec("D1"), 0.0, [100, 200], base_seed=51, reps=2)
+        assert [p.r_n for p in points] == [1.0, 1.0]
 
     @pytest.mark.parametrize("reps", [0, -2])
     def test_reps_below_one_rejected(self, reps):

@@ -690,6 +690,30 @@ class TestExperimentCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "reps" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta", [["--beta", "nan"], ["--beta=-1"]])
+    def test_tv_beta_below_zero_or_nan_exits_2(self, tmp_path, beta):
+        out = tmp_path / "tv.csv"
+        proc = run_cli([
+            "experiment", "--kind", "tv", *beta, "--n-grid", "200", "--reps", "2",
+            "--out", str(out),
+        ])
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "beta" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("deltas", ["nan", "inf", "0.1,nan"])
+    def test_slopes_non_finite_delta_exits_2(self, tmp_path, deltas):
+        out = tmp_path / "slopes.csv"
+        proc = run_cli([
+            "experiment", "--kind", "slopes", "--deltas", deltas, "--n", "200",
+            "--out", str(out),
+        ])
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "delta_grid" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["0", "1"])
     def test_tv_sample_size_below_two_exits_2(self, tmp_path, size):
         out = tmp_path / "tv.csv"

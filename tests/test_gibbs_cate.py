@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gbcausal import gibbs_cate
 from gbcausal.dgp import default_spec, generate
 from gbcausal.errors import DomainError
 from gbcausal.gibbs_cate import (
@@ -30,7 +32,46 @@ def matern52_scalar(r, lengthscale, variance):
     return variance * (1.0 + s + s * s / 3.0) * math.exp(-s)
 
 
+def whole_array_kernel(params, xa, xb=None):
+    """Reference k(xa, xb) written as whole-array expressions, each step
+    materialised, in the rounding order the kernel must keep."""
+    gram = xb is None
+    xa = np.atleast_2d(np.asarray(xa, dtype=float))
+    xb = xa if gram else np.atleast_2d(np.asarray(xb, dtype=float))
+    sq = (
+        np.sum(xa**2, axis=1)[:, None]
+        + np.sum(xb**2, axis=1)[None, :]
+        - 2.0 * (xa @ xb.T)
+    )
+    r = np.sqrt(np.maximum(sq, 0.0))
+    if params.family == "Matern52":
+        s = np.sqrt(5.0) * r / params.lengthscale
+        k = params.variance * (1.0 + s + s**2 / 3.0) * np.exp(-s)
+    else:
+        k = params.variance * np.exp(-(r**2) / (2.0 * params.lengthscale**2))
+    if gram:
+        k = k + params.jitter * np.eye(k.shape[0])
+    return k
+
+
 class TestKernelMatrix:
+    @pytest.mark.parametrize("family", ["Matern52", "RBF"])
+    # shapes below, at and above one elementwise block, and rows wider than a block
+    @pytest.mark.parametrize("na,nb", [(1, 1), (5, 3), (181, 181), (300, 301), (3, 40000)])
+    def test_bit_identical_to_whole_array_expressions(self, family, na, nb):
+        params = KernelParams(family=family, lengthscale=0.7, variance=1.3, jitter=1e-3)
+        xa = 2.0 * Rng(60).normal((na, 3))
+        xb = Rng(61).normal((nb, 3))
+
+        def same_bits(got, want):
+            return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        assert same_bits(kernel_matrix(params, xa), whole_array_kernel(params, xa))
+        cross = whole_array_kernel(params, xa, xb)
+        assert same_bits(kernel_matrix(params, xa, xb), cross)
+        # xb is xa: the cross form (no jitter) whose product is a @ a.T
+        assert same_bits(kernel_matrix(params, xa, xa), whole_array_kernel(params, xa, xa))
+
     def test_zero_distance_diagonal_gets_jitter(self):
         params = KernelParams(lengthscale=2.0, variance=2.0, jitter=1e-4)
         x = np.array([[0.0, 0.0], [1.0, -1.0]])
@@ -194,6 +235,57 @@ class TestExactGpResampler:
         want_mean, want_var = exact_gp_posterior(x, _pv(values), KernelParams(), 0.8).predict(query)
         np.testing.assert_allclose(got_mean, want_mean, rtol=0, atol=1e-10)
         np.testing.assert_allclose(got_var, want_var, rtol=0, atol=1e-10)
+
+    @staticmethod
+    def _problem(n=90):
+        x = Rng(57).normal((n, 2))
+        return x, np.cos(x[:, 0]) + Rng(58).normal(n), Rng(59).normal((11, 2))
+
+    def _assert_k_xx_intact(self, fit, x, values, query):
+        # a resample fit gathers from k(x, x), so it reads any entry left changed
+        rows = Rng(62).integers(x.shape[0], x.shape[0])
+        got = fit(rows, 0.6)
+        want = exact_gp_resampler(KernelParams(), x, values, query)(rows, 0.6)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_full_row_fit_restores_k_xx(self):
+        x, values, query = self._problem()
+        fit = exact_gp_resampler(KernelParams(), x, values, query)
+        first = fit(np.arange(x.shape[0]), 0.6)
+        self._assert_k_xx_intact(fit, x, values, query)
+        again = fit(np.arange(x.shape[0]), 0.6)
+        for g, w in zip(again, first):
+            assert g.tobytes() == w.tobytes()
+
+    def test_failed_full_row_fit_restores_k_xx(self, monkeypatch):
+        x, values, query = self._problem()
+        fit = exact_gp_resampler(KernelParams(), x, values, query)
+
+        def failing(a):
+            raise RuntimeError("factor failed")
+
+        monkeypatch.setattr(gibbs_cate, "cholesky_factor", failing)
+        with pytest.raises(RuntimeError, match="factor failed"):
+            fit(np.arange(x.shape[0]), 0.6)
+        monkeypatch.undo()
+        self._assert_k_xx_intact(fit, x, values, query)
+
+    def test_full_row_fit_holds_at_most_three_n_by_n_arrays(self):
+        # k(x, x) and the factor are the arrays tracemalloc sees; LAPACK's
+        # working copy is allocated outside Python's allocators
+        n = 600
+        x = Rng(63).normal((n, 3))
+        values = Rng(64).normal(n)
+        query = Rng(65).normal((50, 3))
+        tracemalloc.start()
+        try:
+            fit = exact_gp_resampler(KernelParams(family="Matern52"), x, values, query)
+            fit(np.arange(n), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * 8 * n * n
 
     def test_size_guard(self):
         with pytest.raises(DomainError):

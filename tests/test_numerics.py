@@ -84,6 +84,16 @@ class TestCholeskySolve:
         with pytest.raises(DomainError):
             cholesky_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_asymmetry_within_tolerance_accepted(self, scale):
+        # tolerance 1e-10 * max(1, max|a|): half of it is accepted
+        a = scale * np.array([[2.0, 0.5], [0.5, 2.0]])
+        a[1, 0] += 0.5e-10 * max(1.0, 2.0 * scale)
+        assert not np.array_equal(a, a.T)
+        chol, jitter = cholesky_factor(a)
+        assert jitter == 0.0
+        np.testing.assert_allclose(chol @ chol.T, np.tril(a) + np.tril(a, -1).T, rtol=1e-14)
+
     def test_factor_reports_jitter(self):
         _, jit = cholesky_factor(np.eye(2))
         assert jit == 0.0
