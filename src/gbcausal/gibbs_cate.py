@@ -169,9 +169,13 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     Memory: k(x, x) lives as long as the resampler. A fit that draws every
     row (the reported fit, each gpc point estimate) adds the noise to the
     diagonal of k(x, x) in place, factors it and puts the saved diagonal
-    back, so it holds three n x n arrays: k(x, x), LAPACK's working copy
-    and the factor. Any other fit gathers its u x u Gram matrix first. The
-    D9 fit at the n = 2000 guard peaks at about 141 MB RSS.
+    back, so it holds two n x n arrays: k(x, x) and the factor, which
+    cholesky_factor computes in place in its one copy. Any other fit
+    gathers its u x u Gram matrix first. The D9 fit at the n = 2000 guard
+    peaks at about 106 MB RSS.
+
+    The full-data fit (rows 0..n-1 in order) is computed once per omega
+    and kept (see _keep_full_fits).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -196,7 +200,28 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
         zv = solve_triangular(chol, rhs, lower=True)
         return _whitened_moments(params, zv[:, 0], zv[:, 1:], const_mean)
 
-    return fit
+    return _keep_full_fits(fit, n)
+
+
+def _keep_full_fits(fit, n):
+    """fit(rows, omega) that computes the full-data fit, rows 0..n-1 in
+    order, once per omega and returns that result, read-only, on every
+    later call: the gpc search takes it as each omega's point estimate and
+    `fit` then reports it at the omega chosen. Other rows go to fit."""
+    every_row = np.arange(n)
+    full = {}
+
+    def keeping(rows, omega):
+        if not np.array_equal(rows, every_row):
+            return fit(rows, omega)
+        if omega not in full:
+            moments = fit(rows, omega)
+            for arr in moments:
+                arr.setflags(write=False)
+            full[omega] = moments
+        return full[omega]
+
+    return keeping
 
 
 @dataclass(frozen=True)
@@ -280,7 +305,8 @@ def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rn
     fixed. C = L_K^-1 K_mn and B = L_K^-1 K_mq are built once here; a row
     drawn c times enters P with weight c, so each fit factors one M x M
     matrix over the distinct rows of the resample and reads the moments
-    off it with _sparse_moments.
+    off it with _sparse_moments. The full-data fit is kept per omega, as
+    in exact_gp_resampler.
     """
     z, chol_k, c = _inducing_basis(params, x, m_inducing, rng)
     b = solve_triangular(chol_k, kernel_matrix(params, z, x_query), lower=True)
@@ -291,7 +317,7 @@ def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rn
         chol_p, v_mean = _whitened_optimum(c[:, u], counts, values[u] - const_mean, omega)
         return _sparse_moments(params, b, chol_p, v_mean, const_mean)
 
-    return fit
+    return _keep_full_fits(fit, c.shape[1])
 
 
 def predict(gp: GpPosterior, x_query):

@@ -136,10 +136,22 @@ def _evidence_penalty(z, a, max_iter=100, tol=1e-10):
     return lam, u @ (c / (d + lam))
 
 
+# Rows per block of the propensity IRLS sums. A training set of at most this
+# many rows is one block, which runs the unblocked operations in their order.
+_IRLS_BLOCK = 8192
+
+
+def _irls_blocks(n):
+    return [slice(lo, lo + _IRLS_BLOCK) for lo in range(0, n, _IRLS_BLOCK)]
+
+
 def _penalized_loglik(design, a, w, penalty):
-    z = design @ w
-    # log(1 + e^z) via logaddexp for stability at large |z|
-    return float(a @ z - np.logaddexp(0.0, z).sum() - 0.5 * (penalty * w) @ w)
+    parts = []
+    for rows in _irls_blocks(design.shape[0]):
+        z = design[rows] @ w
+        # log(1 + e^z) via logaddexp for stability at large |z|
+        parts.append(a[rows] @ z - np.logaddexp(0.0, z).sum())
+    return float(sum(parts[1:], parts[0]) - 0.5 * (penalty * w) @ w)
 
 
 def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray, float]:
@@ -157,6 +169,11 @@ def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray
     comparison, which rounding decides this close to the optimum, and the
     loop stops; at most ``max_iter`` steps.
 
+    The gradient, Hessian and penalized log-likelihood are sums over blocks
+    of _IRLS_BLOCK rows, so each step's temporaries are a block in size
+    whatever the number of rows; up to _IRLS_BLOCK rows they are the
+    unblocked sums, computed by the same operations in the same order.
+
     Returns (coefficients over the raw feature map Phi(x), penalty used).
     """
     a = np.asarray(a, dtype=float).reshape(-1)
@@ -170,11 +187,20 @@ def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray
     penalty = np.full(design.shape[1], float(lam))
     penalty[-1] = 0.0
     ll = _penalized_loglik(design, a, w, penalty)
+    blocks = _irls_blocks(design.shape[0])
     for _ in range(max_iter):
-        p = expit(design @ w)
-        grad = design.T @ (a - p) - penalty * w
-        wgt = np.maximum(p * (1.0 - p), 1e-10)
-        hess = design.T @ (design * wgt[:, None]) + np.diag(penalty)
+        for i, rows in enumerate(blocks):
+            block = design[rows]
+            p = expit(block @ w)
+            wgt = np.maximum(p * (1.0 - p), 1e-10)
+            if i == 0:
+                grad = block.T @ (a[rows] - p)
+                hess = block.T @ (block * wgt[:, None])
+            else:
+                grad += block.T @ (a[rows] - p)
+                hess += block.T @ (block * wgt[:, None])
+        grad = grad - penalty * w
+        hess = hess + np.diag(penalty)
         delta = cholesky_solve(hess, grad)
         if grad @ delta <= tol:
             w = w + delta
@@ -219,17 +245,27 @@ class NuisanceFit:
         return phi @ coef
 
 
-def fit_nuisances(phi, a, y, config: NuisanceConfig) -> NuisanceFit:
+def fit_nuisances(phi, a, y, config: NuisanceConfig, rows=None) -> NuisanceFit:
     """Propensity and per-arm outcome fits on the feature rows phi = Phi(x),
-    which the propensity fit, run last, standardises in place."""
+    which the propensity fit, run last, standardises in place.
+
+    With ``rows`` (an index array), the feature rows are phi[rows] and phi
+    is left as it is: each arm's rows are gathered from phi for its outcome
+    fit, and the propensity's copy phi[rows] only after both, so no arm
+    copy is alive beside it.
+    """
     a = np.asarray(a).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     treated = a == 1
     if treated.all() or (~treated).all():
         raise DegenerateTreatment("both treatment arms are required to fit nuisances")
-    outcome_coef_treated = fit_outcome(phi[treated], y[treated], config.lambda_out)
-    outcome_coef_control = fit_outcome(phi[~treated], y[~treated], config.lambda_out)
-    propensity_coef, lambda_prop = fit_propensity(phi, a, config.lambda_prop)
+    arm_t, arm_c = (treated, ~treated) if rows is None else (rows[treated], rows[~treated])
+    outcome_coef_treated = fit_outcome(phi[arm_t], y[treated], config.lambda_out)
+    outcome_coef_control = fit_outcome(phi[arm_c], y[~treated], config.lambda_out)
+    del arm_t, arm_c  # freed before the propensity's copy of the rows
+    propensity_coef, lambda_prop = fit_propensity(
+        phi if rows is None else phi[rows], a, config.lambda_prop
+    )
     return NuisanceFit(
         propensity_coef=propensity_coef,
         outcome_coef_treated=outcome_coef_treated,
@@ -271,8 +307,8 @@ class CrossFit:
 def cross_fit(ds: Dataset, k, config: NuisanceConfig, rng: Rng) -> CrossFit:
     """K-fold cross-fitting: fit nuisances on each fold's complement.
 
-    Phi(ds.x) is built once; each fold fit gets its own copy of its training
-    rows, and the held-out predictions are made here, once.
+    Phi(ds.x) is built once; each fold fit gathers its own copies of its
+    training rows, and the held-out predictions are made here, once.
     """
     folds = make_folds(ds.n, k, rng)
     phi = feature_matrix(ds.x)
@@ -285,5 +321,5 @@ def cross_fit(ds: Dataset, k, config: NuisanceConfig, rng: Rng) -> CrossFit:
                 f"training complement of fold {fold} contains a single treatment arm",
                 fold=fold,
             )
-        fits.append(fit_nuisances(phi[idx], a_train, ds.y[idx], config))
+        fits.append(fit_nuisances(phi, a_train, ds.y[idx], config, rows=idx))
     return CrossFit.from_fits(folds, fits, phi)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gbcausal import bench as bench_mod
+from gbcausal import calibrate
 from gbcausal import cli
 from gbcausal import dgp as dgp_mod
 from gbcausal import gibbs_cate
@@ -339,6 +340,48 @@ class TestFitCommand:
         ])
         assert code == 0
         assert count[0] == calls
+
+    @pytest.mark.parametrize("engine", ["exact-gp", "vi"])
+    def test_cate_gpc_fit_computes_one_full_row_fit_per_omega(self, tmp_path, monkeypatch, engine):
+        # gpc's coverage function fits every row once at each omega it
+        # evaluates; the report reads that fit at the omega chosen
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        n = 120
+        omegas, full_fits = [], [0]
+        search = calibrate.gpc_search
+
+        def recording_search(coverage_fn, *args):
+            return search(lambda omega: omegas.append(omega) or coverage_fn(omega), *args)
+
+        # resamples of 120 rows draw fewer distinct rows: a factor of n rows is a full fit
+        if engine == "exact-gp":
+            factor = gibbs_cate.cholesky_factor
+
+            def counting(a):
+                full_fits[0] += a.shape[0] == n
+                return factor(a)
+
+            monkeypatch.setattr(gibbs_cate, "cholesky_factor", counting)
+        else:
+            optimum = gibbs_cate._whitened_optimum
+
+            def counting(c, *args):
+                full_fits[0] += c.shape[1] == n
+                return optimum(c, *args)
+
+            monkeypatch.setattr(gibbs_cate, "_whitened_optimum", counting)
+        monkeypatch.setattr(calibrate, "gpc_search", recording_search)
+        monkeypatch.setattr(calibrate, "COVERAGE_TOL", 1e-6)  # every max_iter step runs
+        out = tmp_path / "fit.json"
+        code = cli.main([
+            "fit", "--dgp", "D4", "--n", str(n), "--estimand", "cate", "--engine", engine,
+            "--calibration", "gpc", "--b-boot", "50", "--max-iter", "3", "--grid-size", "10",
+            "--m-inducing", "10", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(omegas) == 3
+        assert json.loads(out.read_text(encoding="utf-8"))["omega"] in omegas
+        assert full_fits[0] == len(set(omegas))
 
     def test_cate_gpc_calibration_runs(self, tmp_path):
         out = tmp_path / "cate_gpc.json"

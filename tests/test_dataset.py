@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,53 @@ class TestCsv:
         assert raw.startswith("x1,x2,a,y\n")
         assert "\r" not in raw
         assert raw.endswith("\n")
+
+    @staticmethod
+    def _normal_csv(path, n, seed):
+        x = Rng(seed).normal((n, 2))
+        a = (Rng(seed, 1).uniform(n) < 0.5).astype(int)
+        ds = Dataset(x=x, a=a, y=x[:, 0] + a + Rng(seed, 2).normal(n))
+        write_csv(ds, path)
+        return ds
+
+    def test_read_peak_is_near_the_table_size(self, tmp_path):
+        # the file text (about 7 MB here) is never held: the table and the
+        # dataset's columns are the largest allocations
+        path = tmp_path / "big.csv"
+        ds = self._normal_csv(path, 100_000, 15)
+        tracemalloc.start()
+        try:
+            back = read_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()
+        assert peak <= 2.5 * back.n * (back.d + 2) * 8
+
+    def test_bad_cell_past_the_first_chunk_names_its_row(self, tmp_path):
+        path = tmp_path / "late.csv"
+        self._normal_csv(path, 3000, 16)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert len("\n".join(lines[:2500])) > dataset._READ_CHUNK
+        parts = lines[2500].split(",")
+        parts[1] = "oops"
+        lines[2500] = ",".join(parts)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="could not parse 'oops'") as err:
+            read_csv(path)
+        assert (err.value.row, err.value.col) == (2501, 2)
+
+    @pytest.mark.parametrize("last_cell", ["2.5", "2_5"], ids=["vectorised", "loop"])
+    def test_file_without_trailing_newline(self, tmp_path, last_cell):
+        with_newline, without = tmp_path / "lf.csv", tmp_path / "no_lf.csv"
+        text = f"x1,a,y\n1.0,1,0.5\n-3.0,0,{last_cell}"
+        with_newline.write_text(text + "\n", encoding="utf-8")
+        without.write_text(text, encoding="utf-8")
+        got, want = read_csv(without), read_csv(with_newline)
+        assert got.n == 2
+        assert got.y.tolist() == [0.5, float(last_cell)]
+        for name in ("x", "a", "y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_roundtrip_d8_draw_is_byte_identical(self, tmp_path):
         ds = generate(default_spec("D8"), 150, Rng(14))

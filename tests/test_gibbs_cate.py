@@ -258,6 +258,30 @@ class TestExactGpResampler:
         for g, w in zip(again, first):
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    def test_full_row_fit_is_kept_per_omega(self, engine):
+        x, values, query = self._problem()
+        n = x.shape[0]
+
+        def resampler():
+            if engine == "exact":
+                return exact_gp_resampler(KernelParams(), x, values, query)
+            return sparse_gp_resampler(KernelParams(), x, values, query, 12, Rng(66))
+
+        fit = resampler()
+        first = fit(np.arange(n), 0.6)
+        fit(Rng(67).integers(n, n), 0.6)
+        fit(np.arange(n), 2.0)
+        kept = fit(np.arange(n), 0.6)
+        assert kept is first
+        fresh = resampler()(np.arange(n), 0.6)
+        for got, want in zip(kept, fresh):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        # any other rows are fitted anew, a permutation of every row included
+        shuffled = fit(Rng(68).permutation(n), 0.6)
+        assert shuffled is not first and shuffled[0].flags.writeable
+
     def test_failed_full_row_fit_restores_k_xx(self, monkeypatch):
         x, values, query = self._problem()
         fit = exact_gp_resampler(KernelParams(), x, values, query)

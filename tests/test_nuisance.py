@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from gbcausal import nuisance
+from gbcausal import nuisance, numerics
 from gbcausal.dataset import Dataset
 from gbcausal.dgp import DGP_IDS, default_spec, generate, true_propensity
 from gbcausal.errors import DegenerateTreatment, DomainError, EmptyArm, FoldArmCollapse
@@ -17,7 +17,7 @@ from gbcausal.nuisance import (
     fit_outcome,
     fit_propensity,
 )
-from gbcausal.numerics import Rng
+from gbcausal.numerics import Rng, cholesky_solve, logit
 
 
 class TestFeatureMap:
@@ -204,6 +204,85 @@ class TestPropensity:
         assert lam == 1e6
         np.testing.assert_array_equal(w[:-1], 0.0)
         assert abs(w[-1] - math.log(0.25 / 0.75)) <= 1e-12
+
+
+def _unblocked_propensity(phi, a, lam=None, max_iter=100, tol=1e-8):
+    """Reference: fit_propensity with its sums over all rows at once, as it
+    was before the IRLS was blocked."""
+    def loglik(design, w, penalty):
+        z = design @ w
+        return float(a @ z - np.logaddexp(0.0, z).sum() - 0.5 * (penalty * w) @ w)
+
+    a = np.asarray(a, dtype=float).reshape(-1)
+    design, keep, mean, scale = nuisance._standardised_design(phi)
+    w = np.zeros(design.shape[1])
+    w[-1] = logit(a.mean())
+    if lam is None:
+        lam, w[:-1] = nuisance._evidence_penalty(design[:, :-1], a)
+    penalty = np.full(design.shape[1], float(lam))
+    penalty[-1] = 0.0
+    ll = loglik(design, w, penalty)
+    for _ in range(max_iter):
+        p = numerics.expit(design @ w)
+        grad = design.T @ (a - p) - penalty * w
+        wgt = np.maximum(p * (1.0 - p), 1e-10)
+        hess = design.T @ (design * wgt[:, None]) + np.diag(penalty)
+        delta = cholesky_solve(hess, grad)
+        if grad @ delta <= tol:
+            w = w + delta
+            break
+        step = 1.0
+        while step >= 1e-8:
+            w_new = w + step * delta
+            ll_new = loglik(design, w_new, penalty)
+            if ll_new >= ll:
+                w, ll = w_new, ll_new
+                break
+            step *= 0.5
+        else:
+            break
+    slope = w[:-1] / scale
+    coef = np.zeros(keep.size + 1)
+    coef[:-1][keep] = slope
+    coef[-1] = w[-1] - slope @ mean
+    return coef, float(lam)
+
+
+class TestBlockedIrls:
+    @staticmethod
+    def _problem(n):
+        x = Rng(90, n).normal((n, 3))
+        a = Rng(91, n).bernoulli(expit(0.8 * x[:, 0] - 0.5 * x[:, 1] * x[:, 2]))
+        return feature_matrix(x), a
+
+    @pytest.mark.parametrize("n", [800, nuisance._IRLS_BLOCK])
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_one_block_is_the_unblocked_fit(self, n, lam):
+        phi, a = self._problem(n)
+        coef, used = fit_propensity(phi.copy(), a, lam)
+        want, want_lam = _unblocked_propensity(phi.copy(), a, lam)
+        assert coef.tobytes() == want.tobytes()
+        assert used == want_lam
+
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_several_blocks_match_the_unblocked_fit(self, lam):
+        phi, a = self._problem(20_000)
+        coef, used = fit_propensity(phi.copy(), a, lam)
+        want, want_lam = _unblocked_propensity(phi.copy(), a, lam)
+        assert used == want_lam
+        assert np.max(np.abs(coef - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fit_on_gathered_rows_matches_fit_on_a_copy(self):
+        phi, a = self._problem(300)
+        y = Rng(92).normal(300)
+        rows = np.flatnonzero(Rng(93).uniform(300) < 0.8)
+        original = phi.copy()
+        got = fit_nuisances(phi, a[rows], y[rows], NuisanceConfig(), rows=rows)
+        want = fit_nuisances(phi[rows], a[rows], y[rows], NuisanceConfig())
+        assert phi.tobytes() == original.tobytes()
+        for name in ("propensity_coef", "outcome_coef_treated", "outcome_coef_control"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.lambda_prop == want.lambda_prop
 
 
 class TestPenaltyRecord:

@@ -1,6 +1,10 @@
 import ctypes
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,118 @@ class TestCholeskySolve:
     def test_factor_reports_jitter(self):
         _, jit = cholesky_factor(np.eye(2))
         assert jit == 0.0
+
+
+def _unblocked_factor(a):
+    """Reference: cholesky_factor's loop as one np.linalg.cholesky call per
+    jitter level, as it was before large matrices were blocked. Returns
+    (L, jitter), or (None, None) past the jitter ceiling."""
+    jitter = 0.0
+    while True:
+        try:
+            mat = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
+            return np.linalg.cholesky(mat), jitter
+        except np.linalg.LinAlgError:
+            jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
+            if jitter > 1e-4:
+                return None, None
+
+
+def _kernel_spd(n, seed):
+    """A squared-exponential Gram matrix plus 0.1 I: SPD and well conditioned."""
+    x = Rng(seed, n).normal((n, 2))
+    sq = np.sum(x * x, axis=1)
+    a = np.exp(-0.5 * np.maximum(sq[:, None] + sq[None, :] - 2.0 * x @ x.T, 0.0))
+    a = 0.5 * (a + a.T)
+    a.flat[:: n + 1] += 0.1
+    return a
+
+
+def _spectrum_spd(n, smallest, seed):
+    """Q diag(1..2, smallest) Q^T for a random orthogonal Q, made exactly
+    symmetric: its smallest eigenvalue sets the jitter it needs."""
+    q, _ = np.linalg.qr(Rng(seed, n).normal((n, n)))
+    lam = np.linspace(1.0, 2.0, n)
+    lam[0] = smallest
+    a = (q * lam) @ q.T
+    return 0.5 * (a + a.T)
+
+
+_B = numerics._CHOL_BLOCK
+
+
+class TestBlockedCholesky:
+    @pytest.mark.parametrize("n", sorted({1, 255, 256, 257, 2 * _B - 1, 2 * _B + 1, 3 * _B + 1,
+                                          300, 1000}))
+    def test_matches_unblocked_factor(self, n):
+        a = _kernel_spd(n, 3)
+        chol, jitter = cholesky_factor(a)
+        want, want_jitter = _unblocked_factor(a)
+        assert jitter == want_jitter == 0.0
+        if n <= numerics._CHOL_UNBLOCKED_MAX:
+            assert chol.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(chol - want)) <= 1e-13 * np.max(np.abs(want))
+            assert not np.triu(chol, 1).any()
+
+    @pytest.mark.parametrize("n", [40, 300, 2 * _B + 1])
+    @pytest.mark.parametrize("smallest, jitter", [(0.5, 0.0), (-5e-8, 1e-7), (-5e-5, 1e-4),
+                                                  (-1e-3, None)])
+    def test_same_jitter_or_failure_as_unblocked(self, n, smallest, jitter):
+        # each eigenvalue margin is far above the rounding of either factor
+        a = _spectrum_spd(n, smallest, 7)
+        want, want_jitter = _unblocked_factor(a)
+        assert want_jitter == (None if jitter is None else pytest.approx(jitter, rel=1e-9))
+        if jitter is None:
+            with pytest.raises(NotPositiveDefinite):
+                cholesky_factor(a)
+            return
+        chol, got_jitter = cholesky_factor(a)
+        assert got_jitter == want_jitter
+        # near-singular factors are sensitive to rounding; check the product
+        target = a + got_jitter * np.eye(n)
+        assert np.max(np.abs(chol @ chol.T - target)) <= 1e-12 * np.max(np.abs(target))
+
+    @pytest.mark.parametrize("smallest", [0.5, -5e-8, -1e-3])
+    def test_input_left_unmodified(self, smallest):
+        a = _spectrum_spd(300, smallest, 8)
+        before = a.copy()
+        try:
+            cholesky_factor(a)
+        except NotPositiveDefinite:
+            pass
+        assert a.tobytes() == before.tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
+    def test_factor_holds_one_copy_of_its_input(self):
+        # In a fresh process, the growth of the peak resident set (VmHWM)
+        # while factoring an n x n input is the factor's own memory: one
+        # copy of the input and block temporaries. One np.linalg.cholesky
+        # call holds two, its LAPACK working copy and the result.
+        n = 1500
+        script = textwrap.dedent(f"""
+            import numpy as np
+            from gbcausal.numerics import blas_threads, cholesky_factor
+
+            def peak():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) * 1024 for line in fh
+                                if line.startswith("VmHWM:"))
+
+            a = np.full(({n}, {n}), 0.5)
+            a.flat[:: {n} + 1] += {n}
+            with blas_threads(1):
+                before = peak()
+                cholesky_factor(a)
+                print(peak() - before)
+        """)
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 1.3 * 8 * n * n
 
 
 def ulps_apart(a, b):
