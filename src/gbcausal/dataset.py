@@ -7,7 +7,6 @@ never serialized; it only exists on in-memory DGP outputs.
 
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -116,85 +115,57 @@ def write_csv(ds: Dataset, path):
             fh.write(",".join(row) + "\n")
 
 
-# Characters per read of read_csv's counting pass.
-_READ_CHUNK = 1 << 16
-
-
 def read_csv(path) -> Dataset:
     """Read a dataset written in the format above.
 
-    The file is streamed, never held whole: read_csv reads the header line,
-    then makes one pass in chunks of _READ_CHUNK characters that counts the
-    body lines and looks for the ASCII separators \\x1c-\\x1f, then parses
-    the body with one ``np.loadtxt`` pass over the path, which fills an array
-    of the counted rows. Its result is kept only if it has exactly one row
-    per line and d + 2 columns, all finite, with a 0/1 treatment column.
-    Anything else (blank lines, a field ``float()`` reads and numpy does
-    not, such as ``1_0``, or a bad value) is parsed again row by row from
-    the file, which raises the ``ParseError`` naming the first bad row and
-    column. The largest arrays alive are the table and the dataset's
-    columns, about twice the table's bytes together.
+    The body is parsed in one vectorised ``np.loadtxt`` pass, kept only if it
+    has exactly one row per line and d + 2 columns, all finite, with a 0/1
+    treatment column. Anything else (blank lines, a field ``float()`` reads
+    and numpy does not, such as ``1_0``, or a bad value) is parsed again
+    row by row, which raises the ``ParseError`` naming the first bad row and
+    column.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        rows, last, separators = 0, "\n", False
-        for chunk in iter(lambda: fh.read(_READ_CHUNK), ""):
-            rows += chunk.count("\n")
-            # numpy's float parser strips the separators as whitespace;
-            # float() rejects them, so a file holding one takes the loop
-            separators = separators or any(sep in chunk for sep in "\x1c\x1d\x1e\x1f")
-            last = chunk[-1]
-    rows += last != "\n"  # a last line without its newline
-    if not header_line:
+        text = fh.read()
+    # numpy's float parser strips the ASCII separators \x1c-\x1f as
+    # whitespace; float() rejects them, so a file holding one takes the loop.
+    vectorised = not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
+    lines = text.split("\n")
+    del text
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
         raise SchemaError("empty file: expected a header row 'x1,...,xd,a,y'")
 
-    header = header_line.rstrip("\n").split(",")
+    header = lines[0].split(",")
     if len(header) < 3 or header[-2:] != ["a", "y"]:
         raise SchemaError(f"header must end with 'a,y', got {header!r}")
     d = len(header) - 2
     expected = [f"x{j + 1}" for j in range(d)]
     if header[:d] != expected:
         raise SchemaError(f"covariate columns must be x1..x{d}, got {header[:d]!r}")
-    if rows == 0:
+    if len(lines) == 1:
         raise SchemaError("empty body: a dataset needs at least one row")
 
+    body = lines[1:]
     table = None
-    if not separators:
+    if vectorised:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns on an all-blank body
-                # a Path: pathlib folds "//", so numpy never takes the name for a URL
-                table = np.loadtxt(Path(path), delimiter=",", comments=None, skiprows=1,
-                                   max_rows=rows, ndmin=2, encoding="utf-8")
+                table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         except (ValueError, UserWarning):
             pass
     if (
         table is None
-        or table.shape != (rows, d + 2)
+        or table.shape != (len(body), d + 2)
         or not np.isfinite(table).all()
         or not ((table[:, d] == 0.0) | (table[:, d] == 1.0)).all()
     ):
-        return _parse_rows(_BodyLines(path, rows), d)
+        return _parse_rows(body, d)
     # contiguous columns, laid out as the loop builds them
     x, y = np.ascontiguousarray(table[:, :d]), np.ascontiguousarray(table[:, d + 1])
     return Dataset(x=x, a=table[:, d], y=y)
-
-
-class _BodyLines:
-    """The body lines of a CSV file without their newlines, read from the
-    file again on each pass; len() is their count."""
-
-    def __init__(self, path, rows):
-        self.path, self.rows = path, rows
-
-    def __len__(self):
-        return self.rows
-
-    def __iter__(self):
-        with open(self.path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            for line in fh:
-                yield line.rstrip("\n")
 
 
 def _parse_rows(body, d) -> Dataset:

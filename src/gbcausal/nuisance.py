@@ -136,22 +136,34 @@ def _evidence_penalty(z, a, max_iter=100, tol=1e-10):
     return lam, u @ (c / (d + lam))
 
 
-# Rows per block of the propensity IRLS sums. A training set of at most this
-# many rows is one block, which runs the unblocked operations in their order.
+# Rows per block of the propensity IRLS sums (see fit_propensity).
 _IRLS_BLOCK = 8192
 
 
-def _irls_blocks(n):
-    return [slice(lo, lo + _IRLS_BLOCK) for lo in range(0, n, _IRLS_BLOCK)]
+def _row_blocks(n):
+    return (slice(lo, lo + _IRLS_BLOCK) for lo in range(0, n, _IRLS_BLOCK))
 
 
 def _penalized_loglik(design, a, w, penalty):
-    parts = []
-    for rows in _irls_blocks(design.shape[0]):
+    ll = 0.0
+    for rows in _row_blocks(design.shape[0]):
         z = design[rows] @ w
         # log(1 + e^z) via logaddexp for stability at large |z|
-        parts.append(a[rows] @ z - np.logaddexp(0.0, z).sum())
-    return float(sum(parts[1:], parts[0]) - 0.5 * (penalty * w) @ w)
+        ll = ll + (a[rows] @ z - np.logaddexp(0.0, z).sum())
+    return float(ll - 0.5 * (penalty * w) @ w)
+
+
+def _score_and_hessian(design, a, w):
+    """The unpenalized log-likelihood's gradient X^T (a - p) and IRLS
+    Hessian X^T diag(p (1 - p)) X, summed over row blocks."""
+    grad = hess = 0.0
+    for rows in _row_blocks(design.shape[0]):
+        block = design[rows]
+        p = expit(block @ w)
+        wgt = np.maximum(p * (1.0 - p), 1e-10)
+        grad = grad + block.T @ (a[rows] - p)
+        hess = hess + block.T @ (block * wgt[:, None])
+    return grad, hess
 
 
 def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray, float]:
@@ -187,18 +199,8 @@ def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray
     penalty = np.full(design.shape[1], float(lam))
     penalty[-1] = 0.0
     ll = _penalized_loglik(design, a, w, penalty)
-    blocks = _irls_blocks(design.shape[0])
     for _ in range(max_iter):
-        for i, rows in enumerate(blocks):
-            block = design[rows]
-            p = expit(block @ w)
-            wgt = np.maximum(p * (1.0 - p), 1e-10)
-            if i == 0:
-                grad = block.T @ (a[rows] - p)
-                hess = block.T @ (block * wgt[:, None])
-            else:
-                grad += block.T @ (a[rows] - p)
-                hess += block.T @ (block * wgt[:, None])
+        grad, hess = _score_and_hessian(design, a, w)
         grad = grad - penalty * w
         hess = hess + np.diag(penalty)
         delta = cholesky_solve(hess, grad)
@@ -245,27 +247,20 @@ class NuisanceFit:
         return phi @ coef
 
 
-def fit_nuisances(phi, a, y, config: NuisanceConfig, rows=None) -> NuisanceFit:
-    """Propensity and per-arm outcome fits on the feature rows phi = Phi(x),
-    which the propensity fit, run last, standardises in place.
-
-    With ``rows`` (an index array), the feature rows are phi[rows] and phi
-    is left as it is: each arm's rows are gathered from phi for its outcome
-    fit, and the propensity's copy phi[rows] only after both, so no arm
-    copy is alive beside it.
-    """
+def fit_nuisances(phi, rows, a, y, config: NuisanceConfig) -> NuisanceFit:
+    """Propensity and per-arm outcome fits on the feature rows phi[rows],
+    phi = Phi(x), with their treatments a and outcomes y; phi is left as it
+    is. Each arm's rows are gathered from phi for its outcome fit, and the
+    propensity fit's copy phi[rows] only after both, so no arm copy is alive
+    beside it."""
     a = np.asarray(a).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     treated = a == 1
     if treated.all() or (~treated).all():
         raise DegenerateTreatment("both treatment arms are required to fit nuisances")
-    arm_t, arm_c = (treated, ~treated) if rows is None else (rows[treated], rows[~treated])
-    outcome_coef_treated = fit_outcome(phi[arm_t], y[treated], config.lambda_out)
-    outcome_coef_control = fit_outcome(phi[arm_c], y[~treated], config.lambda_out)
-    del arm_t, arm_c  # freed before the propensity's copy of the rows
-    propensity_coef, lambda_prop = fit_propensity(
-        phi if rows is None else phi[rows], a, config.lambda_prop
-    )
+    outcome_coef_treated = fit_outcome(phi[rows[treated]], y[treated], config.lambda_out)
+    outcome_coef_control = fit_outcome(phi[rows[~treated]], y[~treated], config.lambda_out)
+    propensity_coef, lambda_prop = fit_propensity(phi[rows], a, config.lambda_prop)
     return NuisanceFit(
         propensity_coef=propensity_coef,
         outcome_coef_treated=outcome_coef_treated,
@@ -321,5 +316,5 @@ def cross_fit(ds: Dataset, k, config: NuisanceConfig, rng: Rng) -> CrossFit:
                 f"training complement of fold {fold} contains a single treatment arm",
                 fold=fold,
             )
-        fits.append(fit_nuisances(phi, a_train, ds.y[idx], config, rows=idx))
+        fits.append(fit_nuisances(phi, idx, a_train, ds.y[idx], config))
     return CrossFit.from_fits(folds, fits, phi)

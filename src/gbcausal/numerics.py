@@ -86,9 +86,8 @@ _GAMMA_MAX_TERMS = 10_000
 
 # Rows per diagonal block of the blocked triangular solve.
 _TRI_BLOCK = 32
-# Matrices of more rows are factored in place by diagonal blocks of
-# _CHOL_BLOCK rows; smaller ones by one np.linalg.cholesky call.
-_CHOL_UNBLOCKED_MAX = 256
+# Fewest rows per diagonal block of the in-place Cholesky factor; a matrix
+# of fewer than twice this many rows is one block, one np.linalg.cholesky call.
 _CHOL_BLOCK = 128
 
 
@@ -186,11 +185,12 @@ def cholesky_factor(a):
     ceiling is passed, and DomainError for non-square or asymmetric input.
     Only the lower triangle is read once the symmetry test has passed.
 
-    Up to _CHOL_UNBLOCKED_MAX rows the factor is one np.linalg.cholesky
-    call. A larger matrix is copied once and the copy is factored in place
-    (_factor_in_place), so the call holds two n x n arrays, the input and
-    the factor, where np.linalg.cholesky holds a third, its LAPACK working
-    copy. Each jitter retry starts again from a fresh copy of the input.
+    The input is copied once, the jitter added to the copy's diagonal, and
+    the copy factored in place by diagonal blocks (_factor_in_place; one
+    np.linalg.cholesky call below 2 _CHOL_BLOCK rows), so the call holds
+    two n x n arrays, the input and the factor, where np.linalg.cholesky
+    on a large matrix holds a third, its LAPACK working copy. Each jitter
+    retry starts again from a fresh copy of the input.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -208,9 +208,6 @@ def cholesky_factor(a):
     jitter = 0.0
     while True:
         try:
-            if n <= _CHOL_UNBLOCKED_MAX:
-                mat = a if jitter == 0.0 else a + jitter * np.eye(n)
-                return np.linalg.cholesky(mat), jitter
             mat = a.copy()
             mat.flat[:: n + 1] += jitter  # the diagonal of a + jitter I, rounded alike
             return _factor_in_place(mat), jitter
@@ -224,17 +221,20 @@ def cholesky_factor(a):
 
 def _factor_in_place(a):
     """Overwrite the symmetric matrix a with its lower Cholesky factor,
-    left-looking by diagonal blocks of _CHOL_BLOCK rows (Golub & Van Loan
-    2013, sec. 4.2), and return it. For each block column: subtract the
-    product of the factor rows already computed (one matrix product),
-    factor the diagonal block with np.linalg.cholesky, solve the rows below
-    it against that block's transpose, and zero the block rows' upper
-    triangle. Raises np.linalg.LinAlgError when a diagonal block is not
-    positive definite. Temporaries are one block column in size.
+    left-looking by diagonal blocks (Golub & Van Loan 2013, sec. 4.2), and
+    return it. The rows are split into n // _CHOL_BLOCK blocks of near
+    equal size (one block below 2 _CHOL_BLOCK rows, which is one
+    np.linalg.cholesky call). For each block column: subtract the product
+    of the factor rows already computed (one matrix product), factor the
+    diagonal block with np.linalg.cholesky, solve the rows below it against
+    that block's transpose, and zero the block rows' upper triangle. Raises
+    np.linalg.LinAlgError when a diagonal block is not positive definite.
+    Temporaries are one block column in size.
     """
     n = a.shape[0]
-    for s in range(0, n, _CHOL_BLOCK):
-        e = min(s + _CHOL_BLOCK, n)
+    k = max(1, n // _CHOL_BLOCK)
+    bounds = [n * i // k for i in range(k + 1)]
+    for s, e in zip(bounds[:-1], bounds[1:]):
         panel = a[s:, s:e]
         if s:
             panel -= a[s:, :s] @ a[s:e, :s].T

@@ -277,8 +277,8 @@ class TestBlockedIrls:
         y = Rng(92).normal(300)
         rows = np.flatnonzero(Rng(93).uniform(300) < 0.8)
         original = phi.copy()
-        got = fit_nuisances(phi, a[rows], y[rows], NuisanceConfig(), rows=rows)
-        want = fit_nuisances(phi[rows], a[rows], y[rows], NuisanceConfig())
+        got = fit_nuisances(phi, rows, a[rows], y[rows], NuisanceConfig())
+        want = fit_nuisances(phi[rows], np.arange(rows.size), a[rows], y[rows], NuisanceConfig())
         assert phi.tobytes() == original.tobytes()
         for name in ("propensity_coef", "outcome_coef_treated", "outcome_coef_control"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -305,7 +305,8 @@ class TestPenaltyRecord:
 
     def test_explicit_penalty_is_kept(self):
         ds = generate(default_spec("D1"), 400, Rng(27))
-        fit = fit_nuisances(feature_matrix(ds.x), ds.a, ds.y, NuisanceConfig(lambda_prop=2.5))
+        fit = fit_nuisances(feature_matrix(ds.x), np.arange(ds.n), ds.a, ds.y,
+                            NuisanceConfig(lambda_prop=2.5))
         assert fit.lambda_prop == 2.5
         np.testing.assert_array_equal(
             fit.propensity_coef, fit_propensity(feature_matrix(ds.x), ds.a, 2.5)[0]
@@ -331,7 +332,7 @@ class TestClipping:
     def test_clip_binds_exactly_on_extreme_data(self):
         spec = default_spec("D6")
         ds = generate(spec, 2000, Rng(14))
-        fit = fit_nuisances(feature_matrix(ds.x), ds.a, ds.y, NuisanceConfig())
+        fit = fit_nuisances(feature_matrix(ds.x), np.arange(ds.n), ds.a, ds.y, NuisanceConfig())
         e_hat = fit.predict_propensity(feature_matrix(ds.x))
         assert e_hat.max() == 0.99
         assert e_hat.min() >= 0.01

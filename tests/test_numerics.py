@@ -105,7 +105,7 @@ class TestCholeskySolve:
 
 def _unblocked_factor(a):
     """Reference: cholesky_factor's loop as one np.linalg.cholesky call per
-    jitter level, as it was before large matrices were blocked. Returns
+    jitter level, as it was before matrices were factored by blocks. Returns
     (L, jitter), or (None, None) past the jitter ceiling."""
     jitter = 0.0
     while True:
@@ -142,20 +142,20 @@ _B = numerics._CHOL_BLOCK
 
 
 class TestBlockedCholesky:
-    @pytest.mark.parametrize("n", sorted({1, 255, 256, 257, 2 * _B - 1, 2 * _B + 1, 3 * _B + 1,
-                                          300, 1000}))
+    @pytest.mark.parametrize("n", sorted({1, _B, 152, 255, 256, 257, 2 * _B - 1, 2 * _B,
+                                          2 * _B + 1, 3 * _B + 1, 300, 1000}))
     def test_matches_unblocked_factor(self, n):
         a = _kernel_spd(n, 3)
         chol, jitter = cholesky_factor(a)
         want, want_jitter = _unblocked_factor(a)
         assert jitter == want_jitter == 0.0
-        if n <= numerics._CHOL_UNBLOCKED_MAX:
+        if n < 2 * _B:  # one block: the same np.linalg.cholesky call
             assert chol.tobytes() == want.tobytes()
         else:
             assert np.max(np.abs(chol - want)) <= 1e-13 * np.max(np.abs(want))
             assert not np.triu(chol, 1).any()
 
-    @pytest.mark.parametrize("n", [40, 300, 2 * _B + 1])
+    @pytest.mark.parametrize("n", [40, 152, 300, 2 * _B + 1])
     @pytest.mark.parametrize("smallest, jitter", [(0.5, 0.0), (-5e-8, 1e-7), (-5e-5, 1e-4),
                                                   (-1e-3, None)])
     def test_same_jitter_or_failure_as_unblocked(self, n, smallest, jitter):
