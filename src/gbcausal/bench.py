@@ -1,9 +1,9 @@
 """Monte Carlo experiment harness.
 
-Coverage / credible-interval-length studies for the ATE and CATE posteriors,
-length-versus-n sweeps, and the two nuisance-stability experiments: the
-point-estimate orthogonality slopes and the feasible-versus-oracle posterior
-total-variation sequence.
+Coverage / credible-interval-length studies for the ATE and CATE posteriors
+(a length-versus-n sweep is a bench config's ``n_grid``: one cell per n),
+and the two nuisance-stability experiments: the point-estimate orthogonality
+slopes and the feasible-versus-oracle posterior total-variation sequence.
 
 Every repetition owns the stream (base_seed, rep), so repetitions can run in
 any order or in parallel without changing a single reported byte; the
@@ -264,32 +264,6 @@ def run_cate_bench(
     return _run_cell(cell, r_reps, parallelism, strategy_label)
 
 
-def length_sweep(
-    spec: DgpSpec,
-    strategies,
-    n_grid,
-    r_reps,
-    base_seed,
-    prior: NormalPrior = NormalPrior(),
-    calibration_mode="plugin",
-    **kwargs,
-):
-    """One ATE bench report per (strategy, n); the data behind the
-    length-versus-sample-size box plots."""
-    n_grid = list(n_grid)
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise DomainError("n_grid must be strictly increasing")
-    reports = []
-    for strategy in strategies:
-        for n in n_grid:
-            reports.append(
-                run_ate_bench(
-                    spec, strategy, n, r_reps, prior, calibration_mode, base_seed, **kwargs
-                )
-            )
-    return reports
-
-
 @dataclass(frozen=True)
 class SlopeResult:
     strategy: Strategy
@@ -308,10 +282,13 @@ def _perturbed_nuisances(e0, m1, m0, delta):
 
 def orthogonality_slopes(spec: DgpSpec, delta_grid, n, base_seed):
     """Point-estimate shift |theta_fe(delta) - theta_or| per strategy with
-    true nuisances perturbed by magnitude delta; returns log-log slopes."""
+    true nuisances perturbed by magnitude delta; returns log-log slopes,
+    which need two distinct deltas and a shift above 0 at each of them."""
     deltas = np.asarray(list(delta_grid), dtype=float)
     if not np.all((deltas > 0) & np.isfinite(deltas)):
         raise DomainError("delta_grid entries must be positive and finite")
+    if np.unique(deltas).size < 2:
+        raise DomainError("delta_grid must hold at least two distinct values to fit a slope")
     ds = dgp_mod.generate(spec, n, Rng(base_seed).derive(0))
     e0 = dgp_mod.true_propensity(spec, ds.x)
     m1 = dgp_mod.true_outcome_mean(spec, ds.x, 1)
@@ -324,6 +301,8 @@ def orthogonality_slopes(spec: DgpSpec, delta_grid, n, base_seed):
             e_d, m1_d, m0_d = _perturbed_nuisances(e0, m1, m0, delta)
             est = float(np.mean(pseudo_values(ds.a, ds.y, e_d, m1_d, m0_d, strategy)))
             shifts[i] = abs(est - base)
+            if shifts[i] == 0.0:
+                raise NumericError(f"{strategy.value} estimate does not move at delta={delta:.6g}")
         slope = float(np.polyfit(np.log(deltas), np.log(shifts), 1)[0])
         results[strategy] = SlopeResult(strategy=strategy, deltas=deltas, shifts=shifts, slope=slope)
     return results

@@ -144,26 +144,21 @@ def _row_blocks(n):
     return (slice(lo, lo + _IRLS_BLOCK) for lo in range(0, n, _IRLS_BLOCK))
 
 
-def _penalized_loglik(design, a, w, penalty):
-    ll = 0.0
-    for rows in _row_blocks(design.shape[0]):
-        z = design[rows] @ w
-        # log(1 + e^z) via logaddexp for stability at large |z|
-        ll = ll + (a[rows] @ z - np.logaddexp(0.0, z).sum())
-    return float(ll - 0.5 * (penalty * w) @ w)
-
-
-def _score_and_hessian(design, a, w):
-    """The unpenalized log-likelihood's gradient X^T (a - p) and IRLS
-    Hessian X^T diag(p (1 - p)) X, summed over row blocks."""
-    grad = hess = 0.0
+def _objective(design, a, w, penalty):
+    """One pass over the rows at w: the penalized log-likelihood, its
+    gradient X^T (a - p) - penalty w and its IRLS Hessian
+    X^T diag(p (1 - p)) X + diag(penalty), summed over row blocks."""
+    ll = grad = hess = 0.0
     for rows in _row_blocks(design.shape[0]):
         block = design[rows]
-        p = expit(block @ w)
+        z = block @ w
+        # log(1 + e^z) via logaddexp for stability at large |z|
+        ll = ll + (a[rows] @ z - np.logaddexp(0.0, z).sum())
+        p = expit(z)
         wgt = np.maximum(p * (1.0 - p), 1e-10)
         grad = grad + block.T @ (a[rows] - p)
         hess = hess + block.T @ (block * wgt[:, None])
-    return grad, hess
+    return float(ll - 0.5 * (penalty * w) @ w), grad - penalty * w, hess + np.diag(penalty)
 
 
 def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray, float]:
@@ -179,7 +174,8 @@ def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray
     log-likelihood would decrease. Once the Newton decrement
     grad^T H^{-1} grad is <= ``tol`` the step is taken in full without that
     comparison, which rounding decides this close to the optimum, and the
-    loop stops; at most ``max_iter`` steps.
+    loop stops; at most ``max_iter`` steps. Each candidate costs one pass
+    over the rows, which also gives the next step's gradient and Hessian.
 
     The gradient, Hessian and penalized log-likelihood are sums over blocks
     of _IRLS_BLOCK rows, so each step's temporaries are a block in size
@@ -188,7 +184,7 @@ def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray
 
     Returns (coefficients over the raw feature map Phi(x), penalty used).
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
+    a = np.asarray(a).reshape(-1)
     if np.all(a == a[0]):
         raise DegenerateTreatment("treatment vector is constant; cannot fit a propensity")
     design, keep, mean, scale = _standardised_design(phi)
@@ -198,11 +194,8 @@ def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray
         lam, w[:-1] = _evidence_penalty(design[:, :-1], a)
     penalty = np.full(design.shape[1], float(lam))
     penalty[-1] = 0.0
-    ll = _penalized_loglik(design, a, w, penalty)
+    ll, grad, hess = _objective(design, a, w, penalty)
     for _ in range(max_iter):
-        grad, hess = _score_and_hessian(design, a, w)
-        grad = grad - penalty * w
-        hess = hess + np.diag(penalty)
         delta = cholesky_solve(hess, grad)
         if grad @ delta <= tol:
             w = w + delta
@@ -210,9 +203,9 @@ def fit_propensity(phi, a, lam=None, max_iter=100, tol=1e-8) -> Tuple[np.ndarray
         step = 1.0
         while step >= 1e-8:
             w_new = w + step * delta
-            ll_new = _penalized_loglik(design, a, w_new, penalty)
+            ll_new, grad_new, hess_new = _objective(design, a, w_new, penalty)
             if ll_new >= ll:
-                w, ll = w_new, ll_new
+                w, ll, grad, hess = w_new, ll_new, grad_new, hess_new
                 break
             step *= 0.5
         else:

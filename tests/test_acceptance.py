@@ -22,7 +22,6 @@ import pytest
 
 from gbcausal import dgp as dgp_mod
 from gbcausal.bench import (
-    length_sweep,
     orthogonality_slopes,
     run_ate_bench,
     run_cate_bench,
@@ -171,10 +170,13 @@ def test_criterion_04_ate_coverage(ate_coverage_table):
 
 def test_criterion_05_cri_length_convergence():
     grid = [100, 250, 500, 1000]
-    reports = length_sweep(
-        default_spec("D1"), [Strategy.DR], grid, 50, BASE_SEED,
-        prior=DIFFUSE_PRIOR, parallelism=WORKERS,
-    )
+    spec = default_spec("D1")
+    reports = [
+        run_ate_bench(
+            spec, Strategy.DR, n, 50, DIFFUSE_PRIOR, "plugin", BASE_SEED, parallelism=WORKERS
+        )
+        for n in grid
+    ]
     medians = {r.n: float(np.median([run.length for run in r.runs])) for r in reports}
     seq = [medians[n] for n in grid]
     inversions = sum(1 for a, b in zip(seq, seq[1:]) if b > a)

@@ -14,7 +14,6 @@ from gbcausal import dgp as dgp_mod
 from gbcausal.bench import (
     BenchReport,
     _execute,
-    length_sweep,
     orthogonality_slopes,
     reports_to_csv,
     reports_to_markdown,
@@ -24,7 +23,7 @@ from gbcausal.bench import (
     wilson_interval,
 )
 from gbcausal.dgp import default_spec
-from gbcausal.errors import ConfigError, DomainError
+from gbcausal.errors import ConfigError, DomainError, NumericError
 from gbcausal.gibbs_ate import NormalPrior
 from gbcausal.gibbs_cate import KernelParams
 from gbcausal.nuisance import NuisanceConfig
@@ -221,7 +220,10 @@ class TestNuisanceMemo:
         assert drawn == [80] * 3 and fit_calls == [80] * 3
 
     def test_length_sweep_fits_once_per_size_and_rep(self, fit_calls):
-        length_sweep(default_spec("D1"), [Strategy.DR, Strategy.RA], [60, 120], 2, base_seed=31)
+        spec = default_spec("D1")
+        for strategy in (Strategy.DR, Strategy.RA):
+            for n in (60, 120):
+                run_ate_bench(spec, strategy, n, 2, NormalPrior(), "plugin", 31)
         assert sorted(fit_calls) == [60, 60, 120, 120]
 
     @pytest.mark.parametrize(
@@ -316,28 +318,6 @@ class TestNuisanceMemo:
         assert all(type(rep) is int for rep in mapped[0])
 
 
-class TestLengthSweep:
-    def test_one_report_per_strategy_and_n(self):
-        reports = length_sweep(
-            default_spec("D1"), [Strategy.DR, Strategy.RA], [60, 120], 2, base_seed=31
-        )
-        assert len(reports) == 4
-        assert {(r.strategy, r.n) for r in reports} == {
-            ("DR", 60), ("DR", 120), ("RA", 60), ("RA", 120)
-        }
-
-    def test_single_n_equals_bench_run(self):
-        sweep = length_sweep(default_spec("D1"), [Strategy.DR], [80], 2, base_seed=32)
-        single = run_ate_bench(
-            default_spec("D1"), Strategy.DR, 80, 2, NormalPrior(), "plugin", 32
-        )
-        assert sweep[0].runs == single.runs
-
-    def test_grid_must_increase(self):
-        with pytest.raises(DomainError):
-            length_sweep(default_spec("D1"), [Strategy.DR], [100, 100], 2, 0)
-
-
 class TestOrthogonalitySlopes:
     def test_ra_shift_is_exactly_delta(self):
         res = orthogonality_slopes(default_spec("D1"), [0.2, 0.1, 0.05], 500, base_seed=41)
@@ -354,6 +334,17 @@ class TestOrthogonalitySlopes:
         for deltas in ([0.1, 0.0], [-0.1], [math.nan], [0.1, math.inf], [-math.inf]):
             with pytest.raises(DomainError, match="positive and finite"):
                 orthogonality_slopes(default_spec("D1"), deltas, 100, 0)
+
+    @pytest.mark.parametrize("deltas", [[0.1], [0.1, 0.1]])
+    def test_rejects_fewer_than_two_distinct_deltas(self, deltas):
+        with pytest.raises(DomainError, match="two distinct"):
+            orthogonality_slopes(default_spec("D1"), deltas, 10, 0)
+
+    def test_zero_shift_raises_naming_its_delta(self):
+        # perturbations this small round away: no estimate moves, so no
+        # log-log slope exists
+        with pytest.raises(NumericError, match="delta=1e-16"):
+            orthogonality_slopes(default_spec("D1"), [1e-16, 1e-17], 1000, 0)
 
 
 class TestTvStability:
@@ -440,6 +431,9 @@ class TestReportEmission:
             assert "~~" in text
 
     def test_markdown_handles_multiple_sample_sizes(self):
-        reports = length_sweep(default_spec("D1"), [Strategy.DR], [60, 120], 2, 62)
+        spec = default_spec("D1")
+        reports = [
+            run_ate_bench(spec, Strategy.DR, n, 2, NormalPrior(), "plugin", 62) for n in (60, 120)
+        ]
         text = reports_to_markdown(reports, alpha=0.05)
         assert "D1 (n=60)" in text and "D1 (n=120)" in text

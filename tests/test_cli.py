@@ -757,6 +757,29 @@ class TestExperimentCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "delta_grid" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("deltas", ["0.1", "0.1,0.1"])
+    def test_slopes_fewer_than_two_distinct_deltas_exits_2(self, tmp_path, deltas):
+        out = tmp_path / "slopes.csv"
+        proc = run_cli([
+            "experiment", "--kind", "slopes", "--deltas", deltas, "--n", "10",
+            "--out", str(out),
+        ])
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "two distinct" in err[0]
+        assert not out.exists()
+
+    def test_slopes_zero_shift_exits_3(self, tmp_path):
+        out = tmp_path / "slopes.csv"
+        proc = run_cli([
+            "experiment", "--kind", "slopes", "--deltas", "1e-16,1e-17", "--n", "1000",
+            "--out", str(out),
+        ])
+        assert proc.returncode == 3
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "delta=1e-16" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["0", "1"])
     def test_tv_sample_size_below_two_exits_2(self, tmp_path, size):
         out = tmp_path / "tv.csv"

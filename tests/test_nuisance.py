@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from gbcausal import nuisance, numerics
-from gbcausal.dataset import Dataset
+from gbcausal.dataset import Dataset, make_folds
 from gbcausal.dgp import DGP_IDS, default_spec, generate, true_propensity
 from gbcausal.errors import DegenerateTreatment, DomainError, EmptyArm, FoldArmCollapse
 from gbcausal.nuisance import (
@@ -283,6 +283,128 @@ class TestBlockedIrls:
         for name in ("propensity_coef", "outcome_coef_treated", "outcome_coef_control"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.lambda_prop == want.lambda_prop
+
+
+def _two_pass_propensity(phi, a, lam=None, max_iter=100, tol=1e-8, passes=None):
+    """Reference: fit_propensity as it was with separate passes over the
+    rows, one for the gradient and Hessian at each accepted point and one
+    for the log-likelihood of each candidate. Appends "ll" to ``passes`` for
+    every log-likelihood pass and "halve" for every rejected candidate."""
+    def loglik(design, w, penalty):
+        passes.append("ll")
+        ll = 0.0
+        for rows in nuisance._row_blocks(design.shape[0]):
+            z = design[rows] @ w
+            ll = ll + (a[rows] @ z - np.logaddexp(0.0, z).sum())
+        return float(ll - 0.5 * (penalty * w) @ w)
+
+    def score_and_hessian(design, w):
+        grad = hess = 0.0
+        for rows in nuisance._row_blocks(design.shape[0]):
+            block = design[rows]
+            p = numerics.expit(block @ w)
+            wgt = np.maximum(p * (1.0 - p), 1e-10)
+            grad = grad + block.T @ (a[rows] - p)
+            hess = hess + block.T @ (block * wgt[:, None])
+        return grad, hess
+
+    passes = [] if passes is None else passes
+    a = np.asarray(a, dtype=float).reshape(-1)
+    design, keep, mean, scale = nuisance._standardised_design(phi)
+    w = np.zeros(design.shape[1])
+    w[-1] = logit(a.mean())
+    if lam is None:
+        lam, w[:-1] = nuisance._evidence_penalty(design[:, :-1], a)
+    penalty = np.full(design.shape[1], float(lam))
+    penalty[-1] = 0.0
+    ll = loglik(design, w, penalty)
+    for _ in range(max_iter):
+        grad, hess = score_and_hessian(design, w)
+        grad = grad - penalty * w
+        hess = hess + np.diag(penalty)
+        delta = cholesky_solve(hess, grad)
+        if grad @ delta <= tol:
+            w = w + delta
+            break
+        step = 1.0
+        while step >= 1e-8:
+            w_new = w + step * delta
+            ll_new = loglik(design, w_new, penalty)
+            if ll_new >= ll:
+                w, ll = w_new, ll_new
+                break
+            passes.append("halve")
+            step *= 0.5
+        else:
+            break
+    slope = w[:-1] / scale
+    coef = np.zeros(keep.size + 1)
+    coef[:-1][keep] = slope
+    coef[-1] = w[-1] - slope @ mean
+    return coef, float(lam)
+
+
+def _separable_problem():
+    x = Rng(13).normal((200, 2))
+    return feature_matrix(x), (x[:, 0] > 0).astype(int)
+
+
+class TestOnePassNewton:
+    """Each Newton candidate is evaluated in one pass over the rows, and the
+    fit is bit-identical to the two-pass loop it replaced."""
+
+    @staticmethod
+    def _assert_two_pass_fit(phi, a, lam=None, **kwargs):
+        coef, used = fit_propensity(phi.copy(), a, lam, **kwargs)
+        want, want_lam = _two_pass_propensity(phi.copy(), a, lam, **kwargs)
+        assert coef.tobytes() == want.tobytes()
+        assert used == want_lam
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.0])
+    def test_separable_data_with_step_halving(self, lam):
+        phi, a = _separable_problem()
+        passes = []
+        _two_pass_propensity(phi.copy(), a, lam, passes=passes)
+        assert "halve" in passes
+        self._assert_two_pass_fit(phi, a, lam)
+
+    def test_d6_folds(self):
+        ds = generate(default_spec("D6"), 1000, Rng(5))
+        phi = feature_matrix(ds.x)
+        folds = make_folds(ds.n, 5, Rng(6))
+        for fold in range(5):
+            idx = folds.complement(fold)
+            self._assert_two_pass_fit(phi[idx], ds.a[idx])
+
+    @pytest.mark.parametrize("lam", [None, 0.3])
+    def test_three_row_blocks(self, lam):
+        n = 20_000
+        assert 2 * nuisance._IRLS_BLOCK < n <= 3 * nuisance._IRLS_BLOCK
+        x = Rng(90, n).normal((n, 3))
+        a = Rng(91, n).bernoulli(expit(0.8 * x[:, 0] - 0.5 * x[:, 1] * x[:, 2]))
+        self._assert_two_pass_fit(feature_matrix(x), a, lam)
+
+    @pytest.mark.parametrize("lam", [None, 1e-4])
+    def test_single_step(self, lam):
+        phi, a = _separable_problem()
+        self._assert_two_pass_fit(phi, a, lam, max_iter=1)
+
+    @pytest.mark.parametrize("lam", [None, 1e-4, 0.0])
+    def test_one_pass_at_the_start_and_per_candidate(self, monkeypatch, lam):
+        phi, a = _separable_problem()
+        calls = []
+        original = nuisance._objective
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(nuisance, "_objective", counting)
+        fit_propensity(phi.copy(), a, lam)
+        passes = []
+        _two_pass_propensity(phi.copy(), a, lam, passes=passes)
+        # the reference's log-likelihood passes: one at the start, one per candidate
+        assert len(calls) == passes.count("ll")
 
 
 class TestPenaltyRecord:
