@@ -115,41 +115,86 @@ def write_csv(ds: Dataset, path):
             fh.write(",".join(row) + "\n")
 
 
+# Characters per read of a CSV body: a chunk's text, lines and parsed rows
+# stay a fraction of the table, and np.loadtxt's cost per call is spread.
+_CSV_CHUNK = 1 << 18
+
+
 def read_csv(path) -> Dataset:
-    """Read a dataset written in the format above.
+    """Read a dataset written in the format above, with or without a
+    leading UTF-8 byte-order mark.
 
-    The body is parsed in one vectorised ``np.loadtxt`` pass, kept only if it
-    has exactly one row per line and d + 2 columns, all finite, with a 0/1
-    treatment column. Anything else (blank lines, a field ``float()`` reads
-    and numpy does not, such as ``1_0``, or a bad value) is parsed again
-    row by row, which raises the ``ParseError`` naming the first bad row and
-    column.
+    The file is read once, front to back, so a pipe works: the header line,
+    then whole lines in chunks of about _CSV_CHUNK characters. Each chunk
+    is parsed in one vectorised ``np.loadtxt`` pass, kept only if it has
+    exactly one row per line and d + 2 columns, all finite, with a 0/1
+    treatment column. Any other chunk (blank lines, a field ``float()``
+    reads and numpy does not, such as ``1_0``, or a bad value) is parsed
+    again row by row, which raises the ``ParseError`` naming the first bad
+    row and column of the file. Each chunk's rows are copied into x, a and
+    y, whose capacity doubles when a chunk does not fit (ndarray.resize,
+    a realloc: a large buffer grows without a copy and its spare capacity
+    is never touched), so the read holds about one table.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # numpy's float parser strips the ASCII separators \x1c-\x1f as
-    # whitespace; float() rejects them, so a file holding one takes the loop.
-    vectorised = not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
-    lines = text.split("\n")
-    del text
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise SchemaError("empty file: expected a header row 'x1,...,xd,a,y'")
-
-    header = lines[0].split(",")
-    if len(header) < 3 or header[-2:] != ["a", "y"]:
-        raise SchemaError(f"header must end with 'a,y', got {header!r}")
-    d = len(header) - 2
-    expected = [f"x{j + 1}" for j in range(d)]
-    if header[:d] != expected:
-        raise SchemaError(f"covariate columns must be x1..x{d}, got {header[:d]!r}")
-    if len(lines) == 1:
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        header_line = fh.readline()
+        if not header_line:
+            raise SchemaError("empty file: expected a header row 'x1,...,xd,a,y'")
+        header = header_line.removesuffix("\n").split(",")
+        if len(header) < 3 or header[-2:] != ["a", "y"]:
+            raise SchemaError(f"header must end with 'a,y', got {header!r}")
+        d = len(header) - 2
+        expected = [f"x{j + 1}" for j in range(d)]
+        if header[:d] != expected:
+            raise SchemaError(f"covariate columns must be x1..x{d}, got {header[:d]!r}")
+        cols = []  # x, a and y of the rows read so far, with spare capacity
+        n = 0
+        for chunk in _line_chunks(fh):
+            pieces = _parse_chunk(chunk, d, n)
+            m = pieces[0].shape[0]
+            if not cols:
+                cols = [np.empty((m,) + piece.shape[1:]) for piece in pieces]
+            if n + m > cols[0].shape[0]:
+                _resize(cols, max(2 * cols[0].shape[0], n + m))
+            for col, piece in zip(cols, pieces):
+                col[n : n + m] = piece
+            n += m
+    if not cols:
         raise SchemaError("empty body: a dataset needs at least one row")
+    _resize(cols, n)
+    return Dataset(*cols)
 
-    body = lines[1:]
+
+def _resize(cols, rows):
+    """Give each array in cols `rows` rows in place, keeping its leading rows."""
+    for col in cols:
+        # refcheck would count the list's and the loop's references; no view of col is alive
+        col.resize((rows,) + col.shape[1:], refcheck=False)
+
+
+def _line_chunks(fh):
+    """The rest of the text file fh as strings of whole lines, each of about
+    _CSV_CHUNK characters, without the newline that ends the last line."""
+    tail = ""
+    while text := fh.read(_CSV_CHUNK):
+        text = tail + text
+        cut = text.rfind("\n")
+        if cut < 0:
+            tail = text
+            continue
+        tail = text[cut + 1:]
+        yield text[:cut]
+    if tail:  # the last line had no newline
+        yield tail
+
+
+def _parse_chunk(text, d, skipped):
+    """(x, a, y) of the lines in text, which follow `skipped` body lines."""
+    body = text.split("\n")
+    # numpy's float parser strips the ASCII separators \x1c-\x1f as
+    # whitespace; float() rejects them, so a chunk holding one takes the loop.
     table = None
-    if vectorised:
+    if not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns on an all-blank body
@@ -162,10 +207,12 @@ def read_csv(path) -> Dataset:
         or not np.isfinite(table).all()
         or not ((table[:, d] == 0.0) | (table[:, d] == 1.0)).all()
     ):
-        return _parse_rows(body, d)
-    # contiguous columns, laid out as the loop builds them
-    x, y = np.ascontiguousarray(table[:, :d]), np.ascontiguousarray(table[:, d + 1])
-    return Dataset(x=x, a=table[:, d], y=y)
+        try:
+            rows = _parse_rows(body, d)
+        except ParseError as err:
+            raise ParseError(err.reason, row=err.row + skipped, col=err.col) from None
+        return rows.x, rows.a, rows.y
+    return table[:, :d], table[:, d], table[:, d + 1]
 
 
 def _parse_rows(body, d) -> Dataset:

@@ -31,9 +31,11 @@ class SchemaError(ConfigError):
 
 
 class ParseError(ConfigError):
-    """Malformed value in an input file; carries the 1-based row/column."""
+    """Malformed value in an input file; carries the 1-based row/column and
+    the message without them (reason)."""
 
     def __init__(self, message, row=None, col=None):
+        self.reason = message
         self.row = row
         self.col = col
         loc = ""

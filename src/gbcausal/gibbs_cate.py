@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Rng, cholesky_factor, solve_triangular
+from .numerics import Rng, cholesky_factor, restore_lower, solve_triangular
 from .pseudo import PseudoOutcomes
 
 _SQRT5 = np.sqrt(5.0)
@@ -166,13 +166,15 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     makes one lower solve of the stacked right-hand sides
     [values - const | k(x_query, x)^T] for the whitened moments.
 
-    Memory: k(x, x) lives as long as the resampler. A fit that draws every
-    row (the reported fit, each gpc point estimate) adds the noise to the
-    diagonal of k(x, x) in place, factors it and puts the saved diagonal
-    back, so it holds two n x n arrays: k(x, x) and the factor, which
-    cholesky_factor computes in place in its one copy. Any other fit
-    gathers its u x u Gram matrix first. The D9 fit at the n = 2000 guard
-    peaks at about 106 MB RSS.
+    Memory: k(x, x) lives as long as the resampler, and a fit that draws
+    every row (the reported fit, each gpc point estimate) holds no other
+    n x n array. It adds the noise to the diagonal of k(x, x), factors it
+    in its own lower triangle (cholesky_factor's in_place mode, which keeps
+    the strict upper triangle), solves with that triangle and then restores
+    the lower triangle from the upper and the saved diagonal, exactly,
+    since k(x, x) is symmetric bit for bit. Any other fit gathers its u x u
+    Gram matrix and factors that gathered copy the same way. The D9 fit at
+    the n = 2000 guard peaks at about 76 MB RSS.
 
     The full-data fit (rows 0..n-1 in order) is computed once per omega
     and kept (see _keep_full_fits).
@@ -181,23 +183,29 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     n = x.shape[0]
     check_exact_n(n)
     k_xx = kernel_matrix(params, x, x)
+    if not np.array_equal(k_xx, k_xx.T):
+        # a full-row fit restores the lower triangle from the upper one: copy
+        # the lower over the upper should the BLAS round x @ x.T unevenly,
+        # which the kernels measured do not
+        restore_lower(k_xx.T, k_xx.diagonal().copy())
     # row i: [values[i] | k(x_query, x[i])], gathered by each fit
     stacked = np.column_stack([values, kernel_matrix(params, x_query, x).T])
 
     def fit(rows, omega):
         u, counts = np.unique(rows, return_counts=True)
         const_mean = float(np.mean(values[rows]))
-        # a fit that draws every row factors k(x, x) itself, then puts its diagonal back
-        gram = k_xx if u.size == n else k_xx[u][:, u]
+        full = u.size == n
+        gram = k_xx if full else k_xx[u][:, u]
         diag = gram.diagonal().copy()
         gram.flat[:: u.size + 1] += (params.jitter + 1.0 / omega) / counts
         try:
-            chol, _ = cholesky_factor(gram)
+            chol, _ = cholesky_factor(gram, in_place=True)
+            rhs = stacked[u]
+            rhs[:, 0] -= const_mean
+            zv = solve_triangular(chol, rhs, lower=True)
         finally:
-            gram.flat[:: u.size + 1] = diag
-        rhs = stacked[u]
-        rhs[:, 0] -= const_mean
-        zv = solve_triangular(chol, rhs, lower=True)
+            if full:
+                restore_lower(k_xx, diag)
         return _whitened_moments(params, zv[:, 0], zv[:, 1:], const_mean)
 
     return _keep_full_fits(fit, n)

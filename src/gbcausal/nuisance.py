@@ -3,9 +3,11 @@ per-arm ridge outcome regressions (T-learner), and K-fold cross-fitting.
 
 All models share one fixed feature map Phi(X) = [X, X^2, sin(X), x_extra, 1]
 with x_extra = X1*X2 for d >= 2 and X1^3 for d = 1. Phi is computed row by
-row, so the fits and predictions take feature rows, not covariates:
-``cross_fit`` builds Phi once for the whole dataset and hands each fold fit
-and prediction its rows, which are bit-identical to Phi of those rows.
+row, so the fits and predictions take feature rows, not covariates, and Phi
+of some rows is bit-identical to those rows of Phi(X). ``cross_fit`` never
+builds Phi(X) whole above a block of rows: each fold builds Phi of its own
+training rows, one fold at a time, and the held-out predictions build Phi
+a block of rows at a time after the last fold.
 
 The propensity is fit on the non-constant columns of Phi standardised by
 the training rows' own statistics, with an unpenalised intercept and a slope
@@ -26,14 +28,28 @@ from .errors import DegenerateTreatment, DomainError, EmptyArm, FoldArmCollapse
 from .numerics import Rng, cholesky_solve, expit, logit
 
 
+def _n_features(d):
+    return 3 * d + 2
+
+
 def feature_matrix(x) -> np.ndarray:
     """(n, 3d+2) feature matrix: [X, X^2, sin(X), x_extra, 1]."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d = x.shape
-    extra = x[:, 0] * x[:, 1] if d >= 2 else x[:, 0] ** 3
-    return np.hstack(
-        [x, x**2, np.sin(x), extra.reshape(n, 1), np.ones((n, 1))]
-    )
+    return _fill_features(x, np.empty((x.shape[0], _n_features(x.shape[1]))))
+
+
+def _fill_features(x, phi):
+    """Write feature_matrix(x) into phi, one column group at a time."""
+    d = x.shape[1]
+    phi[:, :d] = x
+    np.multiply(x, x, out=phi[:, d : 2 * d])
+    np.sin(x, out=phi[:, 2 * d : 3 * d])
+    if d >= 2:
+        np.multiply(x[:, 0], x[:, 1], out=phi[:, 3 * d])
+    else:
+        phi[:, 3 * d] = x[:, 0] ** 3
+    phi[:, -1] = 1.0
+    return phi
 
 
 @dataclass(frozen=True)
@@ -58,18 +74,39 @@ class NuisanceConfig:
             raise DomainError("ridge penalties must be finite and >= 0")
 
 
-def fit_outcome(phi, y, lam) -> np.ndarray:
-    """Ridge coefficients minimizing ||phi w - y||^2 + lam ||w||^2 over the
-    feature rows phi = Phi(x).
+# Rows per block of the row sums of the outcome and propensity fits.
+_IRLS_BLOCK = 8192
+
+
+def _row_blocks(n):
+    return (slice(lo, lo + _IRLS_BLOCK) for lo in range(0, n, _IRLS_BLOCK))
+
+
+def fit_outcome(phi, y, lam, arm=None) -> np.ndarray:
+    """Ridge coefficients minimizing ||X w - y[arm]||^2 + lam ||w||^2 over
+    the feature rows X = phi[arm] of phi = Phi(x), with y the outcomes of
+    phi's rows and arm a boolean mask of the rows to fit (every row when
+    None).
 
     Solved through the SPD normal equations; the intercept inside Phi is
-    penalized like any other feature.
+    penalized like any other feature. X^T X and X^T y are summed over
+    blocks of _IRLS_BLOCK rows of phi, each block's arm rows gathered in
+    turn, so no copy of X is made; up to _IRLS_BLOCK rows of phi that is
+    one product each, as on X itself.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size == 0:
+    if y.size == 0 or (arm is not None and not arm.any()):
         raise EmptyArm("outcome regression needs at least one observation in the arm")
-    gram = phi.T @ phi + lam * np.eye(phi.shape[1])
-    return cholesky_solve(gram, phi.T @ y)
+    gram = rhs = 0.0
+    for rows in _row_blocks(y.size):
+        block, target = phi[rows], y[rows]
+        if arm is not None:
+            # np.compress gathers rows of a 2-D array faster than a boolean index
+            block, target = np.compress(arm[rows], block, axis=0), target[arm[rows]]
+        gram = gram + block.T @ block
+        rhs = rhs + block.T @ target
+        del block  # free it before the next block is gathered
+    return cholesky_solve(gram + lam * np.eye(phi.shape[1]), rhs)
 
 
 # Bounds on the evidence-chosen propensity slope penalty.
@@ -111,11 +148,15 @@ def _evidence_penalty(z, a, max_iter=100, tol=1e-10):
     eigendecomposition makes each iteration O(p); the fixed point is solved
     by Newton's method in log(lam), with steps of at most a factor e^2. The
     result is a deterministic function of the rows, bounded to [1e-4, 1e6].
+    g is summed over blocks of _IRLS_BLOCK rows, one product up to that.
     """
     a_bar = float(a.mean())
     d, u = np.linalg.eigh(a_bar * (1.0 - a_bar) * (z.T @ z))
     d = np.maximum(d, 0.0)
-    c = u.T @ (z.T @ (a - a_bar))
+    g = 0.0
+    for rows in _row_blocks(z.shape[0]):
+        g = g + z[rows].T @ (a[rows] - a_bar)
+    c = u.T @ g
     c_sq = c**2
     t, t_lo, t_hi = 0.0, math.log(_LAMBDA_MIN), math.log(_LAMBDA_MAX)
     for _ in range(max_iter):
@@ -136,14 +177,6 @@ def _evidence_penalty(z, a, max_iter=100, tol=1e-10):
     return lam, u @ (c / (d + lam))
 
 
-# Rows per block of the propensity IRLS sums (see fit_propensity).
-_IRLS_BLOCK = 8192
-
-
-def _row_blocks(n):
-    return (slice(lo, lo + _IRLS_BLOCK) for lo in range(0, n, _IRLS_BLOCK))
-
-
 def _objective(design, a, w, penalty):
     """One pass over the rows at w: the penalized log-likelihood, its
     gradient X^T (a - p) - penalty w and its IRLS Hessian
@@ -157,7 +190,9 @@ def _objective(design, a, w, penalty):
         p = expit(z)
         wgt = np.maximum(p * (1.0 - p), 1e-10)
         grad = grad + block.T @ (a[rows] - p)
-        hess = hess + block.T @ (block * wgt[:, None])
+        s = block * np.sqrt(wgt)[:, None]
+        hess = hess + s.T @ s
+        del s  # free it before the next block's temporaries are allocated
     return float(ll - 0.5 * (penalty * w) @ w), grad - penalty * w, hess + np.diag(penalty)
 
 
@@ -243,17 +278,22 @@ class NuisanceFit:
 def fit_nuisances(phi, rows, a, y, config: NuisanceConfig) -> NuisanceFit:
     """Propensity and per-arm outcome fits on the feature rows phi[rows],
     phi = Phi(x), with their treatments a and outcomes y; phi is left as it
-    is. Each arm's rows are gathered from phi for its outcome fit, and the
-    propensity fit's copy phi[rows] only after both, so no arm copy is alive
-    beside it."""
+    is, since the fits run on the gathered copy phi[rows]."""
+    return _fit_in_place(phi[rows], a, y, config)
+
+
+def _fit_in_place(phi, a, y, config: NuisanceConfig) -> NuisanceFit:
+    """fit_nuisances on every row of phi, which the propensity fit
+    standardises in place: pass rows nothing reads afterwards. Each arm's
+    outcome fit gathers its rows from phi a block at a time, before that."""
     a = np.asarray(a).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     treated = a == 1
     if treated.all() or (~treated).all():
         raise DegenerateTreatment("both treatment arms are required to fit nuisances")
-    outcome_coef_treated = fit_outcome(phi[rows[treated]], y[treated], config.lambda_out)
-    outcome_coef_control = fit_outcome(phi[rows[~treated]], y[~treated], config.lambda_out)
-    propensity_coef, lambda_prop = fit_propensity(phi[rows], a, config.lambda_prop)
+    outcome_coef_treated = fit_outcome(phi, y, config.lambda_out, treated)
+    outcome_coef_control = fit_outcome(phi, y, config.lambda_out, ~treated)
+    propensity_coef, lambda_prop = fit_propensity(phi, a, config.lambda_prop)
     return NuisanceFit(
         propensity_coef=propensity_coef,
         outcome_coef_treated=outcome_coef_treated,
@@ -279,14 +319,24 @@ class CrossFit:
     @classmethod
     def from_fits(cls, folds: FoldAssignment, per_fold, phi) -> "CrossFit":
         """Predict each fold's rows of phi = Phi(ds.x) with its fold fit."""
-        n = phi.shape[0]
+        return cls._predicting(folds, per_fold, lambda rows: phi[rows])
+
+    @classmethod
+    def _predicting(cls, folds: FoldAssignment, per_fold, features) -> "CrossFit":
+        """Predict every row with its fold's fit, a block of _IRLS_BLOCK rows
+        at a time: features(rows) gives the feature rows of the slice rows,
+        and each fold's rows in the block are gathered from them. Up to
+        _IRLS_BLOCK rows each fold predicts its rows at once."""
+        n = folds.fold_of.size
         e, m1, m0 = np.empty(n), np.empty(n), np.empty(n)
-        for k, fit in enumerate(per_fold):
-            idx = folds.indices(k)
-            rows = phi[idx]
-            e[idx] = fit.predict_propensity(rows)
-            m1[idx] = fit.predict_outcome(rows, 1)
-            m0[idx] = fit.predict_outcome(rows, 0)
+        for rows in _row_blocks(n):
+            phi, fold_of = features(rows), folds.fold_of[rows]
+            for k, fit in enumerate(per_fold):
+                held_out = fold_of == k
+                x_k = np.compress(held_out, phi, axis=0)
+                e[rows][held_out] = fit.predict_propensity(x_k)
+                m1[rows][held_out] = fit.predict_outcome(x_k, 1)
+                m0[rows][held_out] = fit.predict_outcome(x_k, 0)
         for arr in (e, m1, m0):
             arr.setflags(write=False)
         return cls(folds=folds, per_fold=per_fold, e_hat=e, m1_hat=m1, m0_hat=m0)
@@ -295,19 +345,39 @@ class CrossFit:
 def cross_fit(ds: Dataset, k, config: NuisanceConfig, rng: Rng) -> CrossFit:
     """K-fold cross-fitting: fit nuisances on each fold's complement.
 
-    Phi(ds.x) is built once; each fold fit gathers its own copies of its
-    training rows, and the held-out predictions are made here, once.
+    One fold design is alive at a time: each fold builds Phi of its own
+    training rows, which its fits consume. After the last fold the held-out
+    predictions build Phi a block of rows at a time, so Phi(ds.x) is never
+    built whole above _IRLS_BLOCK rows.
     """
     folds = make_folds(ds.n, k, rng)
-    phi = feature_matrix(ds.x)
-    fits = []
-    for fold in range(k):
-        idx = folds.complement(fold)
-        a_train = ds.a[idx]
-        if np.all(a_train == a_train[0]):
-            raise FoldArmCollapse(
-                f"training complement of fold {fold} contains a single treatment arm",
-                fold=fold,
-            )
-        fits.append(fit_nuisances(phi, idx, a_train, ds.y[idx], config))
-    return CrossFit.from_fits(folds, fits, phi)
+    fits = [_fit_fold(ds, folds, fold, config) for fold in range(k)]
+    return CrossFit._predicting(folds, fits, lambda rows: feature_matrix(ds.x[rows]))
+
+
+def _features_of_rows(x, idx):
+    """Phi(x[idx]). Above _IRLS_BLOCK rows it is filled a block of rows at
+    a time, so the covariates gathered beside it are one block's."""
+    if idx.size <= _IRLS_BLOCK:
+        return feature_matrix(x[idx])
+    phi = np.empty((idx.size, _n_features(x.shape[1])))
+    for rows in _row_blocks(idx.size):
+        _fill_features(x[idx[rows]], phi[rows])
+    return phi
+
+
+def _fit_fold(ds: Dataset, folds: FoldAssignment, fold, config: NuisanceConfig) -> NuisanceFit:
+    """Nuisance fits on the training complement of fold `fold`. Phi of its
+    rows is built while only their indices are alive beside it, and the
+    indices are dropped once the rows' treatments and outcomes are gathered,
+    so the fits hold Phi and those two columns."""
+    idx = folds.complement(fold)
+    phi = _features_of_rows(ds.x, idx)
+    a, y = ds.a[idx], ds.y[idx]
+    del idx
+    if np.all(a == a[0]):
+        raise FoldArmCollapse(
+            f"training complement of fold {fold} contains a single treatment arm",
+            fold=fold,
+        )
+    return _fit_in_place(phi, a, y, config)

@@ -20,6 +20,7 @@ TOMS 12:377); the tests hold each against scipy.
 """
 
 import ctypes
+import functools
 import math
 import os
 from contextlib import contextmanager
@@ -178,19 +179,28 @@ class OptimizerConfig:
             raise DomainError("batch_size must be >= 1")
 
 
-def cholesky_factor(a):
+def cholesky_factor(a, in_place=False):
     """Lower Cholesky factor of an SPD matrix with jitter escalation.
 
     Returns (L, jitter_used). Raises NotPositiveDefinite once the jitter
     ceiling is passed, and DomainError for non-square or asymmetric input.
     Only the lower triangle is read once the symmetry test has passed.
 
-    The input is copied once, the jitter added to the copy's diagonal, and
-    the copy factored in place by diagonal blocks (_factor_in_place; one
-    np.linalg.cholesky call below 2 _CHOL_BLOCK rows), so the call holds
-    two n x n arrays, the input and the factor, where np.linalg.cholesky
-    on a large matrix holds a third, its LAPACK working copy. Each jitter
-    retry starts again from a fresh copy of the input.
+    The input is copied once, the jitter added to the copy's diagonal, the
+    copy factored in its lower triangle by diagonal blocks
+    (_factor_in_place; one np.linalg.cholesky call below 2 _CHOL_BLOCK
+    rows) and its strict upper triangle zeroed, so the call holds two n x n
+    arrays, the input and the factor, where np.linalg.cholesky on a large
+    matrix holds a third, its LAPACK working copy. Each jitter retry starts
+    again from a fresh copy of the input.
+
+    in_place=True factors the float array a itself and holds no other
+    n x n array: a's lower triangle, diagonal included, is overwritten with
+    the factor and a is returned as L, while its strict upper triangle keeps
+    a's values. Read that L through its lower triangle only, as
+    solve_triangular does, and put a back with restore_lower(a, diag) from
+    its diagonal saved beforehand; that is exact because a must then be
+    symmetric bit for bit. Each jitter retry restores a the same way first.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -198,58 +208,101 @@ def cholesky_factor(a):
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     n = a.shape[0]
-    if (
-        n
-        and not np.array_equal(a, a.T)  # exact test first: no float temporaries
-        and np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a)))
-    ):
-        raise DomainError("matrix is not symmetric within tolerance 1e-10")
+    if n and not np.array_equal(a, a.T):  # exact test first: no float temporaries
+        if in_place:
+            raise DomainError("an in-place factor needs a matrix symmetric bit for bit")
+        if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+            raise DomainError("matrix is not symmetric within tolerance 1e-10")
 
+    diag = a.diagonal().copy() if in_place else None
     jitter = 0.0
     while True:
+        mat = a if in_place else a.copy()
+        mat.flat[:: n + 1] += jitter  # the diagonal of a + jitter I, rounded alike
         try:
-            mat = a.copy()
-            mat.flat[:: n + 1] += jitter  # the diagonal of a + jitter I, rounded alike
-            return _factor_in_place(mat), jitter
+            _factor_in_place(mat, keep_upper=in_place)
         except np.linalg.LinAlgError:
+            if in_place:
+                restore_lower(a, diag)
             jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
             if jitter > _JITTER_CEILING:
                 raise NotPositiveDefinite(
                     f"matrix not positive definite after jitter escalation to {_JITTER_CEILING:g}"
                 ) from None
+            continue
+        return mat, jitter
 
 
-def _factor_in_place(a):
+@functools.lru_cache(maxsize=256)
+def _tri_mask(m, k=0):
+    """Read-only boolean mask of an m x m matrix's entries on and below its
+    k-th diagonal (np.tri), built once per size for the blocked loops."""
+    mask = np.tri(m, k=k, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _block_bounds(n):
+    """Bounds of the n // _CHOL_BLOCK diagonal blocks of near equal size
+    (one block below 2 _CHOL_BLOCK rows) that split n rows."""
+    k = max(1, n // _CHOL_BLOCK)
+    return [n * i // k for i in range(k + 1)]
+
+
+def _factor_in_place(a, keep_upper=False):
     """Overwrite the symmetric matrix a with its lower Cholesky factor,
     left-looking by diagonal blocks (Golub & Van Loan 2013, sec. 4.2), and
-    return it. The rows are split into n // _CHOL_BLOCK blocks of near
-    equal size (one block below 2 _CHOL_BLOCK rows, which is one
-    np.linalg.cholesky call). For each block column: subtract the product
-    of the factor rows already computed (one matrix product), factor the
-    diagonal block with np.linalg.cholesky, solve the rows below it against
-    that block's transpose, and zero the block rows' upper triangle. Raises
+    return it. For each block column: subtract the product of the factor
+    rows already computed (one matrix product), factor the diagonal block
+    with np.linalg.cholesky, which reads its lower triangle, and solve the
+    rows below it against that block's transpose. Raises
     np.linalg.LinAlgError when a diagonal block is not positive definite.
     Temporaries are one block column in size.
+
+    The strict upper triangle is zeroed block row by block row, or, with
+    keep_upper, neither read nor written: only the lower triangle of each
+    diagonal block's update and factor is written, and a is L only through
+    its lower triangle.
     """
-    n = a.shape[0]
-    k = max(1, n // _CHOL_BLOCK)
-    bounds = [n * i // k for i in range(k + 1)]
+    bounds = _block_bounds(a.shape[0])
     for s, e in zip(bounds[:-1], bounds[1:]):
         panel = a[s:, s:e]
+        block, below = panel[: e - s], panel[e - s:]
+        written = _tri_mask(e - s) if keep_upper else True
         if s:
-            panel -= a[s:, :s] @ a[s:e, :s].T
-        diag = np.linalg.cholesky(panel[: e - s])
-        panel[: e - s] = diag
-        if e < n:
+            update = a[s:, :s] @ a[s:e, :s].T
+            np.subtract(block, update[: e - s], out=block, where=written)
+            below -= update[e - s:]
+            del update
+        diag = np.linalg.cholesky(block)
+        np.copyto(block, diag, where=written)
+        if below.size:
             # rows below: L_below = A_below L_diag^-T
-            panel[e - s:] = solve_triangular(diag, panel[e - s:].T, lower=True).T
-            a[s:e, e:] = 0.0
+            below[...] = solve_triangular(diag, below.T, lower=True).T
+            if not keep_upper:
+                a[s:e, e:] = 0.0
     return a
 
 
+def restore_lower(a, diag):
+    """Copy the strict upper triangle of the square matrix a into its strict
+    lower triangle and put diag on its diagonal, in place: this undoes
+    cholesky_factor(a, in_place=True) on a matrix that was symmetric bit for
+    bit, with diag its diagonal saved before the call. Temporaries are one
+    diagonal block in size."""
+    bounds = _block_bounds(a.shape[0])
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        a[s:e, :s] = a[:s, s:e].T
+        block = a[s:e, s:e]
+        np.copyto(block, block.T.copy(), where=_tri_mask(e - s, -1))
+    a.flat[:: a.shape[0] + 1] = diag
+
+
 def solve_triangular(a, b, lower=False):
-    """Solve A X = B for a triangular A with a nonzero diagonal whose other
-    triangle holds zeros, such as a Cholesky factor or its transpose.
+    """Solve A X = B for a triangular A with a nonzero diagonal, such as a
+    Cholesky factor or its transpose. Only the triangle solved with is
+    read, so the other may hold anything (cholesky_factor's in-place factor
+    keeps the input there).
 
     Left-looking block substitution: for each diagonal block of at most
     _TRI_BLOCK rows, the rows already solved are taken off the block's rows
@@ -267,7 +320,10 @@ def solve_triangular(a, b, lower=False):
     for s in starts if lower else reversed(starts):
         e = min(s + _TRI_BLOCK, n)
         solved = slice(0, s) if lower else slice(e, n)
-        x[s:e] = np.linalg.inv(a[s:e, s:e]) @ (rhs[s:e] - a[s:e, solved] @ x[solved])
+        # the diagonal block's triangle, as np.tril or np.triu gives it
+        mask = _tri_mask(e - s)
+        block = np.where(mask if lower else mask.T, a[s:e, s:e], 0.0)
+        x[s:e] = np.linalg.inv(block) @ (rhs[s:e] - a[s:e, solved] @ x[solved])
     return x.reshape(b.shape)
 
 

@@ -259,7 +259,8 @@ class TestNuisanceMemo:
         _ate_cells(spec, [Strategy.IPW, Strategy.DR])
         assert built == []
         _ate_cells(spec, [Strategy.DR], seed=62)
-        assert built == [80] * 3 and len(fit_calls) == 6
+        # per repetition: each of 5 folds' 64 training rows, then all 80 rows
+        assert built == ([64] * 5 + [80]) * 3 and len(fit_calls) == 6
 
     def test_failed_cross_fits_are_fitted_once(self, fit_calls):
         # D6 at a tiny n collapses an arm in some training complements; the

@@ -357,9 +357,9 @@ class TestFitCommand:
         if engine == "exact-gp":
             factor = gibbs_cate.cholesky_factor
 
-            def counting(a):
+            def counting(a, *args, **kwargs):
                 full_fits[0] += a.shape[0] == n
-                return factor(a)
+                return factor(a, *args, **kwargs)
 
             monkeypatch.setattr(gibbs_cate, "cholesky_factor", counting)
         else:

@@ -1,5 +1,7 @@
 import os
+import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +198,55 @@ class TestCsv:
         with pytest.raises(ParseError, match="could not parse 'oops'") as err:
             read_csv(path)
         assert (err.value.row, err.value.col) == (2501, 2)
+
+    @pytest.mark.parametrize("fault, message, col", [
+        ("cell", "could not parse 'oops'", 2),
+        ("separator", "could not parse '\\x1c", 1),
+        ("short", "expected 4 fields, found 3", 3),
+    ])
+    def test_fault_in_a_later_chunk_names_its_file_row(self, tmp_path, fault, message, col):
+        path = tmp_path / "chunks.csv"
+        self._normal_csv(path, 12000, 17)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        offsets = np.cumsum([len(line) + 1 for line in lines[1:]])
+        i = 1 + int(np.searchsorted(offsets, 1.5 * dataset._CSV_CHUNK))  # in the second chunk
+        parts = lines[i].split(",")
+        if fault == "cell":
+            parts[1] = "oops"
+        elif fault == "separator":
+            parts[0] = "\x1c" + parts[0]
+        else:
+            parts.pop()
+        lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            read_csv(path)
+        assert (err.value.row, err.value.col) == (i + 1, col)
+        with pytest.raises(ParseError) as whole:
+            _loop_read(path)  # the row-by-row parse of the whole body
+        assert str(err.value) == str(whole.value)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "x1,a,y\n1.0,1,2.5\n-3.0,0,0.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        got, want = read_csv(marked), read_csv(plain)
+        for name in ("x", "a", "y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_read_holds_about_one_table(self, tmp_path):
+        path = tmp_path / "big.csv"
+        n = 100_000
+        self._normal_csv(path, n, 18)
+        tracemalloc.start()
+        try:
+            ds = read_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n == n
+        assert peak <= 2.5 * n * (ds.d + 2) * 8
 
     @pytest.mark.parametrize("last_cell", ["2.5", "2_5"], ids=["vectorised", "loop"])
     def test_file_without_trailing_newline(self, tmp_path, last_cell):

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbcausal import gibbs_cate
+from gbcausal import gibbs_cate, numerics
 from gbcausal.dgp import default_spec, generate
-from gbcausal.errors import DomainError
+from gbcausal.errors import DomainError, NotPositiveDefinite
 from gbcausal.gibbs_cate import (
     KernelParams,
     check_exact_n,
@@ -286,7 +291,7 @@ class TestExactGpResampler:
         x, values, query = self._problem()
         fit = exact_gp_resampler(KernelParams(), x, values, query)
 
-        def failing(a):
+        def failing(a, *args, **kwargs):
             raise RuntimeError("factor failed")
 
         monkeypatch.setattr(gibbs_cate, "cholesky_factor", failing)
@@ -294,6 +299,69 @@ class TestExactGpResampler:
             fit(np.arange(x.shape[0]), 0.6)
         monkeypatch.undo()
         self._assert_k_xx_intact(fit, x, values, query)
+
+    @pytest.mark.parametrize("failures", [0, 1, 99], ids=["factor", "jitter_retry", "failed"])
+    def test_full_row_fit_leaves_k_xx_bitwise_unchanged(self, monkeypatch, failures):
+        # each failed factor has overwritten the lower triangle before it
+        # raises; the fit puts k(x, x) back from the upper triangle all the same
+        x, values, query = self._problem(300)
+        built = []
+        kernel = gibbs_cate.kernel_matrix
+        monkeypatch.setattr(gibbs_cate, "kernel_matrix",
+                            lambda *args: built.append(kernel(*args)) or built[-1])
+        fit = exact_gp_resampler(KernelParams(), x, values, query)
+        k_xx = built[0]
+        assert k_xx.shape == (300, 300)
+        before = k_xx.copy()
+        factor, calls = numerics._factor_in_place, []
+
+        def flaky(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            factor(a, *args, **kwargs)
+            if len(calls) <= failures:
+                raise np.linalg.LinAlgError("flaky")
+            return a
+
+        monkeypatch.setattr(numerics, "_factor_in_place", flaky)
+        levels = 8  # jitter 0, then 1e-10 .. 1e-4
+        if failures >= levels:
+            with pytest.raises(NotPositiveDefinite):
+                fit(np.arange(300), 0.6)
+        else:
+            fit(np.arange(300), 0.6)
+        assert len(calls) == min(failures + 1, levels)
+        assert k_xx.tobytes() == before.tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
+    def test_full_row_fit_holds_one_n_by_n_array(self):
+        # In a fresh process the growth of the peak resident set (VmHWM) over
+        # the resampler and its full-row fit is k(x, x) and block temporaries:
+        # the fit factors k(x, x) in its own lower triangle
+        n = 1500
+        script = textwrap.dedent(f"""
+            import numpy as np
+            from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler
+            from gbcausal.numerics import Rng, blas_threads
+
+            def peak():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) * 1024 for line in fh
+                                if line.startswith("VmHWM:"))
+
+            x, values, query = Rng(63).normal(({n}, 3)), Rng(64).normal({n}), Rng(65).normal((50, 3))
+            with blas_threads(1):
+                before = peak()
+                fit = exact_gp_resampler(KernelParams(family="Matern52"), x, values, query)
+                fit(np.arange({n}), 1.0)
+                print(peak() - before)
+        """)
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 1.4 * 8 * n * n
 
     def test_full_row_fit_holds_at_most_three_n_by_n_arrays(self):
         # k(x, x) and the factor are the arrays tracemalloc sees; LAPACK's

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,7 +227,8 @@ def _unblocked_propensity(phi, a, lam=None, max_iter=100, tol=1e-8):
         p = numerics.expit(design @ w)
         grad = design.T @ (a - p) - penalty * w
         wgt = np.maximum(p * (1.0 - p), 1e-10)
-        hess = design.T @ (design * wgt[:, None]) + np.diag(penalty)
+        s = design * np.sqrt(wgt)[:, None]
+        hess = s.T @ s + np.diag(penalty)
         delta = cholesky_solve(hess, grad)
         if grad @ delta <= tol:
             w = w + delta
@@ -285,6 +287,41 @@ class TestBlockedIrls:
         assert got.lambda_prop == want.lambda_prop
 
 
+class TestEvidencePenaltyBlocks:
+    """_evidence_penalty sums Z^T (a - a-bar) a row block at a time; with
+    one block of every row it is the unblocked sum it replaced."""
+
+    @staticmethod
+    def _problem(n):
+        x = Rng(94, n).normal((n, 3))
+        a = Rng(95, n).bernoulli(expit(0.8 * x[:, 0] - 0.5 * x[:, 1] * x[:, 2]))
+        design = nuisance._standardised_design(feature_matrix(x))[0]
+        return design[:, :-1], a
+
+    @staticmethod
+    def _unblocked(monkeypatch, z, a):
+        monkeypatch.setattr(nuisance, "_IRLS_BLOCK", 10**9)
+        try:
+            return nuisance._evidence_penalty(z, a)
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n", [800, nuisance._IRLS_BLOCK])
+    def test_one_block_is_the_unblocked_sum(self, monkeypatch, n):
+        z, a = self._problem(n)
+        lam, slopes = nuisance._evidence_penalty(z, a)
+        want_lam, want_slopes = self._unblocked(monkeypatch, z, a)
+        assert lam == want_lam
+        assert slopes.tobytes() == want_slopes.tobytes()
+
+    def test_several_blocks_within_1e_12(self, monkeypatch):
+        z, a = self._problem(20_000)
+        lam, slopes = nuisance._evidence_penalty(z, a)
+        want_lam, want_slopes = self._unblocked(monkeypatch, z, a)
+        assert abs(lam - want_lam) <= 1e-12 * want_lam
+        assert np.max(np.abs(slopes - want_slopes)) <= 1e-12 * np.max(np.abs(want_slopes))
+
+
 def _two_pass_propensity(phi, a, lam=None, max_iter=100, tol=1e-8, passes=None):
     """Reference: fit_propensity as it was with separate passes over the
     rows, one for the gradient and Hessian at each accepted point and one
@@ -305,7 +342,8 @@ def _two_pass_propensity(phi, a, lam=None, max_iter=100, tol=1e-8, passes=None):
             p = numerics.expit(block @ w)
             wgt = np.maximum(p * (1.0 - p), 1e-10)
             grad = grad + block.T @ (a[rows] - p)
-            hess = hess + block.T @ (block * wgt[:, None])
+            s = block * np.sqrt(wgt)[:, None]
+            hess = hess + s.T @ s
         return grad, hess
 
     passes = [] if passes is None else passes
@@ -536,6 +574,22 @@ class TestCrossFit:
             np.testing.assert_array_equal(m1[idx], fit.predict_outcome(phi, 1))
             np.testing.assert_array_equal(m0[idx], fit.predict_outcome(phi, 0))
 
+    def test_holds_about_one_fold_design(self):
+        # one fold's Phi of its training rows is alive at a time, and Phi of
+        # every row is never built
+        n, k = 100_000, 5
+        x = Rng(32).normal((n, 2))
+        a = Rng(33).bernoulli(expit(0.5 * x[:, 0] - 0.25 * x[:, 1]))
+        ds = Dataset(x=x, a=a, y=1.0 + x[:, 0] + a + Rng(34).normal(n))
+        tracemalloc.start()
+        try:
+            cross_fit(ds, k, NuisanceConfig(), Rng(35))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        design = (n - n // k) * (3 * ds.d + 2) * 8
+        assert peak <= 2.2 * design
+
     def test_feature_map_is_built_once_per_cross_fit(self, monkeypatch):
         calls = []
         original = nuisance.feature_matrix
@@ -547,5 +601,6 @@ class TestCrossFit:
         monkeypatch.setattr(nuisance, "feature_matrix", counting)
         ds = generate(default_spec("D8"), 200, Rng(30))
         cf = cross_fit(ds, 5, NuisanceConfig(), Rng(31))
-        assert calls == [ds.x.shape]
+        # one build per fold of its 160 training rows, then one of every row
+        assert calls == [(160, ds.d)] * 5 + [ds.x.shape]
         assert len(cf.per_fold) == 5

@@ -23,6 +23,7 @@ from gbcausal.numerics import (
     cholesky_solve,
     gaussian_tv,
     normal_quantile,
+    restore_lower,
     solve_triangular,
 )
 
@@ -213,6 +214,55 @@ class TestBlockedCholesky:
                               env=env)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) <= 1.3 * 8 * n * n
+
+
+
+class TestInPlaceCholesky:
+    @pytest.mark.parametrize("n", [200, 255, 256, 700, 1500])
+    def test_lower_triangle_is_the_copying_factor(self, n):
+        a = _kernel_spd(n, 9)
+        want, _ = cholesky_factor(a)
+        mat = a.copy()
+        chol, jitter = cholesky_factor(mat, in_place=True)
+        assert chol is mat and jitter == 0.0
+        assert np.tril(chol).tobytes() == want.tobytes()
+        assert np.triu(chol, 1).tobytes() == np.triu(a, 1).tobytes()
+
+    @pytest.mark.parametrize("smallest, jitter", [(0.5, 0.0), (-5e-8, 1e-7), (-1e-3, None)])
+    def test_restore_lower_puts_the_input_back(self, smallest, jitter):
+        # a jitter retry, and a failure past the ceiling, restore the input
+        # themselves; a factor is undone by restore_lower
+        a = _spectrum_spd(300, smallest, 10)
+        mat, diag = a.copy(), a.diagonal().copy()
+        if jitter is None:
+            with pytest.raises(NotPositiveDefinite):
+                cholesky_factor(mat, in_place=True)
+        else:
+            chol, got = cholesky_factor(mat, in_place=True)
+            want, want_jitter = cholesky_factor(a)
+            assert got == want_jitter == pytest.approx(jitter, rel=1e-9)
+            assert np.tril(chol).tobytes() == want.tobytes()
+            restore_lower(mat, diag)
+        assert mat.tobytes() == a.tobytes()
+
+    def test_needs_a_matrix_symmetric_bit_for_bit(self):
+        a = _kernel_spd(40, 11)
+        a[3, 1] = np.nextafter(a[3, 1], 1.0)
+        cholesky_factor(a)  # within the tolerance of the copying factor
+        with pytest.raises(DomainError, match="symmetric bit for bit"):
+            cholesky_factor(a, in_place=True)
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_solve_triangular_reads_one_triangle(self, lower):
+        n = 100
+        q = Rng(12, n).normal((n, n))
+        chol = np.linalg.cholesky(q @ q.T + n * np.eye(n))
+        a = chol if lower else chol.T
+        filled = a.copy(order="K")  # the same memory layout, so the same products
+        filled[np.triu_indices(n, 1) if lower else np.tril_indices(n, -1)] = np.nan
+        b = Rng(13, n).normal((n, 3))
+        got = solve_triangular(filled, b, lower=lower)
+        assert got.tobytes() == solve_triangular(a, b, lower=lower).tobytes()
 
 
 def ulps_apart(a, b):
