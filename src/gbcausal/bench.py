@@ -181,7 +181,8 @@ _WILSON_Z = 1.959963984540054  # 95% confidence on the coverage estimate
 def _run_cell(cell: Cell, r_reps, parallelism, strategy_label) -> BenchReport:
     """Run r_reps repetitions of a cell and fold them, in rep order, into
     one report: coverage is hits over points with a Wilson interval, and
-    repetitions that raised a NumericError count as failures."""
+    repetitions that raised a NumericError count as failures. A cell with no
+    successful repetition is not faithful."""
     if r_reps < 2:
         raise DomainError("r_reps must be >= 2")
     fits = _memo_fits(cell)
@@ -205,7 +206,7 @@ def _run_cell(cell: Cell, r_reps, parallelism, strategy_label) -> BenchReport:
         coverage_ci=ci,
         mean_length=float(np.mean(lengths)),
         sd_length=float(np.std(lengths, ddof=1)) if total > 1 else 0.0,
-        faithful=ci[1] >= 1.0 - cell.alpha,
+        faithful=total > 0 and ci[1] >= 1.0 - cell.alpha,
         failures=len(outcomes) - total,
         alpha=cell.alpha,
         runs=tuple(runs),
@@ -377,7 +378,8 @@ def reports_to_markdown(reports, alpha=0.05) -> str:
     """Two tables mirroring the coverage / masked-length report layout:
     bold marks the lowest score of a row, that is the strategy closest to
     nominal coverage (respectively the narrowest faithful interval; an
-    unfaithful one scores None); unfaithful entries are struck through."""
+    unfaithful one scores None, as does a cell without a successful
+    repetition); unfaithful entries are struck through."""
     strategies = list(dict.fromkeys(r.strategy for r in reports))
     row_keys = list(dict.fromkeys((r.dataset_id, r.n) for r in reports))
     by_cell = {(r.dataset_id, r.n, r.strategy): r for r in reports}
@@ -406,7 +408,7 @@ def reports_to_markdown(reports, alpha=0.05) -> str:
     cov = table(
         f"### Coverage of the {nominal:.0%} credible interval",
         lambda r: f"{r.coverage:.3f} ({r.coverage_ci[0]:.3f}, {r.coverage_ci[1]:.3f})",
-        lambda r: abs(r.coverage - nominal),
+        lambda r: abs(r.coverage - nominal) if r.r_total else None,
     )
     lengths = table(
         "### Mean CrI length (sd) across repetitions",

@@ -52,11 +52,14 @@ def gpc_search(coverage_fn, omega0, alpha, max_iter) -> CalibrationResult:
     """Solve coverage_fn(omega) = 1 - alpha on the log-omega scale.
 
     `coverage_fn(omega)` is the bootstrap coverage of the (1 - alpha)
-    credible set: a deterministic step function, falling in omega. From
-    omega0, log omega steps by 1 toward nominal until the coverage gap
+    credible set, a deterministic step function assumed falling in omega.
+    An informative prior can break that: the posterior tends to the prior
+    as omega -> 0, so coverage may rise, then fall, and peak below nominal.
+    From omega0, log omega steps by 1 toward nominal until the coverage gap
     changes sign, then Illinois-secant closes the bracket. Every evaluation
     counts against max_iter. Returns the evaluated omega whose coverage is
-    closest to nominal (the latest on ties), with that coverage.
+    closest to nominal (the latest on ties), with that coverage, and
+    converged=False if it is not within COVERAGE_TOL of nominal.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")

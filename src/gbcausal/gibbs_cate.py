@@ -50,31 +50,6 @@ class KernelParams:
 DEFAULT_KERNEL = KernelParams()
 
 
-def _row_blocks(shape):
-    """Row slices of a matrix of this shape, each covering about
-    _BLOCK_ENTRIES entries, for elementwise passes whose temporaries stay
-    a block in size."""
-    step = max(1, _BLOCK_ENTRIES // max(1, shape[1]))
-    return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
-
-
-def _pairwise_dist(xa, xb):
-    """Euclidean distances sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0)) between the
-    rows of xa and xb, computed in the buffer of the cross products a.b."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    sq_a = np.sum(xa**2, axis=1)
-    sq_b = np.sum(xb**2, axis=1)
-    r = xa @ xb.T
-    for rows in _row_blocks(r.shape):
-        blk = r[rows]
-        blk *= -2.0  # exact, so the sum below rounds as (|a|^2 + |b|^2) - 2 a.b
-        blk += sq_a[rows, None] + sq_b
-        np.maximum(blk, 0.0, out=blk)
-        np.sqrt(blk, out=blk)
-    return r
-
-
 def kernel_matrix(params: KernelParams, xa, xb=None) -> np.ndarray:
     """Covariance matrix k(xa, xb). The one-argument Gram form k(xa, xa)
     carries the jitter on its diagonal; a call that passes xb never does,
@@ -83,18 +58,29 @@ def kernel_matrix(params: KernelParams, xa, xb=None) -> np.ndarray:
     Matern-5/2: v (1 + sqrt5 r/l + 5 r^2 / (3 l^2)) exp(-sqrt5 r/l)
     RBF:        v exp(-r^2 / (2 l^2))
 
-    The distances are turned into covariances in place, a block of rows at
-    a time, so the build holds one full-size array.
+    with r = sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0)). The products a.b become
+    distances, then covariances, in place, one pass per block of about
+    _BLOCK_ENTRIES entries. With xb None or xa itself, the product is
+    xa @ xa.T of one contiguous array, which is symmetric bit for bit.
     """
-    k = _pairwise_dist(xa, xa if xb is None else xb)
-    for rows in _row_blocks(k.shape):
-        r = k[rows]
+    gram, same = xb is None, xb is None or xb is xa
+    xa = np.atleast_2d(np.ascontiguousarray(xa, dtype=float))
+    xb = xa if same else np.atleast_2d(np.asarray(xb, dtype=float))
+    sq_a, sq_b = np.sum(xa**2, axis=1), np.sum(xb**2, axis=1)
+    k = xa @ xb.T
+    step = max(1, _BLOCK_ENTRIES // max(1, k.shape[1]))
+    for lo in range(0, k.shape[0], step):
+        r = k[lo : lo + step]
+        r *= -2.0  # exact, so the sum below rounds as (|a|^2 + |b|^2) - 2 a.b
+        r += sq_a[lo : lo + step, None] + sq_b
+        np.maximum(r, 0.0, out=r)
+        np.sqrt(r, out=r)
         if params.family == "Matern52":
             s = _SQRT5 * r / params.lengthscale
             np.multiply(params.variance * (1.0 + s + s**2 / 3.0), np.exp(-s), out=r)
         else:
             np.multiply(params.variance, np.exp(-(r**2) / (2.0 * params.lengthscale**2)), out=r)
-    if xb is None:
+    if gram:
         k.flat[:: k.shape[0] + 1] += params.jitter
     return k
 
@@ -171,10 +157,11 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     n x n array. It adds the noise to the diagonal of k(x, x), factors it
     in its own lower triangle (cholesky_factor's in_place mode, which keeps
     the strict upper triangle), solves with that triangle and then restores
-    the lower triangle from the upper and the saved diagonal, exactly,
-    since k(x, x) is symmetric bit for bit. Any other fit gathers its u x u
-    Gram matrix and factors that gathered copy the same way. The D9 fit at
-    the n = 2000 guard peaks at about 76 MB RSS.
+    the lower triangle from the upper and the saved diagonal. That is exact
+    because kernel_matrix(params, x, x) is symmetric bit for bit; were it
+    not, the in-place factor would raise DomainError. Any other fit gathers
+    its u x u Gram matrix and factors that gathered copy the same way. The
+    D9 fit at the n = 2000 guard peaks at about 76 MB RSS.
 
     The full-data fit (rows 0..n-1 in order) is computed once per omega
     and kept (see _keep_full_fits).
@@ -183,11 +170,6 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     n = x.shape[0]
     check_exact_n(n)
     k_xx = kernel_matrix(params, x, x)
-    if not np.array_equal(k_xx, k_xx.T):
-        # a full-row fit restores the lower triangle from the upper one: copy
-        # the lower over the upper should the BLAS round x @ x.T unevenly,
-        # which the kernels measured do not
-        restore_lower(k_xx.T, k_xx.diagonal().copy())
     # row i: [values[i] | k(x_query, x[i])], gathered by each fit
     stacked = np.column_stack([values, kernel_matrix(params, x_query, x).T])
 

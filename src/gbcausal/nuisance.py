@@ -2,12 +2,12 @@
 per-arm ridge outcome regressions (T-learner), and K-fold cross-fitting.
 
 All models share one fixed feature map Phi(X) = [X, X^2, sin(X), x_extra, 1]
-with x_extra = X1*X2 for d >= 2 and X1^3 for d = 1. Phi is computed row by
-row, so the fits and predictions take feature rows, not covariates, and Phi
-of some rows is bit-identical to those rows of Phi(X). ``cross_fit`` never
-builds Phi(X) whole above a block of rows: each fold builds Phi of its own
-training rows, one fold at a time, and the held-out predictions build Phi
-a block of rows at a time after the last fold.
+with x_extra = X1*X2 for d >= 2 and X1^3 for d = 1, built by
+``feature_matrix`` alone. Phi is computed row by row, so the fits take
+feature rows, not covariates, and Phi of some rows is bit-identical to those
+rows of Phi(X). ``cross_fit`` never builds Phi(X) whole above a block of
+rows: each fold builds Phi of its own training rows, one fold at a time, and
+``CrossFit.from_fits`` predicts the held-out rows a block at a time.
 
 The propensity is fit on the non-constant columns of Phi standardised by
 the training rows' own statistics, with an unpenalised intercept and a slope
@@ -26,30 +26,6 @@ import numpy as np
 from .dataset import Dataset, FoldAssignment, make_folds
 from .errors import DegenerateTreatment, DomainError, EmptyArm, FoldArmCollapse
 from .numerics import Rng, cholesky_solve, expit, logit
-
-
-def _n_features(d):
-    return 3 * d + 2
-
-
-def feature_matrix(x) -> np.ndarray:
-    """(n, 3d+2) feature matrix: [X, X^2, sin(X), x_extra, 1]."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return _fill_features(x, np.empty((x.shape[0], _n_features(x.shape[1]))))
-
-
-def _fill_features(x, phi):
-    """Write feature_matrix(x) into phi, one column group at a time."""
-    d = x.shape[1]
-    phi[:, :d] = x
-    np.multiply(x, x, out=phi[:, d : 2 * d])
-    np.sin(x, out=phi[:, 2 * d : 3 * d])
-    if d >= 2:
-        np.multiply(x[:, 0], x[:, 1], out=phi[:, 3 * d])
-    else:
-        phi[:, 3 * d] = x[:, 0] ** 3
-    phi[:, -1] = 1.0
-    return phi
 
 
 @dataclass(frozen=True)
@@ -80,6 +56,27 @@ _IRLS_BLOCK = 8192
 
 def _row_blocks(n):
     return (slice(lo, lo + _IRLS_BLOCK) for lo in range(0, n, _IRLS_BLOCK))
+
+
+def feature_matrix(x, idx=None) -> np.ndarray:
+    """(n, 3d+2) feature matrix Phi(x[idx]) = [X, X^2, sin(X), x_extra, 1] of
+    the rows idx of x (every row when None). It is filled a block of
+    _IRLS_BLOCK rows at a time, one column group after another, so the
+    covariates gathered beside it are one block's."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    d = x.shape[1]
+    phi = np.empty((x.shape[0] if idx is None else idx.size, 3 * d + 2))
+    for rows in _row_blocks(phi.shape[0]):
+        xb, out = x[rows if idx is None else idx[rows]], phi[rows]
+        out[:, :d] = xb
+        np.multiply(xb, xb, out=out[:, d : 2 * d])
+        np.sin(xb, out=out[:, 2 * d : 3 * d])
+        if d >= 2:
+            np.multiply(xb[:, 0], xb[:, 1], out=out[:, 3 * d])
+        else:
+            out[:, 3 * d] = xb[:, 0] ** 3
+    phi[:, -1] = 1.0
+    return phi
 
 
 def fit_outcome(phi, y, lam, arm=None) -> np.ndarray:
@@ -275,17 +272,11 @@ class NuisanceFit:
         return phi @ coef
 
 
-def fit_nuisances(phi, rows, a, y, config: NuisanceConfig) -> NuisanceFit:
-    """Propensity and per-arm outcome fits on the feature rows phi[rows],
-    phi = Phi(x), with their treatments a and outcomes y; phi is left as it
-    is, since the fits run on the gathered copy phi[rows]."""
-    return _fit_in_place(phi[rows], a, y, config)
-
-
-def _fit_in_place(phi, a, y, config: NuisanceConfig) -> NuisanceFit:
-    """fit_nuisances on every row of phi, which the propensity fit
-    standardises in place: pass rows nothing reads afterwards. Each arm's
-    outcome fit gathers its rows from phi a block at a time, before that."""
+def fit_nuisances(phi, a, y, config: NuisanceConfig) -> NuisanceFit:
+    """Propensity and per-arm outcome fits on the feature rows phi = Phi(x),
+    with their treatments a and outcomes y. Each arm's outcome fit gathers
+    its rows from phi a block at a time; the propensity fit then
+    standardises phi in place, so pass rows nothing reads afterwards."""
     a = np.asarray(a).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     treated = a == 1
@@ -317,20 +308,15 @@ class CrossFit:
     m0_hat: np.ndarray
 
     @classmethod
-    def from_fits(cls, folds: FoldAssignment, per_fold, phi) -> "CrossFit":
-        """Predict each fold's rows of phi = Phi(ds.x) with its fold fit."""
-        return cls._predicting(folds, per_fold, lambda rows: phi[rows])
-
-    @classmethod
-    def _predicting(cls, folds: FoldAssignment, per_fold, features) -> "CrossFit":
-        """Predict every row with its fold's fit, a block of _IRLS_BLOCK rows
-        at a time: features(rows) gives the feature rows of the slice rows,
-        and each fold's rows in the block are gathered from them. Up to
-        _IRLS_BLOCK rows each fold predicts its rows at once."""
+    def from_fits(cls, folds: FoldAssignment, per_fold, x) -> "CrossFit":
+        """Predict every row of the covariates x with its fold's fit. Phi is
+        built a block of _IRLS_BLOCK rows at a time and each fold's rows in
+        the block are gathered from it, so Phi(x) is never whole above a
+        block; up to _IRLS_BLOCK rows each fold predicts its rows at once."""
         n = folds.fold_of.size
         e, m1, m0 = np.empty(n), np.empty(n), np.empty(n)
         for rows in _row_blocks(n):
-            phi, fold_of = features(rows), folds.fold_of[rows]
+            phi, fold_of = feature_matrix(x[rows]), folds.fold_of[rows]
             for k, fit in enumerate(per_fold):
                 held_out = fold_of == k
                 x_k = np.compress(held_out, phi, axis=0)
@@ -343,27 +329,12 @@ class CrossFit:
 
 
 def cross_fit(ds: Dataset, k, config: NuisanceConfig, rng: Rng) -> CrossFit:
-    """K-fold cross-fitting: fit nuisances on each fold's complement.
-
-    One fold design is alive at a time: each fold builds Phi of its own
-    training rows, which its fits consume. After the last fold the held-out
-    predictions build Phi a block of rows at a time, so Phi(ds.x) is never
-    built whole above _IRLS_BLOCK rows.
-    """
+    """K-fold cross-fitting: fit nuisances on each fold's complement. One
+    fold design is alive at a time: each fold builds Phi of its own training
+    rows, which its fits consume; from_fits then predicts the held-out rows."""
     folds = make_folds(ds.n, k, rng)
     fits = [_fit_fold(ds, folds, fold, config) for fold in range(k)]
-    return CrossFit._predicting(folds, fits, lambda rows: feature_matrix(ds.x[rows]))
-
-
-def _features_of_rows(x, idx):
-    """Phi(x[idx]). Above _IRLS_BLOCK rows it is filled a block of rows at
-    a time, so the covariates gathered beside it are one block's."""
-    if idx.size <= _IRLS_BLOCK:
-        return feature_matrix(x[idx])
-    phi = np.empty((idx.size, _n_features(x.shape[1])))
-    for rows in _row_blocks(idx.size):
-        _fill_features(x[idx[rows]], phi[rows])
-    return phi
+    return CrossFit.from_fits(folds, fits, ds.x)
 
 
 def _fit_fold(ds: Dataset, folds: FoldAssignment, fold, config: NuisanceConfig) -> NuisanceFit:
@@ -372,7 +343,7 @@ def _fit_fold(ds: Dataset, folds: FoldAssignment, fold, config: NuisanceConfig) 
     indices are dropped once the rows' treatments and outcomes are gathered,
     so the fits hold Phi and those two columns."""
     idx = folds.complement(fold)
-    phi = _features_of_rows(ds.x, idx)
+    phi = feature_matrix(ds.x, idx)
     a, y = ds.a[idx], ds.y[idx]
     del idx
     if np.all(a == a[0]):
@@ -380,4 +351,4 @@ def _fit_fold(ds: Dataset, folds: FoldAssignment, fold, config: NuisanceConfig) 
             f"training complement of fold {fold} contains a single treatment arm",
             fold=fold,
         )
-    return _fit_in_place(phi, a, y, config)
+    return fit_nuisances(phi, a, y, config)

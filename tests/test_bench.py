@@ -141,6 +141,16 @@ class TestRunAteBench:
         assert report.r_total == 12 - report.failures
         assert len(report.runs) == report.r_total
 
+    def test_cell_without_a_successful_repetition_is_not_faithful(self):
+        # D6 at n=6 in two folds collapses an arm in every repetition; the
+        # empty coverage interval (0, 1) must not read as faithful
+        report = run_ate_bench(
+            default_spec("D6"), Strategy.RA, 6, 3, NormalPrior(), "plugin", 1, folds=2
+        )
+        assert report.r_total == 0 and report.failures == 3
+        assert report.coverage_ci == (0.0, 1.0)
+        assert not report.faithful
+
 
 class TestRunCateBench:
     def test_report_structure(self):
@@ -251,9 +261,9 @@ class TestNuisanceMemo:
         built = []
         original = nuisance.feature_matrix
 
-        def counting(x):
-            built.append(x.shape[0])
-            return original(x)
+        def counting(x, idx=None):
+            built.append(x.shape[0] if idx is None else idx.size)
+            return original(x, idx)
 
         monkeypatch.setattr(nuisance, "feature_matrix", counting)
         _ate_cells(spec, [Strategy.IPW, Strategy.DR])
@@ -430,6 +440,19 @@ class TestReportEmission:
         unfaithful = [r for r in reports if not r.faithful]
         if unfaithful:
             assert "~~" in text
+
+    def test_cell_without_a_successful_repetition_scores_in_neither_table(self):
+        failed, working = (
+            run_ate_bench(default_spec(d), Strategy.RA, 6, 3, NormalPrior(), "plugin", 1, folds=2)
+            for d in ("D6", "D1")
+        )
+        assert failed.r_total == 0 and working.r_total == 3
+        text = reports_to_markdown([failed, working], alpha=0.05)
+        d6_rows = [line for line in text.splitlines() if line.startswith("| D6 ")]
+        assert d6_rows == [
+            "| D6 (n=6) | ~~0.000 (0.000, 1.000)~~ |",
+            "| D6 (n=6) | ~~0.000 (0.000)~~ |",
+        ]
 
     def test_markdown_handles_multiple_sample_sizes(self):
         spec = default_spec("D1")

@@ -423,6 +423,22 @@ class TestBenchCommand:
         assert len(lines) == 1 + 2 * 3  # header + datasets x strategies
         assert (tmp_path / "bench_report.md").exists()
 
+    def test_cell_without_a_successful_repetition_is_reported_unfaithful(self, tmp_path):
+        # every D6 repetition at n=6 in two folds collapses an arm
+        cfg = tmp_path / "bench.json"
+        write_bench_config(cfg, datasets=["D6", "D1"], strategies=["RA", "AIPW"], n=6, reps=3,
+                           folds=2, seed=1)
+        proc = run_cli(["bench", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "bench_report.csv").read_text(encoding="utf-8").splitlines()
+        assert [row for row in rows if row.startswith("D6,")] == [
+            "D6,RA,6,0,0,0,1,0,0,false,3",
+            "D6,AIPW,6,0,0,0,1,0,0,false,3",
+        ]
+        md = (tmp_path / "bench_report.md").read_text(encoding="utf-8")
+        d6_rows = [line for line in md.splitlines() if line.startswith("| D6 ")]
+        assert len(d6_rows) == 2 and not any("**" in line for line in d6_rows)
+
     def test_reps_floor_exits_2(self, tmp_path):
         cfg = tmp_path / "bench.json"
         write_bench_config(cfg, reps=1)

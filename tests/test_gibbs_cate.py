@@ -77,6 +77,19 @@ class TestKernelMatrix:
         # xb is xa: the cross form (no jitter) whose product is a @ a.T
         assert same_bits(kernel_matrix(params, xa, xa), whole_array_kernel(params, xa, xa))
 
+    @pytest.mark.parametrize("family", ["Matern52", "RBF"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_one_array_gram_is_symmetric_bit_for_bit(self, family, d):
+        # exact_gp_resampler factors k(x, x) in its own lower triangle and
+        # restores that from the upper one, which needs exact symmetry
+        params = KernelParams(family=family)
+        for n in (1, 2, 3, 17, 127, 128, 255, 256, 500, 1000, 2000):
+            wide = Rng(69, n).normal((2 * n, 2 * d))
+            layouts = (wide[:n, :d].copy(), np.asfortranarray(wide[:n, :d]), wide[::2, ::2])
+            for x in layouts:
+                k = kernel_matrix(params, x, x)
+                assert k.tobytes() == k.T.copy().tobytes(), (n, x.flags.c_contiguous)
+
     def test_zero_distance_diagonal_gets_jitter(self):
         params = KernelParams(lengthscale=2.0, variance=2.0, jitter=1e-4)
         x = np.array([[0.0, 0.0], [1.0, -1.0]])
@@ -364,8 +377,8 @@ class TestExactGpResampler:
         assert int(proc.stdout) <= 1.4 * 8 * n * n
 
     def test_full_row_fit_holds_at_most_three_n_by_n_arrays(self):
-        # k(x, x) and the factor are the arrays tracemalloc sees; LAPACK's
-        # working copy is allocated outside Python's allocators
+        # k(x, x) is the one n x n array: the fit factors it in its own lower
+        # triangle and restores that afterwards; the rest is block temporaries
         n = 600
         x = Rng(63).normal((n, 3))
         values = Rng(64).normal(n)
@@ -377,7 +390,18 @@ class TestExactGpResampler:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.2 * 8 * n * n
+        assert peak <= 1.6 * 8 * n * n
+
+    def test_full_row_fit_on_strided_columns_matches_a_contiguous_copy(self):
+        # column-strided x whose general product x @ x.T is not symmetric on
+        # every BLAS; the in-place factor of k(x, x) needs it to be
+        wide, values, query = Rng(70).normal((255, 4)), Rng(71).normal(255), Rng(72).normal((5, 2))
+        got = exact_gp_resampler(KernelParams(), wide[:, ::2], values, query)(np.arange(255), 0.6)
+        want = exact_gp_resampler(KernelParams(), wide[:, ::2].copy(), values, query)(
+            np.arange(255), 0.6
+        )
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_size_guard(self):
         with pytest.raises(DomainError):

@@ -274,18 +274,6 @@ class TestBlockedIrls:
         assert used == want_lam
         assert np.max(np.abs(coef - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_fit_on_gathered_rows_matches_fit_on_a_copy(self):
-        phi, a = self._problem(300)
-        y = Rng(92).normal(300)
-        rows = np.flatnonzero(Rng(93).uniform(300) < 0.8)
-        original = phi.copy()
-        got = fit_nuisances(phi, rows, a[rows], y[rows], NuisanceConfig())
-        want = fit_nuisances(phi[rows], np.arange(rows.size), a[rows], y[rows], NuisanceConfig())
-        assert phi.tobytes() == original.tobytes()
-        for name in ("propensity_coef", "outcome_coef_treated", "outcome_coef_control"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert got.lambda_prop == want.lambda_prop
-
 
 class TestEvidencePenaltyBlocks:
     """_evidence_penalty sums Z^T (a - a-bar) a row block at a time; with
@@ -465,8 +453,7 @@ class TestPenaltyRecord:
 
     def test_explicit_penalty_is_kept(self):
         ds = generate(default_spec("D1"), 400, Rng(27))
-        fit = fit_nuisances(feature_matrix(ds.x), np.arange(ds.n), ds.a, ds.y,
-                            NuisanceConfig(lambda_prop=2.5))
+        fit = fit_nuisances(feature_matrix(ds.x), ds.a, ds.y, NuisanceConfig(lambda_prop=2.5))
         assert fit.lambda_prop == 2.5
         np.testing.assert_array_equal(
             fit.propensity_coef, fit_propensity(feature_matrix(ds.x), ds.a, 2.5)[0]
@@ -492,7 +479,7 @@ class TestClipping:
     def test_clip_binds_exactly_on_extreme_data(self):
         spec = default_spec("D6")
         ds = generate(spec, 2000, Rng(14))
-        fit = fit_nuisances(feature_matrix(ds.x), np.arange(ds.n), ds.a, ds.y, NuisanceConfig())
+        fit = fit_nuisances(feature_matrix(ds.x), ds.a, ds.y, NuisanceConfig())
         e_hat = fit.predict_propensity(feature_matrix(ds.x))
         assert e_hat.max() == 0.99
         assert e_hat.min() >= 0.01
@@ -594,9 +581,9 @@ class TestCrossFit:
         calls = []
         original = nuisance.feature_matrix
 
-        def counting(x):
-            calls.append(x.shape)
-            return original(x)
+        def counting(x, idx=None):
+            calls.append((x.shape[0] if idx is None else idx.size, x.shape[1]))
+            return original(x, idx)
 
         monkeypatch.setattr(nuisance, "feature_matrix", counting)
         ds = generate(default_spec("D8"), 200, Rng(30))
