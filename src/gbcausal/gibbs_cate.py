@@ -174,7 +174,7 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     stacked = np.column_stack([values, kernel_matrix(params, x_query, x).T])
 
     def fit(rows, omega):
-        u, counts = np.unique(rows, return_counts=True)
+        u, counts = _distinct_rows(rows, n)
         const_mean = float(np.mean(values[rows]))
         full = u.size == n
         gram = k_xx if full else k_xx[u][:, u]
@@ -212,6 +212,14 @@ def _keep_full_fits(fit, n):
         return full[omega]
 
     return keeping
+
+
+def _distinct_rows(rows, n):
+    """The sorted distinct rows of a resample of 0..n-1 and how often each
+    was drawn: np.unique(rows, return_counts=True) by counting, not sorting."""
+    counts = np.bincount(rows, minlength=n)
+    u = np.flatnonzero(counts)
+    return u, counts[u]
 
 
 @dataclass(frozen=True)
@@ -302,7 +310,7 @@ def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rn
     b = solve_triangular(chol_k, kernel_matrix(params, z, x_query), lower=True)
 
     def fit(rows, omega):
-        u, counts = np.unique(rows, return_counts=True)
+        u, counts = _distinct_rows(rows, c.shape[1])
         const_mean = float(np.mean(values[rows]))
         chol_p, v_mean = _whitened_optimum(c[:, u], counts, values[u] - const_mean, omega)
         return _sparse_moments(params, b, chol_p, v_mean, const_mean)

@@ -182,12 +182,18 @@ def _objective(design, a, w, penalty):
     for rows in _row_blocks(design.shape[0]):
         block = design[rows]
         z = block @ w
-        # log(1 + e^z) via logaddexp for stability at large |z|
-        ll = ll + (a[rows] @ z - np.logaddexp(0.0, z).sum())
+        # log(1 + e^z) as max(z, 0) + log1p(e^-|z|): stable at any |z|, and
+        # numpy's exp and log1p run vector loops where its logaddexp runs a
+        # scalar one (about 6x slower per row). The log-likelihood only
+        # decides whether a candidate is accepted; the step comes from the
+        # gradient and Hessian.
+        ll = ll + (a[rows] @ z - (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))).sum())
         p = expit(z)
         wgt = np.maximum(p * (1.0 - p), 1e-10)
         grad = grad + block.T @ (a[rows] - p)
-        s = block * np.sqrt(wgt)[:, None]
+        # the products of block * sqrt(wgt)[:, None], bit for bit, without
+        # the broadcast's loop over rows as short as 8 values
+        s = np.einsum("ij,i->ij", block, np.sqrt(wgt))
         hess = hess + s.T @ s
         del s  # free it before the next block's temporaries are allocated
     return float(ll - 0.5 * (penalty * w) @ w), grad - penalty * w, hess + np.diag(penalty)

@@ -433,6 +433,68 @@ class TestOnePassNewton:
         assert len(calls) == passes.count("ll")
 
 
+def _logaddexp_objective(design, a, w, penalty):
+    """Reference: _objective with log(1 + e^z) as np.logaddexp(0, z) and the
+    Hessian's weighted rows as the broadcast design * sqrt(wgt)[:, None]."""
+    ll = grad = hess = 0.0
+    for rows in nuisance._row_blocks(design.shape[0]):
+        block = design[rows]
+        z = block @ w
+        ll = ll + (a[rows] @ z - np.logaddexp(0.0, z).sum())
+        p = numerics.expit(z)
+        wgt = np.maximum(p * (1.0 - p), 1e-10)
+        grad = grad + block.T @ (a[rows] - p)
+        s = block * np.sqrt(wgt)[:, None]
+        hess = hess + s.T @ s
+    return float(ll - 0.5 * (penalty * w) @ w), grad - penalty * w, hess + np.diag(penalty)
+
+
+class TestObjective:
+    """_objective's log(1 + e^z) as max(z, 0) + log1p(e^-|z|) and its einsum
+    weighting against the logaddexp and broadcast expressions they replaced."""
+
+    TARGETS = (0.0, 1.0, -1.0, 37.0, -37.0, 709.0, -709.0, 1e4, -1e4)
+
+    @staticmethod
+    def _problem(n, p, targets=TARGETS):
+        """Standard normal rows, the first and the last len(targets) of them
+        replaced by rows that put z = design @ w at targets (0 by a zero
+        row; the others to rounding)."""
+        design = Rng(96, n).normal((n, p))
+        w = Rng(97, p).normal(p) / np.sqrt(p)
+        a = Rng(98, n).bernoulli(np.full(n, 0.5)).astype(float)
+        k = len(targets)
+        design[:k] = np.outer(targets, w / (w @ w))
+        design[n - k:] = design[:k]
+        assert np.allclose(design[:k] @ w, targets, rtol=1e-12, atol=0.0)
+        penalty = np.full(p, 0.3)
+        penalty[-1] = 0.0
+        return design, a, w, penalty
+
+    @staticmethod
+    def _assert_log_likelihood_within_1e_12(design, a, w, penalty):
+        ll = nuisance._objective(design, a, w, penalty)[0]
+        want = _logaddexp_objective(design, a, w, penalty)[0]
+        assert abs(ll - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_one_row_log_likelihood(self, target):
+        self._assert_log_likelihood_within_1e_12(*self._problem(1, 3, [target]))
+
+    @pytest.mark.parametrize("n", [nuisance._IRLS_BLOCK, 20_000])
+    def test_log_likelihood_over_row_blocks(self, n):
+        self._assert_log_likelihood_within_1e_12(*self._problem(n, 3))
+
+    @pytest.mark.parametrize("n", [800, 20_000])
+    @pytest.mark.parametrize("p", [2, 8, 17, 152])
+    def test_gradient_and_hessian_bit_identical_to_broadcast_rows(self, n, p):
+        design, a, w, penalty = self._problem(n, p)
+        _, grad, hess = nuisance._objective(design, a, w, penalty)
+        _, want_grad, want_hess = _logaddexp_objective(design, a, w, penalty)
+        assert grad.tobytes() == want_grad.tobytes()
+        assert hess.tobytes() == want_hess.tobytes()
+
+
 class TestPenaltyRecord:
     def test_each_fold_records_its_selected_penalty(self):
         ds = generate(default_spec("D1"), 400, Rng(27))
