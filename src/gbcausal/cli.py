@@ -14,6 +14,7 @@ environment variable GBC_SEED, when set, overrides --seed everywhere.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ from functools import partial
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import dgp as dgp_mod
 from .calibrate import gpc_omega_cate_from_pseudo, gpc_omega_from_pseudo, plugin_omega
 from .dataset import read_csv, write_csv
@@ -288,6 +288,8 @@ def _usable_cpus():
 
 
 def cmd_bench(args):
+    from . import bench as bench_mod
+
     cfg = _load_bench_config(args.config)
     seed = _resolve_seed(cfg["seed"])
     if args.parallelism is not None:
@@ -347,6 +349,8 @@ def _parse_list(text, flag, kind=float):
 
 
 def cmd_experiment(args):
+    from . import bench as bench_mod
+
     seed = _resolve_seed(args.seed)
     spec = dgp_mod.default_spec(args.dgp)
     if args.kind == "slopes":
@@ -480,4 +484,9 @@ def main(argv=None):
 
 
 def entrypoint():
+    # Everything imported so far lives until exit: moving it out of the
+    # cyclic collector spares the interpreter's final full collection a
+    # walk over numpy's and gbcausal's objects. Only the process entry does
+    # this, so callers of main() keep their collector.
+    gc.freeze()
     sys.exit(main(sys.argv[1:]))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from gbcausal.numerics import Rng, blas_threads
 from gbcausal.pseudo import Strategy, cross_fitted_pseudo
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -822,3 +824,56 @@ class TestExperimentCommand:
     def test_invalid_kind_exits_2(self, tmp_path):
         proc = run_cli(["experiment", "--kind", "nope", "--out", str(tmp_path / "x.csv")])
         assert proc.returncode == 2
+
+
+class TestEntrypoint:
+    """The process entry freezes the import-time heap out of the cyclic
+    collector; `main`, which library callers and the tests use, does not."""
+
+    def test_entrypoint_freezes_the_collector_before_main(self, monkeypatch):
+        assert gc.get_freeze_count() == 0
+        frozen = []
+        monkeypatch.setattr(cli, "main", lambda argv: frozen.append(gc.get_freeze_count()) or 0)
+        monkeypatch.setattr(sys, "argv", ["gbcausal", "fit"])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.entrypoint()
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 0
+        assert len(frozen) == 1 and frozen[0] > 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--dgp", "D1", "--n", "300", "--calibration", "gpc", "--b-boot", "50",
+         "--max-iter", "5", "--seed", "3"],
+        ["--dgp", "D4", "--n", "100", "--estimand", "cate", "--engine", "exact-gp",
+         "--calibration", "gpc", "--b-boot", "50", "--max-iter", "3", "--grid-size", "8",
+         "--seed", "5"],
+    ], ids=["ate-gpc", "cate-exact-gp-gpc"])
+    def test_module_run_freezes_and_writes_the_bytes_of_main(self, tmp_path, monkeypatch, flags):
+        monkeypatch.delenv("GBC_SEED", raising=False)
+        sub, inproc = tmp_path / "sub.json", tmp_path / "main.json"
+        # runs gbcausal as `python -m gbcausal` does, and reports the freeze count at exit
+        code = (
+            "import atexit, gc, runpy\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            "runpy.run_module('gbcausal', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, "fit", *flags, "--out", str(sub)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        word, count = proc.stdout.splitlines()[-1].split()
+        assert word == "frozen" and int(count) > 0
+        assert cli.main(["fit", *flags, "--out", str(inproc)]) == 0
+        assert gc.get_freeze_count() == 0
+        assert sub.read_bytes() == inproc.read_bytes()
+
+    def test_both_process_entries_start_at_the_entrypoint(self):
+        # the installed command and `python -m gbcausal` lose the freeze
+        # without any error if either starts anywhere else
+        tomllib = pytest.importorskip("tomllib")
+        with open(REPO / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts["gbcausal"] == "gbcausal.cli:entrypoint"
+        main_py = (REPO / "src" / "gbcausal" / "__main__.py").read_text(encoding="utf-8")
+        assert main_py == "from .cli import entrypoint\n\nentrypoint()\n"

@@ -2,7 +2,10 @@
 the benchmark's seven fit requests and a bench over every DGP (D7's
 Student-t noise included) run on numpy and the standard library alone, and
 none of them loads the process pool, which only a bench at parallelism > 1
-imports."""
+imports. Only `bench` and `experiment` load the bench module: importing the
+CLI and every fit request skip it. The import-time heap is frozen out of the
+cyclic collector by `cli.entrypoint` alone (`tests/test_cli.py`), so these
+in-process `cli.main` calls run with the collector as it was."""
 
 import json
 import os
@@ -15,25 +18,40 @@ import gbcausal
 SRC = str(Path(gbcausal.__file__).resolve().parents[1])
 
 # Defines report(), which prints the scipy, multiprocessing and
-# concurrent.futures.process modules loaded so far as one line.
+# concurrent.futures.process modules loaded so far as one line, and
+# report_bench(), which prints whether gbcausal.bench is loaded.
 _PRELUDE = """import json, sys
 def report():
     print(json.dumps(sorted(m for m in sys.modules
                             if m.split('.')[0] in ('scipy', 'multiprocessing')
                             or m == 'concurrent.futures.process')))
+def report_bench():
+    print('bench loaded' if 'gbcausal.bench' in sys.modules else 'bench not loaded')
 """
 
 
-def heavy_modules_after(code, *args):
+def _stdout_lines(code, *args):
     """Run `code` in a fresh interpreter, with `args` as sys.argv[1:], and
-    return what each of its report() calls saw."""
+    return the lines it printed."""
     env = dict(os.environ)
     env.pop("GBC_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _PRELUDE + code, *args], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    return proc.stdout.splitlines()
+
+
+def heavy_modules_after(code, *args):
+    """What each report() call of `code` saw."""
+    return [json.loads(line) for line in _stdout_lines(code, *args) if line.startswith("[")]
+
+
+def bench_loaded_after(code, *args):
+    """What each report_bench() call of `code` saw: True where gbcausal.bench
+    was loaded."""
+    return [line == "bench loaded" for line in _stdout_lines(code, *args)
+            if line.startswith("bench")]
 
 
 def test_the_check_sees_scipy():
@@ -62,18 +80,49 @@ _FIT_REQUESTS = [
 ]
 
 
-def test_each_fit_request_loads_no_scipy(tmp_path):
+def _fit_requests_code(tmp_path, report):
+    """Code that writes a CSV to sys.argv[1], runs each fit request through
+    cli.main in one process, and calls `report` after the CSV and each fit."""
     csv = tmp_path / "rows.csv"
     code = (
         "from gbcausal import cli, dataset, dgp\nfrom gbcausal.numerics import Rng\n"
         "dataset.write_csv(dgp.generate(dgp.default_spec('D1'), 500, Rng(3)), sys.argv[1])\n"
-        "report()\n"
+        f"{report}()\n"
     )
     for i, request in enumerate(_FIT_REQUESTS):
         argv = ["fit", "--estimand", *[f.format(csv=csv) for f in request], "--seed", str(11 + i),
                 "--out", str(tmp_path / f"fit{i}.json")]
-        code += f"assert cli.main({argv!r}) == 0\nreport()\n"
-    assert heavy_modules_after(code, str(csv)) == [[]] * (1 + len(_FIT_REQUESTS))
+        code += f"assert cli.main({argv!r}) == 0\n{report}()\n"
+    return code, str(csv)
+
+
+def test_each_fit_request_loads_no_scipy(tmp_path):
+    code, csv = _fit_requests_code(tmp_path, "report")
+    assert heavy_modules_after(code, csv) == [[]] * (1 + len(_FIT_REQUESTS))
+
+
+def test_fit_does_not_load_the_bench_module(tmp_path):
+    assert bench_loaded_after("import gbcausal.cli\nreport_bench()") == [False]
+    code, csv = _fit_requests_code(tmp_path, "report_bench")
+    assert bench_loaded_after(code, csv) == [False] * (1 + len(_FIT_REQUESTS))
+
+
+def test_bench_and_experiment_load_the_bench_module(tmp_path):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({
+        "datasets": ["D1"], "strategies": ["RA"], "n": 60, "reps": 2, "alpha": 0.05,
+        "estimand": "ate", "calibration": "plugin", "seed": 5,
+    }))
+    runs = [
+        ["bench", "--config", str(config), "--out-dir", str(tmp_path / "out"),
+         "--parallelism", "1"],
+        ["experiment", "--kind", "tv", "--n-grid", "200,400", "--reps", "2",
+         "--out", str(tmp_path / "tv.csv")],
+    ]
+    for argv in runs:
+        code = (f"from gbcausal import cli\nreport_bench()\n"
+                f"assert cli.main({argv!r}) == 0\nreport_bench()\n")
+        assert bench_loaded_after(code) == [False, True]
 
 
 def test_a_bench_over_every_dgp_loads_no_scipy(tmp_path):
