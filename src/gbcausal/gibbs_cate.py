@@ -154,14 +154,16 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
 
     Memory: k(x, x) lives as long as the resampler, and a fit that draws
     every row (the reported fit, each gpc point estimate) holds no other
-    n x n array. It adds the noise to the diagonal of k(x, x), factors it
-    in its own lower triangle (cholesky_factor's in_place mode, which keeps
-    the strict upper triangle), solves with that triangle and then restores
-    the lower triangle from the upper and the saved diagonal. That is exact
-    because kernel_matrix(params, x, x) is symmetric bit for bit; were it
-    not, the in-place factor would raise DomainError. Any other fit gathers
-    its u x u Gram matrix and factors that gathered copy the same way. The
-    D9 fit at the n = 2000 guard peaks at about 76 MB RSS.
+    n x n array. It adds the noise to the diagonal of k(x, x) and factors
+    it where it lies (cholesky_factor's in_place mode: LAPACK's dpotrf
+    writes the factor over one triangle and leaves the other), solves with
+    that triangle and then restores it from the other triangle and the
+    saved diagonal. That is exact because kernel_matrix(params, x, x) is
+    symmetric bit for bit; were it not, the in-place factor would raise
+    DomainError. Any other fit gathers its u x u Gram matrix, an
+    F-contiguous array, and factors that gathered copy the same way. The
+    D9 fit at the n = 2000 guard peaks at about 81 MB RSS, 6.7 MB of it the
+    packing buffer OpenBLAS touches at its first factor of that size.
 
     The full-data fit (rows 0..n-1 in order) is computed once per omega
     and kept (see _keep_full_fits).

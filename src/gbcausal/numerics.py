@@ -12,15 +12,21 @@ independent stream without coordination. Normal draws go through the inverse
 CDF of the stream's uniforms, which makes every distributional draw a pure
 function of the uniform sequence.
 
-The special functions and the triangular solve are numpy and standard-library
-code, so no gbcausal process imports scipy (whose import costs more than the
-rest of the package). ``ndtri`` follows cephes (Moshier 1989) and
-``gammaincinv`` the inverse incomplete gamma of DiDonato & Morris (1986, ACM
-TOMS 12:377); the tests hold each against scipy.
+The special functions are numpy and standard-library code, so no gbcausal
+process imports scipy (whose import costs more than the rest of the
+package). ``ndtri`` follows cephes (Moshier 1989) and ``gammaincinv`` the
+inverse incomplete gamma of DiDonato & Morris (1986, ACM TOMS 12:377); the
+tests hold each against scipy.
+
+The SPD and triangular solves call LAPACK's dpotrf and dpotrs and BLAS's
+dtrsm through ctypes, in the OpenBLAS that numpy 2.x wheels map into every
+process (ILP64, ``scipy_dpotrf_64_`` and so on), found through
+/proc/self/maps as the thread-count pin finds it. Without it (numpy before
+2.0, an Accelerate build, no /proc) they fall back to np.linalg.cholesky
+and np.linalg.solve: correct, slower, one more n x n array.
 """
 
 import ctypes
-import functools
 import math
 import os
 from contextlib import contextmanager
@@ -48,6 +54,9 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
     for suffix in ("64_", "")
 )
 _PROC_MAPS = "/proc/self/maps"
+# Cholesky factor and solve and triangular solve of numpy's OpenBLAS
+_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_dpotrs_64_", "scipy_dtrsm_64_")
+_lapack_binding = []  # _lapack()'s result, once looked up
 
 # Rational approximations of cephes' ndtri, highest degree first; the Q
 # polynomials have an implicit leading coefficient 1. P0/Q0 cover the body
@@ -85,11 +94,6 @@ _GAMMA_STEP_TOL = 1e-5
 _GAMMA_MAX_STEPS = 50
 _GAMMA_MAX_TERMS = 10_000
 
-# Rows per diagonal block of the blocked triangular solve.
-_TRI_BLOCK = 32
-# Fewest rows per diagonal block of the in-place Cholesky factor; a matrix
-# of fewer than twice this many rows is one block, one np.linalg.cholesky call.
-_CHOL_BLOCK = 128
 
 
 def _splitmix64(z):
@@ -186,22 +190,22 @@ def cholesky_factor(a, in_place=False):
     ceiling is passed, and DomainError for non-square or asymmetric input.
     Only the lower triangle is read once the symmetry test has passed.
 
-    The input is copied once, the jitter added to the copy's diagonal, the
-    copy factored in its lower triangle by diagonal blocks
-    (_factor_in_place; one np.linalg.cholesky call below 2 _CHOL_BLOCK
-    rows) and its strict upper triangle zeroed, so the call holds two n x n
-    arrays, the input and the factor, where np.linalg.cholesky on a large
-    matrix holds a third, its LAPACK working copy. Each jitter retry starts
-    again from a fresh copy of the input.
+    Each jitter level is one LAPACK dpotrf('L') call (_potrf), the call
+    np.linalg.cholesky makes, on a Fortran-ordered copy of a + jitter I,
+    whose strict upper triangle is then zeroed: the call holds the input
+    and the factor, not np.linalg.cholesky's third, working copy.
 
-    in_place=True factors the float array a itself and holds no other
-    n x n array: a's lower triangle, diagonal included, is overwritten with
-    the factor and a is returned as L, while its strict upper triangle keeps
-    a's values. Read that L through its lower triangle only, as
-    solve_triangular does, and put a back with restore_lower(a, diag) from
-    its diagonal saved beforehand; that is exact because a must then be
-    symmetric bit for bit. Each jitter retry restores a the same way first.
+    in_place=True factors a itself, a writeable C- or F-contiguous float64
+    array symmetric bit for bit, and holds no other n x n array. L is then
+    a, or a.T if a is C-contiguous: its lower triangle holds the factor and
+    its strict upper triangle keeps a's values, so read it through its
+    lower triangle only, as solve_triangular does. restore_lower(a, diag),
+    with a's diagonal saved beforehand, puts a back exactly; each jitter
+    retry does so first.
     """
+    if in_place and not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
+                         and (a.flags.c_contiguous or a.flags.f_contiguous)):
+        raise DomainError("an in-place factor needs a writeable contiguous float64 array")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("matrix must be square")
@@ -214,139 +218,122 @@ def cholesky_factor(a, in_place=False):
         if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
             raise DomainError("matrix is not symmetric within tolerance 1e-10")
 
-    diag = a.diagonal().copy() if in_place else None
+    if in_place:
+        diag = a.diagonal().copy()
     jitter = 0.0
     while True:
-        mat = a if in_place else a.copy()
+        mat = (a if a.flags.f_contiguous else a.T) if in_place else np.array(a, order="F")
         mat.flat[:: n + 1] += jitter  # the diagonal of a + jitter I, rounded alike
-        try:
-            _factor_in_place(mat, keep_upper=in_place)
-        except np.linalg.LinAlgError:
-            if in_place:
-                restore_lower(a, diag)
-            jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
-            if jitter > _JITTER_CEILING:
-                raise NotPositiveDefinite(
-                    f"matrix not positive definite after jitter escalation to {_JITTER_CEILING:g}"
-                ) from None
-            continue
-        return mat, jitter
-
-
-@functools.lru_cache(maxsize=256)
-def _tri_mask(m, k=0):
-    """Read-only boolean mask of an m x m matrix's entries on and below its
-    k-th diagonal (np.tri), built once per size for the blocked loops."""
-    mask = np.tri(m, k=k, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-def _block_bounds(n):
-    """Bounds of the n // _CHOL_BLOCK diagonal blocks of near equal size
-    (one block below 2 _CHOL_BLOCK rows) that split n rows."""
-    k = max(1, n // _CHOL_BLOCK)
-    return [n * i // k for i in range(k + 1)]
-
-
-def _factor_in_place(a, keep_upper=False):
-    """Overwrite the symmetric matrix a with its lower Cholesky factor,
-    left-looking by diagonal blocks (Golub & Van Loan 2013, sec. 4.2), and
-    return it. For each block column: subtract the product of the factor
-    rows already computed (one matrix product), factor the diagonal block
-    with np.linalg.cholesky, which reads its lower triangle, and solve the
-    rows below it against that block's transpose. Raises
-    np.linalg.LinAlgError when a diagonal block is not positive definite.
-    Temporaries are one block column in size.
-
-    The strict upper triangle is zeroed block row by block row, or, with
-    keep_upper, neither read nor written: only the lower triangle of each
-    diagonal block's update and factor is written, and a is L only through
-    its lower triangle.
-    """
-    bounds = _block_bounds(a.shape[0])
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        panel = a[s:, s:e]
-        block, below = panel[: e - s], panel[e - s:]
-        written = _tri_mask(e - s) if keep_upper else True
-        if s:
-            update = a[s:, :s] @ a[s:e, :s].T
-            np.subtract(block, update[: e - s], out=block, where=written)
-            below -= update[e - s:]
-            del update
-        diag = np.linalg.cholesky(block)
-        np.copyto(block, diag, where=written)
-        if below.size:
-            # rows below: L_below = A_below L_diag^-T
-            below[...] = solve_triangular(diag, below.T, lower=True).T
-            if not keep_upper:
-                a[s:e, e:] = 0.0
-    return a
+        if _potrf(mat):
+            break
+        if in_place:
+            restore_lower(a, diag)
+        jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
+        if jitter > _JITTER_CEILING:
+            raise NotPositiveDefinite(
+                f"matrix not positive definite after jitter escalation to {_JITTER_CEILING:g}"
+            ) from None
+    if not in_place:
+        np.copyto(mat.T, 0.0, where=np.tri(n, k=-1, dtype=bool))
+    return mat, jitter
 
 
 def restore_lower(a, diag):
-    """Copy the strict upper triangle of the square matrix a into its strict
-    lower triangle and put diag on its diagonal, in place: this undoes
-    cholesky_factor(a, in_place=True) on a matrix that was symmetric bit for
-    bit, with diag its diagonal saved before the call. Temporaries are one
-    diagonal block in size."""
-    bounds = _block_bounds(a.shape[0])
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        a[s:e, :s] = a[:s, s:e].T
-        block = a[s:e, s:e]
-        np.copyto(block, block.T.copy(), where=_tri_mask(e - s, -1))
-    a.flat[:: a.shape[0] + 1] = diag
+    """Undo cholesky_factor(a, in_place=True) on a matrix that was symmetric
+    bit for bit, with diag its diagonal saved before the call: copy, a
+    column at a time, the triangle the factor left onto the one it wrote,
+    and put diag on the diagonal."""
+    mat = a if a.flags.f_contiguous else a.T
+    for j in range(mat.shape[0] - 1):
+        mat[j + 1:, j] = mat[j, j + 1:]
+    mat.flat[:: mat.shape[0] + 1] = diag
 
 
 def solve_triangular(a, b, lower=False):
     """Solve A X = B for a triangular A with a nonzero diagonal, such as a
-    Cholesky factor or its transpose. Only the triangle solved with is
-    read, so the other may hold anything (cholesky_factor's in-place factor
-    keeps the input there).
-
-    Left-looking block substitution: for each diagonal block of at most
-    _TRI_BLOCK rows, the rows already solved are taken off the block's rows
-    of B with one matrix product, and the rest is multiplied by the block's
-    inverse. Inverting the small block and multiplying costs less than
-    np.linalg.solve on it once B has more than a few columns, as in the GP
-    solves.
-    """
+    Cholesky factor or its transpose: one BLAS dtrsm call, or
+    np.linalg.solve on A's triangle where none is bound (_lapack). Only
+    that triangle is read, so the other may hold anything (cholesky_factor's
+    in-place factor keeps the input there)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    rhs = b.reshape(n, -1)
-    x = np.empty(rhs.shape)
-    starts = range(0, n, _TRI_BLOCK)
-    for s in starts if lower else reversed(starts):
-        e = min(s + _TRI_BLOCK, n)
-        solved = slice(0, s) if lower else slice(e, n)
-        # the diagonal block's triangle, as np.tril or np.triu gives it
-        mask = _tri_mask(e - s)
-        block = np.where(mask if lower else mask.T, a[s:e, s:e], 0.0)
-        x[s:e] = np.linalg.inv(block) @ (rhs[s:e] - a[s:e, solved] @ x[solved])
+    x = np.array(b.reshape(n, -1), order="C")
+    lapack = _lapack()
+    if lapack is None:
+        return np.linalg.solve(np.tril(a) if lower else np.triu(a), x).reshape(b.shape)
+    if not (a.flags.f_contiguous or a.flags.c_contiguous):
+        a = np.ascontiguousarray(a)
+    # column-major dtrsm reads x as X^T: solve X^T A^T = B^T from the right,
+    # A^T being a read column-major (C order) or a transposed (F order)
+    fortran, k = a.flags.f_contiguous, x.shape[1]
+    if x.size:
+        lapack[2](b"R", b"L" if lower == fortran else b"U", b"T" if fortran else b"N", b"N",
+                  _int(k), _int(n), ctypes.byref(ctypes.c_double(1.0)), _ptr(a), _int(n),
+                  _ptr(x), _int(k))
     return x.reshape(b.shape)
 
 
 def cholesky_solve(a, b):
-    """Solve A X = B for symmetric positive-definite A.
+    """Solve A X = B for symmetric positive-definite A: cholesky_factor
+    checks A, sets the jitter and factors A + jitter I, and LAPACK's dpotrs
+    solves with that factor; where none is bound (_lapack),
+    np.linalg.solve (an LU) solves A + jitter I."""
+    chol, jitter = cholesky_factor(a)
+    b = np.asarray(b, dtype=float)
+    n = chol.shape[0]
+    lapack = _lapack()
+    if lapack is None:
+        return np.linalg.solve(np.asarray(a, dtype=float) + jitter * np.eye(n), b)
+    x = np.array(b.reshape(n, -1), order="F")
+    if x.size:
+        lapack[1](b"L", _int(n), _int(x.shape[1]), _ptr(chol), _int(n), _ptr(x), _int(n),
+                  _int(0))
+    return x.reshape(b.shape)
 
-    The Cholesky factor checks A and sets the jitter; the system itself,
-    with that jitter, goes to one LAPACK LU solve, since numpy has no LAPACK
-    triangular solve. The LU is not the cheaper route at every size: on
-    D8's 152-feature propensity Hessians it took 0.26-0.34 ms, against
-    0.04 ms for two LAPACK triangular solves (scipy's) on the factor this
-    call already has; two of this module's solve_triangular calls with one
-    right-hand side cost about as much as the LU there (142 us each)."""
-    _, jitter = cholesky_factor(a)
-    a = np.asarray(a, dtype=float)
-    if jitter:
-        a = a + jitter * np.eye(a.shape[0])
-    return np.linalg.solve(a, np.asarray(b, dtype=float))
+
+def _int(v):
+    # a Fortran INTEGER of the ILP64 interface, by reference
+    return ctypes.byref(ctypes.c_int64(v))
 
 
-def _openblas_thread_controls():
-    """(set, get) thread-count functions of each OpenBLAS mapped into this
-    process; empty where the process map cannot be read (non-Linux)."""
+def _ptr(arr):
+    return ctypes.c_void_p(arr.ctypes.data)
+
+
+def _potrf(mat):
+    """Factor the F-contiguous SPD matrix mat in its lower triangle, leaving
+    the strict upper triangle: LAPACK's dpotrf('L'), or np.linalg.cholesky
+    where none is bound (_lapack). False when mat is not positive definite;
+    its lower triangle may then be partly overwritten."""
+    n = mat.shape[0]
+    lapack = _lapack()
+    if lapack is None:
+        try:
+            chol = np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            return False
+        np.copyto(mat, chol, where=np.tri(n, dtype=bool))
+        return True
+    info = ctypes.c_int64()
+    lapack[0](b"L", _int(n), _ptr(mat), _int(max(n, 1)), ctypes.byref(info))
+    return info.value == 0
+
+
+def _lapack():
+    """(dpotrf, dpotrs, dtrsm) of the first mapped OpenBLAS that exports
+    all of _LAPACK_SYMBOLS, looked up once per process; None where none
+    does."""
+    if not _lapack_binding:
+        _lapack_binding.append(next(
+            (tuple(getattr(lib, name) for name in _LAPACK_SYMBOLS) for lib in _openblas_libraries()
+             if all(hasattr(lib, name) for name in _LAPACK_SYMBOLS)), None))
+    return _lapack_binding[0]
+
+
+def _openblas_libraries():
+    """Each OpenBLAS mapped into this process, opened with ctypes; none
+    where the process map cannot be read (non-Linux)."""
     try:
         with open(_PROC_MAPS, encoding="utf-8") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
@@ -355,12 +342,19 @@ def _openblas_thread_controls():
     paths = dict.fromkeys(
         f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])
     )
-    controls = []
+    libs = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return libs
+
+
+def _openblas_thread_controls():
+    """(set, get) thread-count functions of each mapped OpenBLAS."""
+    controls = []
+    for lib in _openblas_libraries():
         for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, set_name) and hasattr(lib, get_name):
                 set_fn, get_fn = getattr(lib, set_name), getattr(lib, get_name)

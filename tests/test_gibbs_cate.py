@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -326,16 +322,13 @@ class TestExactGpResampler:
         k_xx = built[0]
         assert k_xx.shape == (300, 300)
         before = k_xx.copy()
-        factor, calls = numerics._factor_in_place, []
+        factor, calls = numerics._potrf, []
 
-        def flaky(a, *args, **kwargs):
-            calls.append(a.shape[0])
-            factor(a, *args, **kwargs)
-            if len(calls) <= failures:
-                raise np.linalg.LinAlgError("flaky")
-            return a
+        def flaky(mat):
+            calls.append(mat.shape[0])
+            return factor(mat) and len(calls) > failures
 
-        monkeypatch.setattr(numerics, "_factor_in_place", flaky)
+        monkeypatch.setattr(numerics, "_potrf", flaky)
         levels = 8  # jitter 0, then 1e-10 .. 1e-4
         if failures >= levels:
             with pytest.raises(NotPositiveDefinite):
@@ -346,39 +339,23 @@ class TestExactGpResampler:
         assert k_xx.tobytes() == before.tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
-    def test_full_row_fit_holds_one_n_by_n_array(self):
-        # In a fresh process the growth of the peak resident set (VmHWM) over
-        # the resampler and its full-row fit is k(x, x) and block temporaries:
-        # the fit factors k(x, x) in its own lower triangle
+    def test_full_row_fit_holds_one_n_by_n_array(self, peak_growth):
+        # The growth of the peak resident set over the resampler and its
+        # full-row fit is k(x, x), the stacked right-hand sides and the fit's
+        # solve: the fit factors k(x, x) in place
         n = 1500
-        script = textwrap.dedent(f"""
-            import numpy as np
-            from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler
-            from gbcausal.numerics import Rng, blas_threads
-
-            def peak():
-                with open("/proc/self/status") as fh:
-                    return next(int(line.split()[1]) * 1024 for line in fh
-                                if line.startswith("VmHWM:"))
-
-            x, values, query = Rng(63).normal(({n}, 3)), Rng(64).normal({n}), Rng(65).normal((50, 3))
-            with blas_threads(1):
-                before = peak()
-                fit = exact_gp_resampler(KernelParams(family="Matern52"), x, values, query)
-                fit(np.arange({n}), 1.0)
-                print(peak() - before)
-        """)
-        src = str(Path(numerics.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) <= 1.4 * 8 * n * n
+        growth = peak_growth(
+            n,
+            "from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler\n"
+            "x, values, query = Rng(63).normal((n, 3)), Rng(64).normal(n), Rng(65).normal((50, 3))",
+            "exact_gp_resampler(KernelParams(family='Matern52'), x, values, query)(np.arange(n), 1.0)",
+        )
+        assert growth <= 1.4 * 8 * n * n
 
     def test_full_row_fit_holds_at_most_three_n_by_n_arrays(self):
-        # k(x, x) is the one n x n array: the fit factors it in its own lower
-        # triangle and restores that afterwards; the rest is block temporaries
+        # k(x, x) is the one n x n array: the fit factors it in place and
+        # restores it afterwards; the rest is a few n x 51 arrays and the
+        # symmetry and finiteness tests' boolean temporaries
         n = 600
         x = Rng(63).normal((n, 3))
         values = Rng(64).normal(n)

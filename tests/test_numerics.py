@@ -1,9 +1,6 @@
 import ctypes
 import math
 import os
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +101,29 @@ class TestCholeskySolve:
         assert jit == 0.0
 
 
+def _use_numpy(monkeypatch, tmp_path):
+    """Bind no LAPACK routine: the process map cannot be read, as on a
+    platform without /proc, and the cached binding is cleared."""
+    monkeypatch.setattr(numerics, "_PROC_MAPS", str(tmp_path / "missing"))
+    monkeypatch.setattr(numerics, "_lapack_binding", [])
+    assert numerics._lapack() is None
+
+
+@pytest.fixture
+def numpy_fallback(monkeypatch, tmp_path):
+    """Run the test on the numpy fallback of the LAPACK calls."""
+    _use_numpy(monkeypatch, tmp_path)
+
+
+@pytest.mark.usefixtures("numpy_fallback")
+class TestCholeskySolveOnNumpy(TestCholeskySolve):
+    """TestCholeskySolve where no LAPACK routine is bound."""
+
+
 def _unblocked_factor(a):
-    """Reference: cholesky_factor's loop as one np.linalg.cholesky call per
-    jitter level, as it was before matrices were factored by blocks. Returns
-    (L, jitter), or (None, None) past the jitter ceiling."""
+    """Reference: cholesky_factor's jitter ladder with one
+    np.linalg.cholesky call per level. Returns (L, jitter), or (None, None)
+    past the jitter ceiling."""
     jitter = 0.0
     while True:
         try:
@@ -120,7 +136,8 @@ def _unblocked_factor(a):
 
 
 def _kernel_spd(n, seed):
-    """A squared-exponential Gram matrix plus 0.1 I: SPD and well conditioned."""
+    """A squared-exponential Gram matrix plus 0.1 I: SPD, well conditioned
+    and symmetric bit for bit."""
     x = Rng(seed, n).normal((n, 2))
     sq = np.sum(x * x, axis=1)
     a = np.exp(-0.5 * np.maximum(sq[:, None] + sq[None, :] - 2.0 * x @ x.T, 0.0))
@@ -139,24 +156,22 @@ def _spectrum_spd(n, smallest, seed):
     return 0.5 * (a + a.T)
 
 
-_B = numerics._CHOL_BLOCK
-
-
 class TestBlockedCholesky:
-    @pytest.mark.parametrize("n", sorted({1, _B, 152, 255, 256, 257, 2 * _B - 1, 2 * _B,
-                                          2 * _B + 1, 3 * _B + 1, 300, 1000}))
+    """The copying factor against one np.linalg.cholesky call per jitter
+    level."""
+
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 152, 255, 256, 257, 300, 385, 1000])
     def test_matches_unblocked_factor(self, n):
+        # one dpotrf('L') on the same values, the call np.linalg.cholesky makes
         a = _kernel_spd(n, 3)
         chol, jitter = cholesky_factor(a)
         want, want_jitter = _unblocked_factor(a)
         assert jitter == want_jitter == 0.0
-        if n < 2 * _B:  # one block: the same np.linalg.cholesky call
-            assert chol.tobytes() == want.tobytes()
-        else:
-            assert np.max(np.abs(chol - want)) <= 1e-13 * np.max(np.abs(want))
-            assert not np.triu(chol, 1).any()
+        assert chol.tobytes() == want.tobytes()
+        want, _ = cholesky_factor(np.asfortranarray(a))
+        assert chol.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [40, 152, 300, 2 * _B + 1])
+    @pytest.mark.parametrize("n", [40, 152, 300, 257])
     @pytest.mark.parametrize("smallest, jitter", [(0.5, 0.0), (-5e-8, 1e-7), (-5e-5, 1e-4),
                                                   (-1e-3, None)])
     def test_same_jitter_or_failure_as_unblocked(self, n, smallest, jitter):
@@ -185,36 +200,14 @@ class TestBlockedCholesky:
         assert a.tobytes() == before.tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
-    def test_factor_holds_one_copy_of_its_input(self):
-        # In a fresh process, the growth of the peak resident set (VmHWM)
-        # while factoring an n x n input is the factor's own memory: one
-        # copy of the input and block temporaries. One np.linalg.cholesky
-        # call holds two, its LAPACK working copy and the result.
+    def test_factor_holds_one_copy_of_its_input(self, peak_growth):
+        # The factor's own memory is one copy of its input and temporaries
+        # a fraction of it. One np.linalg.cholesky call holds two copies,
+        # its LAPACK working copy and the result.
         n = 1500
-        script = textwrap.dedent(f"""
-            import numpy as np
-            from gbcausal.numerics import blas_threads, cholesky_factor
-
-            def peak():
-                with open("/proc/self/status") as fh:
-                    return next(int(line.split()[1]) * 1024 for line in fh
-                                if line.startswith("VmHWM:"))
-
-            a = np.full(({n}, {n}), 0.5)
-            a.flat[:: {n} + 1] += {n}
-            with blas_threads(1):
-                before = peak()
-                cholesky_factor(a)
-                print(peak() - before)
-        """)
-        src = str(Path(numerics.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) <= 1.3 * 8 * n * n
-
+        growth = peak_growth(n, "a = np.full((n, n), 0.5); a.flat[:: n + 1] += n",
+                             "cholesky_factor(a)")
+        assert growth <= 1.3 * 8 * n * n
 
 
 class TestInPlaceCholesky:
@@ -224,26 +217,43 @@ class TestInPlaceCholesky:
         want, _ = cholesky_factor(a)
         mat = a.copy()
         chol, jitter = cholesky_factor(mat, in_place=True)
-        assert chol is mat and jitter == 0.0
+        assert np.shares_memory(chol, mat) and jitter == 0.0
         assert np.tril(chol).tobytes() == want.tobytes()
         assert np.triu(chol, 1).tobytes() == np.triu(a, 1).tobytes()
+
+    def test_f_contiguous_gather(self):
+        # k[u][:, u], the exact GP's resample Gram matrix, is F-contiguous:
+        # it is factored where it lies, as itself
+        k = _kernel_spd(300, 14)
+        u = np.sort(Rng(15).permutation(300)[:190])
+        gram = k[u][:, u]
+        assert gram.flags.f_contiguous and not gram.flags.c_contiguous
+        before, diag = gram.copy(), gram.diagonal().copy()
+        want, _ = cholesky_factor(before)
+        chol, jitter = cholesky_factor(gram, in_place=True)
+        assert chol is gram and jitter == 0.0
+        assert np.tril(chol).tobytes() == want.tobytes()
+        assert np.triu(chol, 1).tobytes() == np.triu(before, 1).tobytes()
+        restore_lower(gram, diag)
+        assert gram.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("smallest, jitter", [(0.5, 0.0), (-5e-8, 1e-7), (-1e-3, None)])
     def test_restore_lower_puts_the_input_back(self, smallest, jitter):
         # a jitter retry, and a failure past the ceiling, restore the input
-        # themselves; a factor is undone by restore_lower
+        # themselves; a factor is undone by restore_lower, in either layout
         a = _spectrum_spd(300, smallest, 10)
-        mat, diag = a.copy(), a.diagonal().copy()
-        if jitter is None:
-            with pytest.raises(NotPositiveDefinite):
-                cholesky_factor(mat, in_place=True)
-        else:
-            chol, got = cholesky_factor(mat, in_place=True)
-            want, want_jitter = cholesky_factor(a)
-            assert got == want_jitter == pytest.approx(jitter, rel=1e-9)
-            assert np.tril(chol).tobytes() == want.tobytes()
-            restore_lower(mat, diag)
-        assert mat.tobytes() == a.tobytes()
+        diag = a.diagonal().copy()
+        for mat in (a.copy(), np.asfortranarray(a)):
+            if jitter is None:
+                with pytest.raises(NotPositiveDefinite):
+                    cholesky_factor(mat, in_place=True)
+            else:
+                chol, got = cholesky_factor(mat, in_place=True)
+                want, want_jitter = cholesky_factor(a)
+                assert got == want_jitter == pytest.approx(jitter, rel=1e-9)
+                assert np.tril(chol).tobytes() == want.tobytes()
+                restore_lower(mat, diag)
+            assert mat.tobytes() == a.tobytes()
 
     def test_needs_a_matrix_symmetric_bit_for_bit(self):
         a = _kernel_spd(40, 11)
@@ -251,6 +261,20 @@ class TestInPlaceCholesky:
         cholesky_factor(a)  # within the tolerance of the copying factor
         with pytest.raises(DomainError, match="symmetric bit for bit"):
             cholesky_factor(a, in_place=True)
+
+    @pytest.mark.parametrize("layout", ["strided", "float32", "read_only"])
+    def test_needs_a_writeable_contiguous_float64_array(self, layout):
+        a = _kernel_spd(40, 12)
+        if layout == "strided":
+            a = np.kron(a, np.ones((2, 2)))[::2, ::2]
+        elif layout == "float32":
+            a = a.astype(np.float32)
+        else:
+            a.setflags(write=False)
+        before = a.copy()
+        with pytest.raises(DomainError, match="writeable contiguous float64"):
+            cholesky_factor(a, in_place=True)
+        assert a.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
     def test_solve_triangular_reads_one_triangle(self, lower):
@@ -263,6 +287,55 @@ class TestInPlaceCholesky:
         b = Rng(13, n).normal((n, 3))
         got = solve_triangular(filled, b, lower=lower)
         assert got.tobytes() == solve_triangular(a, b, lower=lower).tobytes()
+
+
+@pytest.mark.usefixtures("numpy_fallback")
+class TestInPlaceCholeskyOnNumpy(TestInPlaceCholesky):
+    """TestInPlaceCholesky where no LAPACK routine is bound."""
+
+
+@pytest.mark.skipif(numerics._lapack() is None, reason="no LAPACK routine is bound")
+class TestLapackAndNumpyAgree:
+    """The LAPACK calls and their numpy fallback give the same jitter, the
+    same failures and results within 1e-13 relative of each other."""
+
+    @staticmethod
+    def _on_both(monkeypatch, tmp_path, fn):
+        got = fn()
+        with monkeypatch.context() as m:
+            _use_numpy(m, tmp_path)
+            want = fn()
+        return got, want
+
+    @pytest.mark.parametrize("n", [40, 300])
+    @pytest.mark.parametrize("smallest", [0.5, -5e-8, -5e-5, -1e-3])
+    def test_same_jitter_and_failures(self, monkeypatch, tmp_path, n, smallest):
+        a = _spectrum_spd(n, smallest, 16)
+
+        def outcome():
+            try:
+                chol, jitter = cholesky_factor(a)
+                cholesky_solve(a, np.ones(n))
+            except NotPositiveDefinite:
+                return None
+            return chol.tobytes(), jitter
+
+        got, want = self._on_both(monkeypatch, tmp_path, outcome)
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 17, 152, 300])
+    def test_results_within_1e_13(self, monkeypatch, tmp_path, n):
+        a = _kernel_spd(n, 17)
+        b = Rng(18, n).normal((n, 3))
+        chol, _ = cholesky_factor(a)
+
+        def results():
+            return (cholesky_solve(a, b), cholesky_solve(a, b[:, 0]),
+                    solve_triangular(chol, b, lower=True), solve_triangular(chol.T, b[:, 0]))
+
+        for got, want in zip(*self._on_both(monkeypatch, tmp_path, results)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def ulps_apart(a, b):
@@ -345,15 +418,31 @@ class TestScipyPorts:
     @pytest.mark.parametrize("rhs", [None, 1, 100], ids=["vector", "one_column", "100_columns"])
     @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
     def test_solve_triangular_within_1e_13(self, n, rhs, lower):
-        rng = Rng(38, n)
-        q = rng.normal((n, n))
-        chol = np.linalg.cholesky(q @ q.T + n * np.eye(n))
-        a = chol if lower else chol.T
-        b = rng.normal(n if rhs is None else (n, rhs))
+        check_solve_triangular(n, rhs, lower)
+
+
+def check_solve_triangular(n, rhs, lower):
+    """solve_triangular within 1e-13 relative of scipy's, with A both C-
+    and F-contiguous."""
+    rng = Rng(38, n)
+    q = rng.normal((n, n))
+    chol = np.linalg.cholesky(q @ q.T + n * np.eye(n))
+    b = rng.normal(n if rhs is None else (n, rhs))
+    for order in "CF":
+        a = np.array(chol if lower else chol.T, order=order)
         got = solve_triangular(a, b, lower=lower)
         want = scipy.linalg.solve_triangular(a, b, lower=lower)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.usefixtures("numpy_fallback")
+class TestSolveTriangularOnNumpy:
+    @pytest.mark.parametrize("n", [1, 21, 32, 33, 152, 190, 1000])
+    @pytest.mark.parametrize("rhs", [None, 1, 100], ids=["vector", "one_column", "100_columns"])
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_solve_triangular_within_1e_13(self, n, rhs, lower):
+        check_solve_triangular(n, rhs, lower)
 
 
 class TestNormalQuantile:

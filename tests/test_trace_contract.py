@@ -8,9 +8,10 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gbcausal import bench, cli, gibbs_cate
+from gbcausal import bench, cli, gibbs_cate, numerics
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 SPARSE_HELPERS = ("_whitened_optimum", "_sparse_moments")
@@ -98,3 +99,17 @@ def test_sparse_fit_helpers_are_looked_up_by_module_name(tmp_path, monkeypatch):
     )
     assert code == 0
     assert calls == {"_whitened_optimum": 2, "_sparse_moments": 2}
+
+
+@pytest.mark.parametrize("a", [[[2.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]]],
+                         ids=["spd", "needs_jitter"])
+@pytest.mark.parametrize("b", [[1.0, 2.0], [[1.0], [2.0]]], ids=["vector", "matrix"])
+def test_cholesky_solve_factors_once_through_the_module_name(monkeypatch, a, b):
+    # The tracer counts numerics.cholesky_factor calls, and nuisance.irls_steps
+    # as the cholesky_solve spans under fit_propensity, by wrapping the module
+    # attributes; a solve that factored without that lookup, or twice, would
+    # change the traced counts.
+    calls = _count_calls(monkeypatch, numerics, ["cholesky_factor"])
+    x = numerics.cholesky_solve(np.array(a), np.array(b))
+    assert calls == {"cholesky_factor": 1}
+    assert x.shape == np.shape(b)
