@@ -13,6 +13,7 @@ repository root:
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -94,8 +95,6 @@ def mismatches(got, want, path="$"):
 
 def write_goldens():
     """Regenerate every tests/golden/fit_*.json from the current code."""
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp_dir:
         for name in REQUESTS:
             summary = run_fit(name, tmp_dir)
