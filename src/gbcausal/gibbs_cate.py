@@ -93,9 +93,11 @@ def _prior_var(params: KernelParams):
 def _whitened_moments(params, z, v, const_mean):
     """Predictive moments from whitened coordinates: with L the Cholesky
     factor of the noisy Gram matrix, z = L^-1 (y - const) and V = L^-1 k_q^T,
-    the means are V^T z + const and the variances k_** - |V|^2 by column."""
-    variances = _prior_var(params) - np.sum(v * v, axis=0)
-    return v.T @ z + const_mean, np.maximum(variances, _VAR_FLOOR)
+    the means are V^T z + const and the variances k_** - |V|^2 by column.
+    v, a solve's own output, is squared in place once the means are taken."""
+    means = v.T @ z + const_mean
+    variances = _prior_var(params) - np.sum(np.square(v, out=v), axis=0)
+    return means, np.maximum(variances, _VAR_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -154,16 +156,15 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
 
     Memory: k(x, x) lives as long as the resampler, and a fit that draws
     every row (the reported fit, each gpc point estimate) holds no other
-    n x n array. It adds the noise to the diagonal of k(x, x) and factors
-    it where it lies (cholesky_factor's in_place mode: LAPACK's dpotrf
-    writes the factor over one triangle and leaves the other), solves with
-    that triangle and then restores it from the other triangle and the
-    saved diagonal. That is exact because kernel_matrix(params, x, x) is
-    symmetric bit for bit; were it not, the in-place factor would raise
-    DomainError. Any other fit gathers its u x u Gram matrix, an
-    F-contiguous array, and factors that gathered copy the same way. The
-    D9 fit at the n = 2000 guard peaks at about 81 MB RSS, 6.7 MB of it the
-    packing buffer OpenBLAS touches at its first factor of that size.
+    n x n array. It adds the noise to the diagonal of k(x, x), factors it
+    where it lies (cholesky_factor's in_place mode on k(x, x).T, its
+    F-contiguous view), solves over its gathered right-hand sides in place
+    and restores the factor's triangle from the other and the saved
+    diagonal. That is exact because kernel_matrix(params, x, x) is symmetric
+    bit for bit; were it not, the in-place factor would raise DomainError.
+    Any other fit factors its gathered u x u Gram matrix, also F-contiguous,
+    the same way. The D9 fit at the n = 2000 guard peaks at about 78 MB
+    RSS, 6.7 MB of it the buffer OpenBLAS packs into at that size.
 
     The full-data fit (rows 0..n-1 in order) is computed once per omega
     and kept (see _keep_full_fits).
@@ -179,17 +180,17 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
         u, counts = _distinct_rows(rows, n)
         const_mean = float(np.mean(values[rows]))
         full = u.size == n
-        gram = k_xx if full else k_xx[u][:, u]
+        gram = k_xx.T if full else k_xx[u][:, u]
         diag = gram.diagonal().copy()
         gram.flat[:: u.size + 1] += (params.jitter + 1.0 / omega) / counts
         try:
             chol, _ = cholesky_factor(gram, in_place=True)
-            rhs = stacked[u]
-            rhs[:, 0] -= const_mean
-            zv = solve_triangular(chol, rhs, lower=True)
+            zv = stacked[u]
+            zv[:, 0] -= const_mean
+            zv = solve_triangular(chol, zv, lower=True, overwrite_b=True)
         finally:
             if full:
-                restore_lower(k_xx, diag)
+                restore_lower(gram, diag)
         return _whitened_moments(params, zv[:, 0], zv[:, 1:], const_mean)
 
     return _keep_full_fits(fit, n)

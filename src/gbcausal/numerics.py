@@ -18,12 +18,11 @@ package). ``ndtri`` follows cephes (Moshier 1989) and ``gammaincinv`` the
 inverse incomplete gamma of DiDonato & Morris (1986, ACM TOMS 12:377); the
 tests hold each against scipy.
 
-The SPD and triangular solves call LAPACK's dpotrf and dpotrs and BLAS's
-dtrsm through ctypes, in the OpenBLAS that numpy 2.x wheels map into every
-process (ILP64, ``scipy_dpotrf_64_`` and so on), found through
-/proc/self/maps as the thread-count pin finds it. Without it (numpy before
-2.0, an Accelerate build, no /proc) they fall back to np.linalg.cholesky
-and np.linalg.solve: correct, slower, one more n x n array.
+The Cholesky factor and the triangular solve call LAPACK's dpotrf and BLAS's
+dtrsm (ILP64 ``scipy_dpotrf_64_``, ``scipy_dtrsm_64_``) through ctypes in the
+OpenBLAS numpy 2.x wheels map, found through /proc/self/maps as the thread
+pin finds it; elsewhere (numpy < 2.0, Accelerate, no /proc) they fall back to
+np.linalg.cholesky and np.linalg.solve: slower, one more n x n array.
 """
 
 import ctypes
@@ -54,8 +53,10 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
     for suffix in ("64_", "")
 )
 _PROC_MAPS = "/proc/self/maps"
-# Cholesky factor and solve and triangular solve of numpy's OpenBLAS
-_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_dpotrs_64_", "scipy_dtrsm_64_")
+# Cholesky factor and triangular solve of numpy's OpenBLAS
+_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_dtrsm_64_")
+# Entries per block of cholesky_factor's symmetry test
+_CHECK_ENTRIES = 65536
 _lapack_binding = []  # _lapack()'s result, once looked up
 
 # Rational approximations of cephes' ndtri, highest degree first; the Q
@@ -191,28 +192,30 @@ def cholesky_factor(a, in_place=False):
     Only the lower triangle is read once the symmetry test has passed.
 
     Each jitter level is one LAPACK dpotrf('L') call (_potrf), the call
-    np.linalg.cholesky makes, on a Fortran-ordered copy of a + jitter I,
-    whose strict upper triangle is then zeroed: the call holds the input
-    and the factor, not np.linalg.cholesky's third, working copy.
+    np.linalg.cholesky makes, on a zeroed Fortran-ordered array that takes
+    the lower triangle of a + jitter I: the call holds the input and the
+    factor, not np.linalg.cholesky's third, working copy. The symmetry
+    test compares _CHECK_ENTRIES entries at a time, so no test of the
+    input holds an n x n temporary either.
 
-    in_place=True factors a itself, a writeable C- or F-contiguous float64
-    array symmetric bit for bit, and holds no other n x n array. L is then
-    a, or a.T if a is C-contiguous: its lower triangle holds the factor and
-    its strict upper triangle keeps a's values, so read it through its
-    lower triangle only, as solve_triangular does. restore_lower(a, diag),
-    with a's diagonal saved beforehand, puts a back exactly; each jitter
-    retry does so first.
+    in_place=True factors a itself, a writeable F-contiguous float64 array
+    symmetric bit for bit, and holds no other n x n array. L is then a: its
+    lower triangle holds the factor and its strict upper triangle keeps
+    a's values, so read it through its lower triangle only, as
+    solve_triangular does. restore_lower(a, diag), with a's diagonal saved
+    beforehand, puts a back exactly; each jitter retry does so first.
     """
     if in_place and not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
-                         and (a.flags.c_contiguous or a.flags.f_contiguous)):
-        raise DomainError("an in-place factor needs a writeable contiguous float64 array")
+                         and a.flags.f_contiguous):
+        raise DomainError("an in-place factor needs a writeable F-contiguous float64 array")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("matrix must be square")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
     n = a.shape[0]
-    if n and not np.array_equal(a, a.T):  # exact test first: no float temporaries
+    if n and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise DomainError("matrix entries must be finite")
+    step = max(1, _CHECK_ENTRIES // max(n, 1))
+    if not all(np.array_equal(a[lo:lo + step], a[:, lo:lo + step].T) for lo in range(0, n, step)):
         if in_place:
             raise DomainError("an in-place factor needs a matrix symmetric bit for bit")
         if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
@@ -222,10 +225,14 @@ def cholesky_factor(a, in_place=False):
         diag = a.diagonal().copy()
     jitter = 0.0
     while True:
-        mat = (a if a.flags.f_contiguous else a.T) if in_place else np.array(a, order="F")
+        if in_place:
+            mat = a
+        else:
+            mat = np.zeros((n, n), order="F")
+            np.copyto(mat, a, where=np.tri(n, dtype=bool))
         mat.flat[:: n + 1] += jitter  # the diagonal of a + jitter I, rounded alike
         if _potrf(mat):
-            break
+            return mat, jitter
         if in_place:
             restore_lower(a, diag)
         jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
@@ -233,32 +240,31 @@ def cholesky_factor(a, in_place=False):
             raise NotPositiveDefinite(
                 f"matrix not positive definite after jitter escalation to {_JITTER_CEILING:g}"
             ) from None
-    if not in_place:
-        np.copyto(mat.T, 0.0, where=np.tri(n, k=-1, dtype=bool))
-    return mat, jitter
 
 
 def restore_lower(a, diag):
     """Undo cholesky_factor(a, in_place=True) on a matrix that was symmetric
     bit for bit, with diag its diagonal saved before the call: copy, a
-    column at a time, the triangle the factor left onto the one it wrote,
-    and put diag on the diagonal."""
-    mat = a if a.flags.f_contiguous else a.T
-    for j in range(mat.shape[0] - 1):
-        mat[j + 1:, j] = mat[j, j + 1:]
-    mat.flat[:: mat.shape[0] + 1] = diag
+    column at a time, the upper triangle the factor left onto the lower one
+    it wrote, and put diag on the diagonal."""
+    for j in range(a.shape[0] - 1):
+        a[j + 1:, j] = a[j, j + 1:]
+    a.flat[:: a.shape[0] + 1] = diag
 
 
-def solve_triangular(a, b, lower=False):
+def solve_triangular(a, b, lower=False, overwrite_b=False):
     """Solve A X = B for a triangular A with a nonzero diagonal, such as a
     Cholesky factor or its transpose: one BLAS dtrsm call, or
     np.linalg.solve on A's triangle where none is bound (_lapack). Only
     that triangle is read, so the other may hold anything (cholesky_factor's
-    in-place factor keeps the input there)."""
+    in-place factor keeps the input there). overwrite_b=True, as in scipy,
+    lets the dtrsm write X over b if b is a C-contiguous float64 array."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    x = np.array(b.reshape(n, -1), order="C")
+    x = b.reshape(n, -1)
+    if not (overwrite_b and x.flags.c_contiguous and x.flags.writeable):
+        x = np.array(x, order="C")
     lapack = _lapack()
     if lapack is None:
         return np.linalg.solve(np.tril(a) if lower else np.triu(a), x).reshape(b.shape)
@@ -268,7 +274,7 @@ def solve_triangular(a, b, lower=False):
     # A^T being a read column-major (C order) or a transposed (F order)
     fortran, k = a.flags.f_contiguous, x.shape[1]
     if x.size:
-        lapack[2](b"R", b"L" if lower == fortran else b"U", b"T" if fortran else b"N", b"N",
+        lapack[1](b"R", b"L" if lower == fortran else b"U", b"T" if fortran else b"N", b"N",
                   _int(k), _int(n), ctypes.byref(ctypes.c_double(1.0)), _ptr(a), _int(n),
                   _ptr(x), _int(k))
     return x.reshape(b.shape)
@@ -276,20 +282,15 @@ def solve_triangular(a, b, lower=False):
 
 def cholesky_solve(a, b):
     """Solve A X = B for symmetric positive-definite A: cholesky_factor
-    checks A, sets the jitter and factors A + jitter I, and LAPACK's dpotrs
-    solves with that factor; where none is bound (_lapack),
-    np.linalg.solve (an LU) solves A + jitter I."""
-    chol, jitter = cholesky_factor(a)
-    b = np.asarray(b, dtype=float)
-    n = chol.shape[0]
-    lapack = _lapack()
-    if lapack is None:
-        return np.linalg.solve(np.asarray(a, dtype=float) + jitter * np.eye(n), b)
-    x = np.array(b.reshape(n, -1), order="F")
-    if x.size:
-        lapack[1](b"L", _int(n), _int(x.shape[1]), _ptr(chol), _int(n), _ptr(x), _int(n),
-                  _int(0))
-    return x.reshape(b.shape)
+    checks A and sets the jitter, and np.linalg.solve (one LAPACK LU)
+    solves A + jitter I. LAPACK's dpotrs on that factor would skip the LU,
+    but it rounds differently: the nuisance coefficients, and with them
+    fit's plug-in and gpc omega, would move in their last bits."""
+    _, jitter = cholesky_factor(a)
+    a = np.asarray(a, dtype=float)
+    if jitter:
+        a = a + jitter * np.eye(a.shape[0])
+    return np.linalg.solve(a, np.asarray(b, dtype=float))
 
 
 def _int(v):
@@ -321,9 +322,8 @@ def _potrf(mat):
 
 
 def _lapack():
-    """(dpotrf, dpotrs, dtrsm) of the first mapped OpenBLAS that exports
-    all of _LAPACK_SYMBOLS, looked up once per process; None where none
-    does."""
+    """(dpotrf, dtrsm) of the first mapped OpenBLAS that exports both,
+    looked up once per process; None where none does."""
     if not _lapack_binding:
         _lapack_binding.append(next(
             (tuple(getattr(lib, name) for name in _LAPACK_SYMBOLS) for lib in _openblas_libraries()
@@ -336,12 +336,12 @@ def _openblas_libraries():
     where the process map cannot be read (non-Linux)."""
     try:
         with open(_PROC_MAPS, encoding="utf-8") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
+            paths = dict.fromkeys(
+                f[5].strip() for f in (line.split(maxsplit=5) for line in fh)
+                if len(f) == 6 and "openblas" in os.path.basename(f[5])
+            )
     except OSError:
         return []
-    paths = dict.fromkeys(
-        f[5].strip() for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])
-    )
     libs = []
     for path in paths:
         try:

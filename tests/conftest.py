@@ -1,14 +1,6 @@
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import pytest
 
 from gbcausal.numerics import blas_threads
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -18,44 +10,3 @@ def one_blas_thread():
     set their own counts inside it."""
     with blas_threads(1):
         yield
-
-
-@pytest.fixture
-def peak_growth():
-    """peak_growth(n, setup, call): in a fresh process at one OpenBLAS
-    thread, run `setup` (with n bound) and then `call`, and return how far
-    the peak resident set (VmHWM) rose over the resident set (VmRSS) just
-    before `call`, in bytes.
-
-    OpenBLAS keeps the part of its packing buffer that its first factor of
-    a size touches (about 5 MiB at 1500 rows) for the life of the process.
-    So an n x n matrix is factored first, and kept alive, and the growth is
-    `call`'s own memory."""
-
-    def run(n, setup, call):
-        script = textwrap.dedent("""
-            import numpy as np
-            from gbcausal.numerics import Rng, blas_threads, cholesky_factor
-
-            def status(field):
-                with open("/proc/self/status") as fh:
-                    return next(int(line.split()[1]) * 1024 for line in fh
-                                if line.startswith(field))
-
-            n = {n}
-            {setup}
-            with blas_threads(1):
-                warm = np.eye(n)
-                cholesky_factor(warm, in_place=True)
-                before = status("VmRSS:")
-                {call}
-                print(status("VmHWM:") - before)
-        """).format(n=n, setup=setup, call=call)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
-
-    return run

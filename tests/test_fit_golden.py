@@ -5,8 +5,7 @@ compared with `tests/golden/fit_<name>.json`: keys, strings, integers and
 omega must match exactly, and every other float must lie within 1e-10
 relative of the golden (1e-12 absolute near zero).
 
-A change that moves omega, or a float past that tolerance, regenerates the
-goldens and names in CHANGES.md each file that moved and why. From the
+write_goldens() writes the goldens from the current code. From the
 repository root:
 
     PYTHONPATH=src python -c "from tests.test_fit_golden import write_goldens; write_goldens()"

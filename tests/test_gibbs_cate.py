@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -339,18 +343,36 @@ class TestExactGpResampler:
         assert k_xx.tobytes() == before.tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
-    def test_full_row_fit_holds_one_n_by_n_array(self, peak_growth):
-        # The growth of the peak resident set over the resampler and its
-        # full-row fit is k(x, x), the stacked right-hand sides and the fit's
-        # solve: the fit factors k(x, x) in place
+    def test_full_row_fit_holds_one_n_by_n_array(self):
+        # In a fresh process the growth of the peak resident set (VmHWM) over
+        # the resampler and its full-row fit is k(x, x), a few n x 51 arrays
+        # and the packing buffer OpenBLAS touches at its first factor of
+        # that size: the fit factors k(x, x) in place
         n = 1500
-        growth = peak_growth(
-            n,
-            "from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler\n"
-            "x, values, query = Rng(63).normal((n, 3)), Rng(64).normal(n), Rng(65).normal((50, 3))",
-            "exact_gp_resampler(KernelParams(family='Matern52'), x, values, query)(np.arange(n), 1.0)",
-        )
-        assert growth <= 1.4 * 8 * n * n
+        script = textwrap.dedent(f"""
+            import numpy as np
+            from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler
+            from gbcausal.numerics import Rng, blas_threads
+
+            def peak():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) * 1024 for line in fh
+                                if line.startswith("VmHWM:"))
+
+            x, values, query = Rng(63).normal(({n}, 3)), Rng(64).normal({n}), Rng(65).normal((50, 3))
+            with blas_threads(1):
+                before = peak()
+                fit = exact_gp_resampler(KernelParams(family="Matern52"), x, values, query)
+                fit(np.arange({n}), 1.0)
+                print(peak() - before)
+        """)
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 1.4 * 8 * n * n
 
     def test_full_row_fit_holds_at_most_three_n_by_n_arrays(self):
         # k(x, x) is the one n x n array: the fit factors it in place and

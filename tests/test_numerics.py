@@ -1,6 +1,9 @@
 import ctypes
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +203,36 @@ class TestBlockedCholesky:
         assert a.tobytes() == before.tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc/self/status")
-    def test_factor_holds_one_copy_of_its_input(self, peak_growth):
-        # The factor's own memory is one copy of its input and temporaries
-        # a fraction of it. One np.linalg.cholesky call holds two copies,
-        # its LAPACK working copy and the result.
+    def test_factor_holds_one_copy_of_its_input(self):
+        # In a fresh process, the growth of the peak resident set (VmHWM)
+        # while factoring an n x n input is the factor's own memory: at most
+        # one copy of the input, and the packing buffer OpenBLAS touches at
+        # its first factor of that size. One np.linalg.cholesky call holds
+        # two copies, its LAPACK working copy and the result.
         n = 1500
-        growth = peak_growth(n, "a = np.full((n, n), 0.5); a.flat[:: n + 1] += n",
-                             "cholesky_factor(a)")
-        assert growth <= 1.3 * 8 * n * n
+        script = textwrap.dedent(f"""
+            import numpy as np
+            from gbcausal.numerics import blas_threads, cholesky_factor
+
+            def peak():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) * 1024 for line in fh
+                                if line.startswith("VmHWM:"))
+
+            a = np.full(({n}, {n}), 0.5)
+            a.flat[:: {n} + 1] += {n}
+            with blas_threads(1):
+                before = peak()
+                cholesky_factor(a)
+                print(peak() - before)
+        """)
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 1.3 * 8 * n * n
 
 
 class TestInPlaceCholesky:
@@ -215,9 +240,9 @@ class TestInPlaceCholesky:
     def test_lower_triangle_is_the_copying_factor(self, n):
         a = _kernel_spd(n, 9)
         want, _ = cholesky_factor(a)
-        mat = a.copy()
+        mat = np.asfortranarray(a)
         chol, jitter = cholesky_factor(mat, in_place=True)
-        assert np.shares_memory(chol, mat) and jitter == 0.0
+        assert chol is mat and jitter == 0.0
         assert np.tril(chol).tobytes() == want.tobytes()
         assert np.triu(chol, 1).tobytes() == np.triu(a, 1).tobytes()
 
@@ -240,39 +265,42 @@ class TestInPlaceCholesky:
     @pytest.mark.parametrize("smallest, jitter", [(0.5, 0.0), (-5e-8, 1e-7), (-1e-3, None)])
     def test_restore_lower_puts_the_input_back(self, smallest, jitter):
         # a jitter retry, and a failure past the ceiling, restore the input
-        # themselves; a factor is undone by restore_lower, in either layout
+        # themselves; a factor is undone by restore_lower
         a = _spectrum_spd(300, smallest, 10)
-        diag = a.diagonal().copy()
-        for mat in (a.copy(), np.asfortranarray(a)):
-            if jitter is None:
-                with pytest.raises(NotPositiveDefinite):
-                    cholesky_factor(mat, in_place=True)
-            else:
-                chol, got = cholesky_factor(mat, in_place=True)
-                want, want_jitter = cholesky_factor(a)
-                assert got == want_jitter == pytest.approx(jitter, rel=1e-9)
-                assert np.tril(chol).tobytes() == want.tobytes()
-                restore_lower(mat, diag)
-            assert mat.tobytes() == a.tobytes()
+        mat, diag = np.asfortranarray(a), a.diagonal().copy()
+        if jitter is None:
+            with pytest.raises(NotPositiveDefinite):
+                cholesky_factor(mat, in_place=True)
+        else:
+            chol, got = cholesky_factor(mat, in_place=True)
+            want, want_jitter = cholesky_factor(a)
+            assert got == want_jitter == pytest.approx(jitter, rel=1e-9)
+            assert np.tril(chol).tobytes() == want.tobytes()
+            restore_lower(mat, diag)
+        assert mat.tobytes() == a.tobytes()
 
     def test_needs_a_matrix_symmetric_bit_for_bit(self):
-        a = _kernel_spd(40, 11)
+        a = np.asfortranarray(_kernel_spd(40, 11))
         a[3, 1] = np.nextafter(a[3, 1], 1.0)
         cholesky_factor(a)  # within the tolerance of the copying factor
         with pytest.raises(DomainError, match="symmetric bit for bit"):
             cholesky_factor(a, in_place=True)
 
-    @pytest.mark.parametrize("layout", ["strided", "float32", "read_only"])
-    def test_needs_a_writeable_contiguous_float64_array(self, layout):
-        a = _kernel_spd(40, 12)
-        if layout == "strided":
-            a = np.kron(a, np.ones((2, 2)))[::2, ::2]
+    @pytest.mark.parametrize("layout", ["c_contiguous", "strided", "float32", "read_only"])
+    def test_needs_a_writeable_f_contiguous_float64_array(self, layout):
+        # LAPACK factors a Fortran array where it lies; a C-contiguous a is
+        # passed as a.T, the same values when a is symmetric bit for bit
+        a = np.asfortranarray(_kernel_spd(40, 12))
+        if layout == "c_contiguous":
+            a = np.ascontiguousarray(a)
+        elif layout == "strided":
+            a = np.asfortranarray(np.kron(a, np.ones((2, 2))))[::2, ::2]
         elif layout == "float32":
             a = a.astype(np.float32)
         else:
             a.setflags(write=False)
         before = a.copy()
-        with pytest.raises(DomainError, match="writeable contiguous float64"):
+        with pytest.raises(DomainError, match="writeable F-contiguous float64"):
             cholesky_factor(a, in_place=True)
         assert a.tobytes() == before.tobytes()
 
@@ -287,6 +315,18 @@ class TestInPlaceCholesky:
         b = Rng(13, n).normal((n, 3))
         got = solve_triangular(filled, b, lower=lower)
         assert got.tobytes() == solve_triangular(a, b, lower=lower).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_solve_triangular_overwrite_b(self, order):
+        # overwrite_b lets the dtrsm write X over a C-contiguous b; the
+        # values are those of the copying solve on either path
+        n = 60
+        chol, _ = cholesky_factor(_kernel_spd(n, 19))
+        b = np.array(Rng(20, n).normal((n, 4)), order=order)
+        want = solve_triangular(chol, b, lower=True)
+        got = solve_triangular(chol, b, lower=True, overwrite_b=True)
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, b) == (order == "C" and numerics._lapack() is not None)
 
 
 @pytest.mark.usefixtures("numpy_fallback")
