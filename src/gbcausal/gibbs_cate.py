@@ -93,9 +93,8 @@ def _prior_var(params: KernelParams):
 def _whitened_moments(params, z, v, const_mean):
     """Predictive moments from whitened coordinates: with L the Cholesky
     factor of the noisy Gram matrix, z = L^-1 (y - const) and V = L^-1 k_q^T,
-    the means are V^T z + const and the variances k_** - |V|^2 by column.
-    v, a solve's own output, is squared in place once the means are taken."""
-    means = v.T @ z + const_mean
+    the means are V^T z + const and the variances k_** - |V|^2 by column."""
+    means = v.T @ z + const_mean  # before v, a solve's own output, is squared in place
     variances = _prior_var(params) - np.sum(np.square(v, out=v), axis=0)
     return means, np.maximum(variances, _VAR_FLOOR)
 
@@ -156,15 +155,14 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
 
     Memory: k(x, x) lives as long as the resampler, and a fit that draws
     every row (the reported fit, each gpc point estimate) holds no other
-    n x n array. It adds the noise to the diagonal of k(x, x), factors it
-    where it lies (cholesky_factor's in_place mode on k(x, x).T, its
-    F-contiguous view), solves over its gathered right-hand sides in place
-    and restores the factor's triangle from the other and the saved
-    diagonal. That is exact because kernel_matrix(params, x, x) is symmetric
-    bit for bit; were it not, the in-place factor would raise DomainError.
-    Any other fit factors its gathered u x u Gram matrix, also F-contiguous,
-    the same way. The D9 fit at the n = 2000 guard peaks at about 78 MB
-    RSS, 6.7 MB of it the buffer OpenBLAS packs into at that size.
+    n x n array. It adds the noise to k(x, x)'s diagonal, factors it where
+    it lies (cholesky_factor's in_place mode on its F-contiguous view
+    k(x, x).T), solves over its gathered right-hand sides in place and
+    restores the factor's triangle from the other and the saved diagonal,
+    exactly, as kernel_matrix(params, x, x) is symmetric bit for bit. Other
+    fits factor their gathered, F-contiguous u x u Gram matrix the same way.
+    The D9 fit at the n = 2000 guard peaks at about 78 MB RSS, 6.7 MB of it
+    OpenBLAS's packing buffer.
 
     The full-data fit (rows 0..n-1 in order) is computed once per omega
     and kept (see _keep_full_fits).

@@ -18,11 +18,10 @@ package). ``ndtri`` follows cephes (Moshier 1989) and ``gammaincinv`` the
 inverse incomplete gamma of DiDonato & Morris (1986, ACM TOMS 12:377); the
 tests hold each against scipy.
 
-The Cholesky factor and the triangular solve call LAPACK's dpotrf and BLAS's
-dtrsm (ILP64 ``scipy_dpotrf_64_``, ``scipy_dtrsm_64_``) through ctypes in the
-OpenBLAS numpy 2.x wheels map, found through /proc/self/maps as the thread
-pin finds it; elsewhere (numpy < 2.0, Accelerate, no /proc) they fall back to
-np.linalg.cholesky and np.linalg.solve: slower, one more n x n array.
+The Cholesky factor and triangular solve call LAPACK's dpotrf and BLAS's
+dtrsm (ILP64 ``scipy_*_64_``) via ctypes in the OpenBLAS numpy 2.x wheels map,
+found in /proc/self/maps as the thread pin finds it; elsewhere (numpy < 2.0,
+Accelerate, no /proc) np.linalg.cholesky and np.linalg.solve stand in.
 """
 
 import ctypes
@@ -53,8 +52,8 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
     for suffix in ("64_", "")
 )
 _PROC_MAPS = "/proc/self/maps"
-# Cholesky factor and triangular solve of numpy's OpenBLAS
-_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_dtrsm_64_")
+# Cholesky factor, triangular solve and triangle copy of numpy's OpenBLAS
+_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_dtrsm_64_", "scipy_dlacpy_64_")
 # Entries per block of cholesky_factor's symmetry test
 _CHECK_ENTRIES = 65536
 _lapack_binding = []  # _lapack()'s result, once looked up
@@ -192,11 +191,9 @@ def cholesky_factor(a, in_place=False):
     Only the lower triangle is read once the symmetry test has passed.
 
     Each jitter level is one LAPACK dpotrf('L') call (_potrf), the call
-    np.linalg.cholesky makes, on a zeroed Fortran-ordered array that takes
-    the lower triangle of a + jitter I: the call holds the input and the
-    factor, not np.linalg.cholesky's third, working copy. The symmetry
-    test compares _CHECK_ENTRIES entries at a time, so no test of the
-    input holds an n x n temporary either.
+    np.linalg.cholesky makes, on a zeroed Fortran array given the lower
+    triangle of a + jitter I: the call holds the input and the factor, not
+    np.linalg.cholesky's working copy, and no n x n temporary of its checks.
 
     in_place=True factors a itself, a writeable F-contiguous float64 array
     symmetric bit for bit, and holds no other n x n array. L is then a: its
@@ -215,22 +212,19 @@ def cholesky_factor(a, in_place=False):
     if n and not (math.isfinite(a.min()) and math.isfinite(a.max())):
         raise DomainError("matrix entries must be finite")
     step = max(1, _CHECK_ENTRIES // max(n, 1))
-    if not all(np.array_equal(a[lo:lo + step], a[:, lo:lo + step].T) for lo in range(0, n, step)):
+    if not all((a[lo:lo + step] == a[:, lo:lo + step].T).all() for lo in range(0, n, step)):
         if in_place:
             raise DomainError("an in-place factor needs a matrix symmetric bit for bit")
         if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
             raise DomainError("matrix is not symmetric within tolerance 1e-10")
+        a = np.asfortranarray(a)  # whose lower triangle _lower_copy reads as stored
 
-    if in_place:
-        diag = a.diagonal().copy()
+    diag = a.diagonal().copy() if in_place else None
     jitter = 0.0
     while True:
-        if in_place:
-            mat = a
-        else:
-            mat = np.zeros((n, n), order="F")
-            np.copyto(mat, a, where=np.tri(n, dtype=bool))
-        mat.flat[:: n + 1] += jitter  # the diagonal of a + jitter I, rounded alike
+        mat = a if in_place else _lower_copy(a)
+        if jitter:
+            mat.flat[:: n + 1] += jitter  # the diagonal of a + jitter I, rounded alike
         if _potrf(mat):
             return mat, jitter
         if in_place:
@@ -254,11 +248,10 @@ def restore_lower(a, diag):
 
 def solve_triangular(a, b, lower=False, overwrite_b=False):
     """Solve A X = B for a triangular A with a nonzero diagonal, such as a
-    Cholesky factor or its transpose: one BLAS dtrsm call, or
-    np.linalg.solve on A's triangle where none is bound (_lapack). Only
-    that triangle is read, so the other may hold anything (cholesky_factor's
-    in-place factor keeps the input there). overwrite_b=True, as in scipy,
-    lets the dtrsm write X over b if b is a C-contiguous float64 array."""
+    Cholesky factor or its transpose: one BLAS dtrsm call, or np.linalg.solve
+    where none is bound. Only A's triangle is read; the other may hold
+    anything (cholesky_factor's in-place factor keeps the input there).
+    overwrite_b=True, as in scipy, lets dtrsm write X over a C-ordered b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
@@ -268,8 +261,7 @@ def solve_triangular(a, b, lower=False, overwrite_b=False):
     lapack = _lapack()
     if lapack is None:
         return np.linalg.solve(np.tril(a) if lower else np.triu(a), x).reshape(b.shape)
-    if not (a.flags.f_contiguous or a.flags.c_contiguous):
-        a = np.ascontiguousarray(a)
+    a = a if a.flags.f_contiguous else np.ascontiguousarray(a)
     # column-major dtrsm reads x as X^T: solve X^T A^T = B^T from the right,
     # A^T being a read column-major (C order) or a transposed (F order)
     fortran, k = a.flags.f_contiguous, x.shape[1]
@@ -282,10 +274,9 @@ def solve_triangular(a, b, lower=False, overwrite_b=False):
 
 def cholesky_solve(a, b):
     """Solve A X = B for symmetric positive-definite A: cholesky_factor
-    checks A and sets the jitter, and np.linalg.solve (one LAPACK LU)
-    solves A + jitter I. LAPACK's dpotrs on that factor would skip the LU,
-    but it rounds differently: the nuisance coefficients, and with them
-    fit's plug-in and gpc omega, would move in their last bits."""
+    checks A and sets the jitter, and np.linalg.solve (an LU) solves
+    A + jitter I. LAPACK's dpotrs on that factor rounds differently, and
+    would move the nuisance coefficients and fit's omega in the last bits."""
     _, jitter = cholesky_factor(a)
     a = np.asarray(a, dtype=float)
     if jitter:
@@ -302,11 +293,25 @@ def _ptr(arr):
     return ctypes.c_void_p(arr.ctypes.data)
 
 
+def _lower_copy(a):
+    """A zeroed F-contiguous array with a's lower triangle: LAPACK's dlacpy
+    on a's buffer read in Fortran order (a, or a.T, which has the same
+    values if a is symmetric bit for bit), or a masked np.copyto."""
+    n = a.shape[0]
+    mat, lapack = np.zeros((n, n), order="F"), _lapack()
+    if lapack is None or not (a.flags.c_contiguous or a.flags.f_contiguous):
+        np.copyto(mat, a, where=np.tri(n, dtype=bool))
+    elif n:
+        nn = _int(n)
+        lapack[2](b"L", nn, nn, _ptr(a), nn, _ptr(mat), nn)
+    return mat
+
+
 def _potrf(mat):
-    """Factor the F-contiguous SPD matrix mat in its lower triangle, leaving
-    the strict upper triangle: LAPACK's dpotrf('L'), or np.linalg.cholesky
-    where none is bound (_lapack). False when mat is not positive definite;
-    its lower triangle may then be partly overwritten."""
+    """Factor the F-contiguous SPD mat in its lower triangle, leaving the
+    other: LAPACK's dpotrf('L'), or np.linalg.cholesky where none is bound.
+    False when mat is not positive definite (its lower triangle may then
+    be partly overwritten)."""
     n = mat.shape[0]
     lapack = _lapack()
     if lapack is None:
@@ -322,8 +327,8 @@ def _potrf(mat):
 
 
 def _lapack():
-    """(dpotrf, dtrsm) of the first mapped OpenBLAS that exports both,
-    looked up once per process; None where none does."""
+    """(dpotrf, dtrsm, dlacpy) of the first mapped OpenBLAS that exports
+    all three, looked up once per process; None where none does."""
     if not _lapack_binding:
         _lapack_binding.append(next(
             (tuple(getattr(lib, name) for name in _LAPACK_SYMBOLS) for lib in _openblas_libraries()
@@ -338,8 +343,7 @@ def _openblas_libraries():
         with open(_PROC_MAPS, encoding="utf-8") as fh:
             paths = dict.fromkeys(
                 f[5].strip() for f in (line.split(maxsplit=5) for line in fh)
-                if len(f) == 6 and "openblas" in os.path.basename(f[5])
-            )
+                if len(f) == 6 and "openblas" in os.path.basename(f[5]))
     except OSError:
         return []
     libs = []
