@@ -161,7 +161,7 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     restores the factor's triangle from the other and the saved diagonal,
     exactly, as kernel_matrix(params, x, x) is symmetric bit for bit. Other
     fits factor their gathered, F-contiguous u x u Gram matrix the same way.
-    The D9 fit at the n = 2000 guard peaks at about 78 MB RSS, 6.7 MB of it
+    The D9 fit at the n = 2000 guard peaks at about 77 MB RSS, 6.7 MB of it
     OpenBLAS's packing buffer.
 
     The full-data fit (rows 0..n-1 in order) is computed once per omega
