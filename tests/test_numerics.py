@@ -174,6 +174,14 @@ class TestBlockedCholesky:
         want, _ = cholesky_factor(np.asfortranarray(a))
         assert chol.tobytes() == want.tobytes()
 
+    def test_strided_input(self):
+        # neither C- nor F-contiguous: its lower triangle is copied by a mask
+        a = _kernel_spd(152, 3)
+        wide = np.zeros((152, 304))
+        wide[:, ::2] = a
+        chol, jitter = cholesky_factor(wide[:, ::2])
+        assert jitter == 0.0 and chol.tobytes() == np.linalg.cholesky(a).tobytes()
+
     @pytest.mark.parametrize("n", [40, 152, 300, 257])
     @pytest.mark.parametrize("smallest, jitter", [(0.5, 0.0), (-5e-8, 1e-7), (-5e-5, 1e-4),
                                                   (-1e-3, None)])
