@@ -1,9 +1,18 @@
 """Golden `fit` outputs at a stated tolerance.
 
 Each request below is run in-process through `cli.main` and its JSON is
-compared with `tests/golden/fit_<name>.json`: keys, strings, integers and
-omega must match exactly, and every other float must lie within 1e-10
-relative of the golden (1e-12 absolute near zero).
+compared with `tests/golden/fit_<name>.json`: keys, strings and integers
+must match exactly, omega must lie within 1e-12 relative of the golden, and
+every other float within 1e-10 relative (1e-12 absolute near zero).
+
+Why omega has a tolerance, and why it is 1e-12: solving the SPD systems on
+their Cholesky factor (LAPACK dpotrs) in place of an LU of the same matrix
+rounds differently, which moves the nuisance coefficients in their last
+bits and omega with them. On a prototype of that change, omega moved by at
+most 6.9e-14 relative on the 8 goldens, and by at most 8.2e-14 over the 7
+requests below other than "csv" at seeds 1 to 6. A gpc search that takes a
+different path (another bracket, another number of steps) moves omega by
+orders of magnitude more than 1e-12, so the tolerance still pins the search.
 
 write_goldens() writes the goldens from the current code. From the
 repository root:
@@ -25,6 +34,7 @@ from gbcausal.numerics import Rng
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
+OMEGA_REL_TOL = 1e-12
 
 # the seven fit-cli requests of perfbench/run.py, its CSV request replaced
 # by "csv" below, and the sparse-GP gpc fit at n = 2500
@@ -84,7 +94,10 @@ def mismatches(got, want, path="$"):
             return [f"{path}: length {len(got)} != {len(want)}"]
         return [m for i, (g, w) in enumerate(zip(got, want))
                 for m in mismatches(g, w, f"{path}[{i}]")]
-    if isinstance(want, float) and not path.endswith(".omega"):
+    if isinstance(want, float) and path.endswith(".omega"):
+        if abs(got - want) <= OMEGA_REL_TOL * abs(want):
+            return []
+    elif isinstance(want, float):
         if abs(got - want) <= max(REL_TOL * abs(want), ABS_TOL):
             return []
     elif got == want:
@@ -122,10 +135,15 @@ class TestComparator:
         got = self._with(cri=[{"lo": 1.0 + 0.5e-10, "hi": 0.5e-12}])
         assert mismatches(got, self.WANT) == []
 
+    @pytest.mark.parametrize("omega", [0.5 * (1.0 + 5e-13), 0.5 + 2.0**-53],
+                             ids=["5e-13", "one_ulp"])
+    def test_omega_within_its_tolerance_agrees(self, omega):
+        assert mismatches(self._with(omega=omega), self.WANT) == []
+
     @pytest.mark.parametrize("changes", [
         {"cri": [{"lo": 1.0 + 2e-10, "hi": 0.0}]},
         {"cri": [{"lo": 1.0, "hi": 2e-12}]},
-        {"omega": 0.5 + 2.0**-53},
+        {"omega": 0.5 * (1.0 + 2e-12)},
         {"n": 4},
         {"n": 3.0},
         {"strategy": "IPW"},
