@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Rng, cholesky_factor, restore_lower, solve_triangular
+from .numerics import Rng, cholesky_factor, restore_lower, solve_factored, solve_triangular
 from .pseudo import PseudoOutcomes
 
 _SQRT5 = np.sqrt(5.0)
@@ -113,7 +113,7 @@ class ExactGpPredictor:
 
     def predict(self, x_query):
         k_q = kernel_matrix(self.params, x_query, self.x_train)
-        v = solve_triangular(self.chol, k_q.T, lower=True)
+        v = solve_triangular(self.chol, k_q.T)
         return _whitened_moments(self.params, self.z, v, self.const_mean)
 
 
@@ -135,7 +135,7 @@ def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega
     gram = kernel_matrix(params, x)
     gram.flat[:: n + 1] += 1.0 / omega
     chol, _ = cholesky_factor(gram)
-    z = solve_triangular(chol, pseudo.values - const_mean, lower=True)
+    z = solve_triangular(chol, pseudo.values - const_mean)
     return ExactGpPredictor(params, x, chol, z, const_mean)
 
 
@@ -185,7 +185,7 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
             chol, _ = cholesky_factor(gram, in_place=True)
             zv = stacked[u]
             zv[:, 0] -= const_mean
-            zv = solve_triangular(chol, zv, lower=True, overwrite_b=True)
+            zv = solve_triangular(chol, zv, overwrite_b=True)
         finally:
             if full:
                 restore_lower(gram, diag)
@@ -249,7 +249,7 @@ def _inducing_basis(params: KernelParams, x, m_inducing, rng: Rng):
         raise DomainError(f"m_inducing must satisfy 1 <= M <= n, got M={m}, n={n}")
     z = x[rng.permutation(n)[:m]]
     chol_k, _ = cholesky_factor(kernel_matrix(params, z))
-    return z, chol_k, solve_triangular(chol_k, kernel_matrix(params, z, x), lower=True)
+    return z, chol_k, solve_triangular(chol_k, kernel_matrix(params, z, x))
 
 
 def _whitened_optimum(c, counts, y_c, omega):
@@ -259,17 +259,14 @@ def _whitened_optimum(c, counts, y_c, omega):
     One Cholesky factor of P gives both moments; returns it and m."""
     w = c * np.sqrt(counts)
     chol_p, _ = cholesky_factor(np.eye(c.shape[0]) + omega * (w @ w.T))
-    v_mean = omega * solve_triangular(
-        chol_p.T, solve_triangular(chol_p, c @ (counts * y_c), lower=True), lower=False
-    )
-    return chol_p, v_mean
+    return chol_p, omega * solve_factored(chol_p, c @ (counts * y_c))
 
 
 def _sparse_moments(params, b, chol_p, v_mean, const_mean):
     """Predictive moments of q(v) = N(v_mean, P^-1) at the query columns
     B = L_K^-1 K_mq: means B^T m + const and variances
     (k_** - |B|^2) + |L_P^-1 B|^2 by column."""
-    recovered = solve_triangular(chol_p, b, lower=True)
+    recovered = solve_triangular(chol_p, b)
     variances = (_prior_var(params) - np.sum(b * b, axis=0)) + np.sum(recovered * recovered, axis=0)
     return b.T @ v_mean + const_mean, np.maximum(variances, _VAR_FLOOR)
 
@@ -308,7 +305,7 @@ def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rn
     in exact_gp_resampler.
     """
     z, chol_k, c = _inducing_basis(params, x, m_inducing, rng)
-    b = solve_triangular(chol_k, kernel_matrix(params, z, x_query), lower=True)
+    b = solve_triangular(chol_k, kernel_matrix(params, z, x_query))
 
     def fit(rows, omega):
         u, counts = _distinct_rows(rows, c.shape[1])
@@ -321,5 +318,5 @@ def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rn
 
 def predict(gp: GpPosterior, x_query):
     """Pointwise predictive means and variances at the query rows."""
-    b = solve_triangular(gp.chol_k, kernel_matrix(gp.kernel, gp.inducing_x, x_query), lower=True)
+    b = solve_triangular(gp.chol_k, kernel_matrix(gp.kernel, gp.inducing_x, x_query))
     return _sparse_moments(gp.kernel, b, gp.chol_p, gp.v_mean, gp.const_mean)

@@ -18,10 +18,11 @@ package). ``ndtri`` follows cephes (Moshier 1989) and ``gammaincinv`` the
 inverse incomplete gamma of DiDonato & Morris (1986, ACM TOMS 12:377); the
 tests hold each against scipy.
 
-The Cholesky factor and triangular solve call LAPACK's dpotrf and BLAS's
-dtrsm (ILP64 ``scipy_*_64_``) via ctypes in the OpenBLAS numpy 2.x wheels map,
-found in /proc/self/maps as the thread pin finds it; elsewhere (numpy < 2.0,
-Accelerate, no /proc) np.linalg.cholesky and np.linalg.solve stand in.
+The Cholesky factor, the SPD solve on it and the triangular solve call
+LAPACK's dpotrf and dpotrs and BLAS's dtrsm (ILP64 ``scipy_*_64_``) via ctypes
+in the OpenBLAS numpy 2.x wheels map, found in /proc/self/maps as the thread
+pin finds it; elsewhere (numpy < 2.0, Accelerate, no /proc) np.linalg.cholesky
+and np.linalg.solve on the factor's triangle, then its transpose, stand in.
 """
 
 import ctypes
@@ -52,8 +53,8 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
     for suffix in ("64_", "")
 )
 _PROC_MAPS = "/proc/self/maps"
-# Cholesky factor, triangular solve and triangle copy of numpy's OpenBLAS
-_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_dtrsm_64_", "scipy_dlacpy_64_")
+# factor, triangular solve, triangle copy and solve on a factor: numpy's OpenBLAS
+_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_dtrsm_64_", "scipy_dlacpy_64_", "scipy_dpotrs_64_")
 # Entries per block of cholesky_factor's symmetry test
 _CHECK_ENTRIES = 65536
 _lapack_binding = []  # _lapack()'s result, once looked up
@@ -246,42 +247,49 @@ def restore_lower(a, diag):
     a.flat[:: a.shape[0] + 1] = diag
 
 
-def solve_triangular(a, b, lower=False, overwrite_b=False):
-    """Solve A X = B for a triangular A with a nonzero diagonal, such as a
-    Cholesky factor or its transpose: one BLAS dtrsm call, or np.linalg.solve
-    where none is bound. Only A's triangle is read; the other may hold
-    anything (cholesky_factor's in-place factor keeps the input there).
+def solve_triangular(a, b, overwrite_b=False):
+    """Solve L X = B for a lower-triangular L with a nonzero diagonal, a
+    factor from cholesky_factor: one BLAS dtrsm on L in Fortran order, or
+    np.linalg.solve on tril(L) where none is bound. L's upper triangle may
+    hold anything (cholesky_factor's in-place factor keeps the input there).
     overwrite_b=True, as in scipy, lets dtrsm write X over a C-ordered b."""
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = a.shape[0]
+    n = len(a)
     x = b.reshape(n, -1)
     if not (overwrite_b and x.flags.c_contiguous and x.flags.writeable):
         x = np.array(x, order="C")
     lapack = _lapack()
     if lapack is None:
-        return np.linalg.solve(np.tril(a) if lower else np.triu(a), x).reshape(b.shape)
-    a = a if a.flags.f_contiguous else np.ascontiguousarray(a)
-    # column-major dtrsm reads x as X^T: solve X^T A^T = B^T from the right,
-    # A^T being a read column-major (C order) or a transposed (F order)
-    fortran, k = a.flags.f_contiguous, x.shape[1]
+        return np.linalg.solve(np.tril(a), x).reshape(b.shape)
+    a, k = np.asfortranarray(a, dtype=float), x.shape[1]
+    # column-major dtrsm reads x as X^T: solve X^T L^T = B^T from the right
     if x.size:
-        lapack[1](b"R", b"L" if lower == fortran else b"U", b"T" if fortran else b"N", b"N",
-                  _int(k), _int(n), ctypes.byref(ctypes.c_double(1.0)), _ptr(a), _int(n),
-                  _ptr(x), _int(k))
+        lapack[1](b"R", b"L", b"T", b"N", _int(k), _int(n), ctypes.byref(ctypes.c_double(1.0)),
+                  _ptr(a), _int(n), _ptr(x), _int(k))
+    return x.reshape(b.shape)
+
+
+def solve_factored(chol, b):
+    """Solve L L^T X = B on a lower Cholesky factor L, reading its lower
+    triangle only: one LAPACK dpotrs on L in Fortran order, or np.linalg.solve
+    on tril(L), then on its transpose, where none is bound."""
+    b = np.asarray(b, dtype=float)
+    n, lapack = len(chol), _lapack()
+    if b.shape[:1] != (n,):
+        raise DomainError(f"right-hand side needs {n} rows, got shape {b.shape}")
+    x = np.array(b.reshape(n, -1), order="F")
+    if lapack is None:
+        return np.linalg.solve(np.tril(chol).T, np.linalg.solve(np.tril(chol), x)).reshape(b.shape)
+    chol = np.asfortranarray(chol, dtype=float)
+    if x.size:
+        lapack[3](b"L", _int(n), _int(x.shape[1]), _ptr(chol), _int(n), _ptr(x), _int(n),
+                  ctypes.byref(ctypes.c_int64()))
     return x.reshape(b.shape)
 
 
 def cholesky_solve(a, b):
-    """Solve A X = B for symmetric positive-definite A: cholesky_factor
-    checks A and sets the jitter, and np.linalg.solve (an LU) solves
-    A + jitter I. LAPACK's dpotrs on that factor rounds differently, and
-    would move the nuisance coefficients and fit's omega in the last bits."""
-    _, jitter = cholesky_factor(a)
-    a = np.asarray(a, dtype=float)
-    if jitter:
-        a = a + jitter * np.eye(a.shape[0])
-    return np.linalg.solve(a, np.asarray(b, dtype=float))
+    """Solve A X = B for SPD A: solve_factored on cholesky_factor's factor."""
+    return solve_factored(cholesky_factor(a)[0], b)
 
 
 def _int(v):
@@ -327,8 +335,8 @@ def _potrf(mat):
 
 
 def _lapack():
-    """(dpotrf, dtrsm, dlacpy) of the first mapped OpenBLAS that exports
-    all three, looked up once per process; None where none does."""
+    """(dpotrf, dtrsm, dlacpy, dpotrs) of the first mapped OpenBLAS that
+    exports all four, looked up once per process; None where none does."""
     if not _lapack_binding:
         _lapack_binding.append(next(
             (tuple(getattr(lib, name) for name in _LAPACK_SYMBOLS) for lib in _openblas_libraries()

@@ -14,6 +14,7 @@ from scipy.special import ndtr, ndtri
 
 from gbcausal import numerics
 from gbcausal.errors import DomainError, NonFiniteGradient, NotPositiveDefinite
+from gbcausal.nuisance import feature_matrix
 from gbcausal.numerics import (
     OptimizerConfig,
     Rng,
@@ -24,6 +25,7 @@ from gbcausal.numerics import (
     gaussian_tv,
     normal_quantile,
     restore_lower,
+    solve_factored,
     solve_triangular,
 )
 
@@ -89,6 +91,12 @@ class TestCholeskySolve:
         with pytest.raises(DomainError):
             cholesky_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (1, 2)])
+    def test_rhs_rows_must_match(self, shape):
+        # a b whose size n divides is not reshaped into other columns
+        with pytest.raises(DomainError, match="needs 2 rows"):
+            cholesky_solve(np.eye(2), np.ones(shape))
+
     @pytest.mark.parametrize("scale", [1.0, 1e4])
     def test_asymmetry_within_tolerance_accepted(self, scale):
         # tolerance 1e-10 * max(1, max|a|): half of it is accepted
@@ -121,6 +129,55 @@ def numpy_fallback(monkeypatch, tmp_path):
 @pytest.mark.usefixtures("numpy_fallback")
 class TestCholeskySolveOnNumpy(TestCholeskySolve):
     """TestCholeskySolve where no LAPACK routine is bound."""
+
+
+def _ridge_system(d, seed):
+    """The outcome ridge's normal equations Phi^T Phi + 1e-3 I of 400 seeded
+    rows of d covariates: 3d + 2 features, 8 at d = 2 and 17 and 152 at the
+    d of D9 and D8. Returns the matrix and a right-hand side Phi^T Y of
+    three columns."""
+    rng = Rng(seed, d)
+    phi = feature_matrix(rng.normal((400, d)))
+    a = phi.T @ phi
+    a = 0.5 * (a + a.T)
+    a.flat[:: a.shape[0] + 1] += 1e-3
+    return a, phi.T @ rng.normal((400, 3))
+
+
+class TestCholeskySolveAgainstLu:
+    """cholesky_solve solves on its factor; the LU of A + jitter I it
+    replaced gives the reference, within 1e-12 of max|x|."""
+
+    @staticmethod
+    def check(a, b, tol=1e-12):
+        _, jitter = cholesky_factor(a)
+        want = np.linalg.solve(a + jitter * np.eye(a.shape[0]), b)
+        got = cholesky_solve(a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [2, 5, 50], ids=["8_rows", "17_rows", "152_rows"])
+    @pytest.mark.parametrize("rhs", ["vector", "three_columns"])
+    def test_pipeline_sized_systems(self, d, rhs):
+        a, b = _ridge_system(d, 40)
+        self.check(a, b[:, 0] if rhs == "vector" else b)
+
+    def test_rank_one_jitter_case(self):
+        # A + 1e-10 I has condition 2e10. For b = (1, 1), in A's range, the
+        # LU and the factor solve lie 5e-11 and 2.5e-11 relative from the
+        # exact solution of that rounded system, so the two agree within
+        # 1e-10, not 1e-12; off A's range x is near 5e9 and they agree
+        # within 1e-12 of it.
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert cholesky_factor(a)[1] == 1e-10
+        self.check(a, np.array([1.0, 1.0]), tol=1e-10)
+        self.check(a, np.array([1.0, 2.0]))
+        self.check(a, np.array([[1.0, 2.0], [1.0, 3.0]]))
+
+
+@pytest.mark.usefixtures("numpy_fallback")
+class TestCholeskySolveAgainstLuOnNumpy(TestCholeskySolveAgainstLu):
+    """TestCholeskySolveAgainstLu where no LAPACK routine is bound."""
 
 
 def _unblocked_factor(a):
@@ -312,17 +369,15 @@ class TestInPlaceCholesky:
             cholesky_factor(a, in_place=True)
         assert a.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
-    def test_solve_triangular_reads_one_triangle(self, lower):
+    @pytest.mark.parametrize("solve", [solve_triangular, solve_factored])
+    def test_solves_read_one_triangle(self, solve):
         n = 100
         q = Rng(12, n).normal((n, n))
-        chol = np.linalg.cholesky(q @ q.T + n * np.eye(n))
-        a = chol if lower else chol.T
-        filled = a.copy(order="K")  # the same memory layout, so the same products
-        filled[np.triu_indices(n, 1) if lower else np.tril_indices(n, -1)] = np.nan
+        chol = np.asfortranarray(np.linalg.cholesky(q @ q.T + n * np.eye(n)))
+        filled = chol.copy(order="F")  # the same memory layout, so the same products
+        filled[np.triu_indices(n, 1)] = np.nan
         b = Rng(13, n).normal((n, 3))
-        got = solve_triangular(filled, b, lower=lower)
-        assert got.tobytes() == solve_triangular(a, b, lower=lower).tobytes()
+        assert solve(filled, b).tobytes() == solve(chol, b).tobytes()
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_solve_triangular_overwrite_b(self, order):
@@ -331,8 +386,8 @@ class TestInPlaceCholesky:
         n = 60
         chol, _ = cholesky_factor(_kernel_spd(n, 19))
         b = np.array(Rng(20, n).normal((n, 4)), order=order)
-        want = solve_triangular(chol, b, lower=True)
-        got = solve_triangular(chol, b, lower=True, overwrite_b=True)
+        want = solve_triangular(chol, b)
+        got = solve_triangular(chol, b, overwrite_b=True)
         assert got.tobytes() == want.tobytes()
         assert np.shares_memory(got, b) == (order == "C" and numerics._lapack() is not None)
 
@@ -379,7 +434,7 @@ class TestLapackAndNumpyAgree:
 
         def results():
             return (cholesky_solve(a, b), cholesky_solve(a, b[:, 0]),
-                    solve_triangular(chol, b, lower=True), solve_triangular(chol.T, b[:, 0]))
+                    solve_triangular(chol, b), solve_factored(chol, b[:, 0]))
 
         for got, want in zip(*self._on_both(monkeypatch, tmp_path, results)):
             assert got.shape == want.shape
@@ -464,33 +519,31 @@ class TestScipyPorts:
 
     @pytest.mark.parametrize("n", [1, 21, 32, 33, 152, 190, 1000])
     @pytest.mark.parametrize("rhs", [None, 1, 100], ids=["vector", "one_column", "100_columns"])
-    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
-    def test_solve_triangular_within_1e_13(self, n, rhs, lower):
-        check_solve_triangular(n, rhs, lower)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_solve_triangular_within_1e_13(self, n, rhs, order):
+        check_solve_triangular(n, rhs, order)
 
 
-def check_solve_triangular(n, rhs, lower):
-    """solve_triangular within 1e-13 relative of scipy's, with A both C-
-    and F-contiguous."""
+def check_solve_triangular(n, rhs, order):
+    """solve_triangular within 1e-13 relative of scipy's lower solve, with
+    L in the given memory order."""
     rng = Rng(38, n)
     q = rng.normal((n, n))
-    chol = np.linalg.cholesky(q @ q.T + n * np.eye(n))
+    a = np.array(np.linalg.cholesky(q @ q.T + n * np.eye(n)), order=order)
     b = rng.normal(n if rhs is None else (n, rhs))
-    for order in "CF":
-        a = np.array(chol if lower else chol.T, order=order)
-        got = solve_triangular(a, b, lower=lower)
-        want = scipy.linalg.solve_triangular(a, b, lower=lower)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    got = solve_triangular(a, b)
+    want = scipy.linalg.solve_triangular(a, b, lower=True)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.usefixtures("numpy_fallback")
 class TestSolveTriangularOnNumpy:
     @pytest.mark.parametrize("n", [1, 21, 32, 33, 152, 190, 1000])
     @pytest.mark.parametrize("rhs", [None, 1, 100], ids=["vector", "one_column", "100_columns"])
-    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
-    def test_solve_triangular_within_1e_13(self, n, rhs, lower):
-        check_solve_triangular(n, rhs, lower)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_solve_triangular_within_1e_13(self, n, rhs, order):
+        check_solve_triangular(n, rhs, order)
 
 
 class TestNormalQuantile:

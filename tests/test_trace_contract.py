@@ -113,3 +113,20 @@ def test_cholesky_solve_factors_once_through_the_module_name(monkeypatch, a, b):
     x = numerics.cholesky_solve(np.array(a), np.array(b))
     assert calls == {"cholesky_factor": 1}
     assert x.shape == np.shape(b)
+
+
+def test_sparse_fit_factors_once_and_solves_on_that_factor(monkeypatch):
+    # The tracer counts cholesky_factor calls under both names it is bound
+    # to, and the cholesky_solve spans. Each sparse fit factors its M x M
+    # matrix once and solves on that factor; a fit that went through
+    # cholesky_solve would factor twice and change the traced counts.
+    rng = numerics.Rng(5)
+    x, values, query = rng.normal((60, 2)), rng.normal(60), rng.normal((7, 2))
+    fit = gibbs_cate.sparse_gp_resampler(gibbs_cate.KernelParams(), x, values, query, 8,
+                                         numerics.Rng(6))
+    local = _count_calls(monkeypatch, gibbs_cate, ["cholesky_factor"])
+    calls = _count_calls(monkeypatch, numerics, ["cholesky_factor", "cholesky_solve"])
+    for b in range(3):
+        fit(numerics.Rng(7).derive(b).integers(60, 60), 0.5)
+        assert local == {"cholesky_factor": b + 1}
+    assert calls == {"cholesky_factor": 0, "cholesky_solve": 0}
