@@ -273,14 +273,13 @@ def solve_factored(chol, b):
     """Solve L L^T X = B on a lower Cholesky factor L, reading its lower
     triangle only: one LAPACK dpotrs on L in Fortran order, or np.linalg.solve
     on tril(L), then on its transpose, where none is bound."""
-    b = np.asarray(b, dtype=float)
+    chol, b = np.asfortranarray(chol, dtype=float), np.asarray(b, dtype=float)
     n, lapack = len(chol), _lapack()
-    if b.shape[:1] != (n,):
-        raise DomainError(f"right-hand side needs {n} rows, got shape {b.shape}")
+    if chol.shape != (n, n) or b.shape[:1] != (n,):
+        raise DomainError(f"factor {chol.shape} and right-hand side {b.shape} do not match")
     x = np.array(b.reshape(n, -1), order="F")
     if lapack is None:
         return np.linalg.solve(np.tril(chol).T, np.linalg.solve(np.tril(chol), x)).reshape(b.shape)
-    chol = np.asfortranarray(chol, dtype=float)
     if x.size:
         lapack[3](b"L", _int(n), _int(x.shape[1]), _ptr(chol), _int(n), _ptr(x), _int(n),
                   ctypes.byref(ctypes.c_int64()))

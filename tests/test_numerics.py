@@ -94,8 +94,13 @@ class TestCholeskySolve:
     @pytest.mark.parametrize("shape", [(4,), (4, 1), (1, 2)])
     def test_rhs_rows_must_match(self, shape):
         # a b whose size n divides is not reshaped into other columns
-        with pytest.raises(DomainError, match="needs 2 rows"):
+        with pytest.raises(DomainError, match="do not match"):
             cholesky_solve(np.eye(2), np.ones(shape))
+
+    @pytest.mark.parametrize("chol", [np.ones((3, 2)), np.ones(3)], ids=["wide", "vector"])
+    def test_solve_factored_needs_a_square_factor(self, chol):
+        with pytest.raises(DomainError, match="do not match"):
+            solve_factored(chol, np.ones(3))
 
     @pytest.mark.parametrize("scale", [1.0, 1e4])
     def test_asymmetry_within_tolerance_accepted(self, scale):
