@@ -8,11 +8,12 @@ every other float within 1e-10 relative (1e-12 absolute near zero).
 Why omega has a tolerance, and why it is 1e-12: solving the SPD systems on
 their Cholesky factor (LAPACK dpotrs) in place of an LU of the same matrix
 rounds differently, which moves the nuisance coefficients in their last
-bits and omega with them. On a prototype of that change, omega moved by at
-most 6.9e-14 relative on the 8 goldens, and by at most 8.2e-14 over the 7
-requests below other than "csv" at seeds 1 to 6. A gpc search that takes a
-different path (another bracket, another number of steps) moves omega by
-orders of magnitude more than 1e-12, so the tolerance still pins the search.
+bits and omega with them. That change moved omega by at most 6.9e-14
+relative on the 8 goldens, and by at most 8.2e-14 over the 7 requests below
+other than "csv" at seeds 1 to 6. A gpc search that takes a different path
+sees a coverage that differs by a multiple of 1/b_boot, so its next omega
+(a step of the log-omega search, or a secant point) moves by orders of
+magnitude more than 1e-12: the tolerance still pins the search.
 
 write_goldens() writes the goldens from the current code. From the
 repository root:
