@@ -279,7 +279,8 @@ def solve_factored(chol, b):
         raise DomainError(f"factor {chol.shape} and right-hand side {b.shape} do not match")
     x = np.array(b.reshape(n, -1), order="F")
     if lapack is None:
-        return np.linalg.solve(np.tril(chol).T, np.linalg.solve(np.tril(chol), x)).reshape(b.shape)
+        low = np.tril(chol)
+        return np.linalg.solve(low.T, np.linalg.solve(low, x)).reshape(b.shape)
     if x.size:
         lapack[3](b"L", _int(n), _int(x.shape[1]), _ptr(chol), _int(n), _ptr(x), _int(n),
                   ctypes.byref(ctypes.c_int64()))
