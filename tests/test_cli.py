@@ -673,6 +673,8 @@ class TestBenchCommand:
                          seed=0)),
             ("cate", dict(datasets=["D2"], strategies=["DR"], n=150, reps=3, estimand="cate",
                           m_inducing=10, k_points=25, seed=21)),
+            ("ate_gpc", dict(datasets=["D1", "D2"], strategies=["RA", "AIPW"], n=60, reps=6,
+                             calibration="gpc", b_boot=50, prior_var=1e6, seed=0)),
         ],
     )
     def test_reports_match_golden_bytes(self, tmp_path, name, overrides, parallelism):
