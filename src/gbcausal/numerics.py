@@ -253,15 +253,16 @@ def solve_triangular(a, b, overwrite_b=False):
     np.linalg.solve on tril(L) where none is bound. L's upper triangle may
     hold anything (cholesky_factor's in-place factor keeps the input there).
     overwrite_b=True, as in scipy, lets dtrsm write X over a C-ordered b."""
-    b = np.asarray(b, dtype=float)
+    a, b = np.asfortranarray(a, dtype=float), np.asarray(b, dtype=float)
     n = len(a)
+    if a.shape != (n, n) or b.shape[:1] != (n,):
+        raise DomainError(f"factor {a.shape} and right-hand side {b.shape} do not match")
     x = b.reshape(n, -1)
     if not (overwrite_b and x.flags.c_contiguous and x.flags.writeable):
         x = np.array(x, order="C")
-    lapack = _lapack()
+    lapack, k = _lapack(), x.shape[1]
     if lapack is None:
         return np.linalg.solve(np.tril(a), x).reshape(b.shape)
-    a, k = np.asfortranarray(a, dtype=float), x.shape[1]
     # column-major dtrsm reads x as X^T: solve X^T L^T = B^T from the right
     if x.size:
         lapack[1](b"R", b"L", b"T", b"N", _int(k), _int(n), ctypes.byref(ctypes.c_double(1.0)),
