@@ -5,11 +5,15 @@ Coverage / credible-interval-length studies for the ATE and CATE posteriors
 and the two nuisance-stability experiments: the point-estimate orthogonality
 slopes and the feasible-versus-oracle posterior total-variation sequence.
 
-Every repetition owns the stream (base_seed, rep), so repetitions can run in
-any order or in parallel without changing a single reported byte; the
-aggregation is a deterministic fold over rep index order. Cells that differ
-only in strategy share each repetition's data and cross-fitted nuisances,
-which are drawn and fitted once (see ``_memo``).
+Each ``run_*_bench`` call is one cell. ``_run_cell`` draws and cross-fits
+the repetitions, forms the strategy's pseudo-outcomes and folds the results;
+the ``run_*_bench`` function only says how one repetition is scored. Every
+repetition owns the stream (base_seed, rep), so repetitions can run in any
+order or in parallel without changing a single reported byte; the
+aggregation is a deterministic fold over rep index order. Cells that share a
+spec, seed, fold count and nuisance config, whatever their strategy or
+estimand, share each repetition's data and cross-fitted nuisances, which are
+drawn and fitted once (see ``_memo``).
 """
 
 import math
@@ -63,27 +67,6 @@ class BenchReport:
     runs: tuple = field(default=(), compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """What a repetition of one bench cell needs besides its index. A kernel
-    makes it a CATE cell; the other estimand's fields keep their defaults."""
-
-    spec: DgpSpec
-    strategy: Strategy
-    n: int
-    base_seed: int
-    alpha: float
-    folds: int
-    nuisance_config: NuisanceConfig
-    calibration_mode: str = "plugin"
-    prior: Optional[NormalPrior] = None
-    b_boot: int = 0
-    max_iter: int = 0
-    kernel: Optional[KernelParams] = None
-    m_inducing: int = 0
-    k_points: int = 0
-
-
 def wilson_interval(hits, total, level_z):
     """Wilson score interval for a binomial proportion; always contains the
     point estimate and stays inside [0, 1]."""
@@ -99,46 +82,16 @@ def wilson_interval(hits, total, level_z):
     return lo, hi
 
 
-def _fit_rep(cell: Cell, rep):
-    """Draw repetition `rep`'s dataset on the stream (base_seed, rep) and
-    cross-fit its nuisances. Returns the (dataset, cross-fit) pair, or the
+def _fit_rep(key, n, rep):
+    """Draw repetition `rep`'s dataset of size n on the stream (base_seed,
+    rep) and cross-fit its nuisances, for the memo key (spec, base_seed,
+    folds, nuisance_config). Returns the (dataset, cross-fit) pair, or the
     message of the NumericError that ended it."""
-    rng = Rng(cell.base_seed).derive(rep)
+    spec, base_seed, folds, nuisance_config = key
+    rng = Rng(base_seed).derive(rep)
     try:
-        ds = dgp_mod.generate(cell.spec, cell.n, rng.derive(0))
-        return ds, cross_fit(ds, cell.folds, cell.nuisance_config, rng.derive(1))
-    except NumericError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _rep(cell: Cell, rep, fitted):
-    """Repetition `rep` of the cell from `fitted`, its _fit_rep result: a
-    RunResult, or the message of the NumericError that ended it (a failed
-    cross-fit's own)."""
-    if isinstance(fitted, str):
-        return fitted
-    ds, cf = fitted
-    rng = Rng(cell.base_seed).derive(rep)
-    try:
-        pv = cross_fitted_pseudo(ds, cf, cell.strategy)
-        if cell.calibration_mode == "plugin":
-            omega = plugin_omega(pv)
-        else:
-            omega = gpc_omega_from_pseudo(
-                pv, cell.prior, cell.alpha, cell.b_boot, cell.max_iter, rng.derive(2)
-            ).omega
-        if cell.kernel is None:
-            lo, hi = credible_interval(closed_form_posterior(pv, cell.prior, omega), cell.alpha)
-            return RunResult(rep, int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega)
-        x_query = dgp_mod.draw_covariates(cell.spec, cell.k_points, rng.derive(3))
-        fit = sparse_gp_resampler(
-            cell.kernel, ds.x, pv.values, x_query, min(cell.m_inducing, ds.n), rng.derive(2)
-        )
-        means, variances = fit(np.arange(ds.n), omega)
-        half = normal_quantile(1.0 - cell.alpha / 2.0) * np.sqrt(variances)
-        truth = ds.truth.cate(x_query)
-        hit = (means - half <= truth) & (truth <= means + half)
-        return RunResult(rep, int(hit.sum()), cell.k_points, float(np.mean(2.0 * half)), omega)
+        ds = dgp_mod.generate(spec, n, rng.derive(0))
+        return ds, cross_fit(ds, folds, nuisance_config, rng.derive(1))
     except NumericError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -152,8 +105,7 @@ def _rep(cell: Cell, rep, fitted):
 _memo = {"key": None, "fits": {}}
 
 
-def _memo_fits(cell: Cell):
-    key = (cell.spec, cell.base_seed, cell.folds, cell.nuisance_config)
+def _memo_fits(key):
     old = _memo["key"]
     if old is None or old[0] is not key[0] or old[1:] != key[1:]:
         _memo["key"], _memo["fits"] = key, {}
@@ -178,37 +130,49 @@ def _execute(worker, payloads, parallelism):
 _WILSON_Z = 1.959963984540054  # 95% confidence on the coverage estimate
 
 
-def _run_cell(cell: Cell, r_reps, parallelism, strategy_label) -> BenchReport:
-    """Run r_reps repetitions of a cell and fold them, in rep order, into
-    one report: coverage is hits over points with a Wilson interval, and
-    repetitions that raised a NumericError count as failures. A cell with no
-    successful repetition is not faithful."""
+def _run_cell(key, strategy, n, r_reps, alpha, parallelism, label, score) -> BenchReport:
+    """Run r_reps repetitions of the cell of memo key `key` (see _fit_rep)
+    and fold them, in rep order, into one report. Each repetition that
+    draws and cross-fits is scored by `score(ds, pv, rng) -> (hits, points,
+    length, omega)` on its stream (base_seed, rep): coverage is hits over
+    points with a Wilson interval, and repetitions that raised a
+    NumericError count as failures. A cell with no successful repetition is
+    not faithful."""
     if r_reps < 2:
         raise DomainError("r_reps must be >= 2")
-    fits = _memo_fits(cell)
-    missing = [rep for rep in range(r_reps) if (cell.n, rep) not in fits]
+    fits = _memo_fits(key)
+    missing = [rep for rep in range(r_reps) if (n, rep) not in fits]
     if missing:  # a fully memoised cell starts no pool
-        for rep, fitted in zip(missing, _execute(partial(_fit_rep, cell), missing, parallelism)):
-            fits[(cell.n, rep)] = fitted
-    outcomes = [_rep(cell, rep, fits[(cell.n, rep)]) for rep in range(r_reps)]
-    runs = [out for out in outcomes if isinstance(out, RunResult)]
+        for rep, fitted in zip(missing, _execute(partial(_fit_rep, key, n), missing, parallelism)):
+            fits[(n, rep)] = fitted
+    runs = []
+    for rep in range(r_reps):
+        fitted = fits[(n, rep)]
+        if isinstance(fitted, str):  # the cross-fit's NumericError
+            continue
+        ds, cf = fitted
+        try:
+            pv = cross_fitted_pseudo(ds, cf, strategy)
+            runs.append(RunResult(rep, *score(ds, pv, Rng(key[1]).derive(rep))))
+        except NumericError:
+            pass
     total = len(runs)
     hits = sum(r.hits for r in runs)
     points = sum(r.points for r in runs)
     ci = wilson_interval(hits, points, _WILSON_Z)
     lengths = np.array([r.length for r in runs]) if runs else np.array([0.0])
     return BenchReport(
-        dataset_id=cell.spec.id,
-        strategy=strategy_label or cell.strategy.value,
-        n=cell.n,
+        dataset_id=key[0].id,
+        strategy=label or strategy.value,
+        n=n,
         r_total=total,
         coverage=hits / points if points else 0.0,
         coverage_ci=ci,
         mean_length=float(np.mean(lengths)),
         sd_length=float(np.std(lengths, ddof=1)) if total > 1 else 0.0,
-        faithful=total > 0 and ci[1] >= 1.0 - cell.alpha,
-        failures=len(outcomes) - total,
-        alpha=cell.alpha,
+        faithful=total > 0 and ci[1] >= 1.0 - alpha,
+        failures=r_reps - total,
+        alpha=alpha,
         runs=tuple(runs),
     )
 
@@ -233,11 +197,17 @@ def run_ate_bench(
     r_reps independent repetitions of the full pipeline."""
     if calibration_mode not in ("plugin", "gpc"):
         raise ConfigError(f"calibration must be 'plugin' or 'gpc', got {calibration_mode!r}")
-    cell = Cell(
-        spec, strategy, n, base_seed, alpha, folds, nuisance_config,
-        calibration_mode=calibration_mode, prior=prior, b_boot=b_boot, max_iter=max_iter,
-    )
-    return _run_cell(cell, r_reps, parallelism, strategy_label)
+
+    def score(ds, pv, rng):
+        if calibration_mode == "plugin":
+            omega = plugin_omega(pv)
+        else:
+            omega = gpc_omega_from_pseudo(pv, prior, alpha, b_boot, max_iter, rng.derive(2)).omega
+        lo, hi = credible_interval(closed_form_posterior(pv, prior, omega), alpha)
+        return int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega
+
+    key = (spec, base_seed, folds, nuisance_config)
+    return _run_cell(key, strategy, n, r_reps, alpha, parallelism, strategy_label, score)
 
 
 def run_cate_bench(
@@ -258,11 +228,21 @@ def run_cate_bench(
     """CATE posterior study: per repetition, fit the sparse GP on the
     cross-fitted pseudo-outcomes and average the pointwise 95% CrI coverage
     and length over k_points fresh covariates from the process."""
-    cell = Cell(
-        spec, strategy, n, base_seed, alpha, folds, nuisance_config,
-        kernel=kernel, m_inducing=m_inducing, k_points=k_points,
-    )
-    return _run_cell(cell, r_reps, parallelism, strategy_label)
+
+    def score(ds, pv, rng):
+        omega = plugin_omega(pv)
+        x_query = dgp_mod.draw_covariates(spec, k_points, rng.derive(3))
+        fit = sparse_gp_resampler(
+            kernel, ds.x, pv.values, x_query, min(m_inducing, ds.n), rng.derive(2)
+        )
+        means, variances = fit(np.arange(ds.n), omega)
+        half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variances)
+        truth = ds.truth.cate(x_query)
+        hit = (means - half <= truth) & (truth <= means + half)
+        return int(hit.sum()), k_points, float(np.mean(2.0 * half)), omega
+
+    key = (spec, base_seed, folds, nuisance_config)
+    return _run_cell(key, strategy, n, r_reps, alpha, parallelism, strategy_label, score)
 
 
 @dataclass(frozen=True)

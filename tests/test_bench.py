@@ -236,6 +236,15 @@ class TestNuisanceMemo:
                 run_ate_bench(spec, strategy, n, 2, NormalPrior(), "plugin", 31)
         assert sorted(fit_calls) == [60, 60, 120, 120]
 
+    def test_ate_and_cate_cells_share_each_repetitions_fit(self, fit_calls):
+        # the memo key names no estimand: a CATE cell after an ATE cell with
+        # the same spec object, seed, folds, nuisance config and n refits nothing
+        spec = default_spec("D2")
+        ate, = _ate_cells(spec, [Strategy.DR])
+        cate = run_cate_bench(spec, Strategy.DR, 80, 3, KernelParams(), 8, 5, 61)
+        assert fit_calls == [80] * 3
+        assert ate.r_total == cate.r_total == 3
+
     @pytest.mark.parametrize(
         "change",
         [
