@@ -38,7 +38,7 @@ from .numerics import (
     gaussian_tv,
     normal_quantile,
 )
-from .pseudo import PseudoOutcomes, Strategy, ate_loss, cross_fitted_pseudo
+from .pseudo import Strategy, ate_loss, cross_fitted_pseudo
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "NormalPrior",
     "NuisanceConfig",
     "NuisanceFit",
-    "PseudoOutcomes",
     "Rng",
     "Strategy",
     "ate_loss",

@@ -35,7 +35,7 @@ from .nuisance import NuisanceConfig, cross_fit
 from .numerics import (
     Rng, blas_threads, expit, gaussian_tv, logit, normal_quantile, set_blas_threads,
 )
-from .pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo, pseudo_values
+from .pseudo import Strategy, cross_fitted_pseudo, pseudo_values
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class BenchReport:
     sd_length: float
     faithful: bool
     failures: int
-    alpha: float
     runs: tuple = field(default=(), compare=False, repr=False)
 
 
@@ -172,7 +171,6 @@ def _run_cell(key, strategy, n, r_reps, alpha, parallelism, label, score) -> Ben
         sd_length=float(np.std(lengths, ddof=1)) if total > 1 else 0.0,
         faithful=total > 0 and ci[1] >= 1.0 - alpha,
         failures=r_reps - total,
-        alpha=alpha,
         runs=tuple(runs),
     )
 
@@ -233,7 +231,7 @@ def run_cate_bench(
         omega = plugin_omega(pv)
         x_query = dgp_mod.draw_covariates(spec, k_points, rng.derive(3))
         fit = sparse_gp_resampler(
-            kernel, ds.x, pv.values, x_query, min(m_inducing, ds.n), rng.derive(2)
+            kernel, ds.x, pv, x_query, min(m_inducing, ds.n), rng.derive(2)
         )
         means, variances = fit(np.arange(ds.n), omega)
         half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variances)
@@ -329,7 +327,7 @@ def tv_stability(
             e_d, m1_d, m0_d = _perturbed_nuisances(e0, m1, m0, r_n)
             feasible = pseudo_values(ds.a, ds.y, e_d, m1_d, m0_d, strategy)
             oracle_mean = float(np.mean(oracle))
-            omega = plugin_omega(PseudoOutcomes(oracle, strategy, cross_fitted=False))
+            omega = plugin_omega(oracle)
             _, s_p_sq = normal_update(DIFFUSE_PRIOR, omega, n, oracle_mean)
             tvs[rep] = gaussian_tv(float(np.mean(feasible)), oracle_mean, math.sqrt(s_p_sq))
         se = float(np.std(tvs, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

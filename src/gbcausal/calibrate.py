@@ -23,7 +23,7 @@ from .errors import DegenerateVariance, DomainError, NumericError
 from .gibbs_ate import NormalPrior, normal_update
 from .nuisance import NuisanceConfig, cross_fit
 from .numerics import Rng, normal_quantile
-from .pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo
+from .pseudo import Strategy, cross_fitted_pseudo
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,11 @@ class CalibrationResult:
 COVERAGE_TOL = 0.01
 
 
-def plugin_omega(pseudo: PseudoOutcomes) -> float:
+def plugin_omega(pseudo: np.ndarray) -> float:
     """Reciprocal of the unbiased sample variance of the pseudo-outcomes."""
-    if pseudo.n < 2:
+    if pseudo.size < 2:
         raise DomainError("plug-in omega needs at least two pseudo-outcomes")
-    var = float(np.var(pseudo.values, ddof=1))
+    var = float(np.var(pseudo, ddof=1))
     if not var > 0:
         raise DegenerateVariance("pseudo-outcomes are constant; variance is zero")
     return 1.0 / var
@@ -99,21 +99,21 @@ def _resample_rows(rng: Rng, n, b_boot):
     return (rng.integers(n, n) for _ in range(b_boot))
 
 
-def _ate_gpc(pseudo: PseudoOutcomes, prior: NormalPrior, alpha, max_iter, means):
+def _ate_gpc(pseudo: np.ndarray, prior: NormalPrior, alpha, max_iter, means):
     """ATE coverage matching over the resamples' pseudo-outcome means `means`:
-    each resample's credible interval is checked for the full-data estimate."""
-    theta_hat = float(np.mean(pseudo.values))
+    each resample's credible interval is checked for the mean of `pseudo`."""
+    theta_hat = float(np.mean(pseudo))
     z = normal_quantile(1.0 - alpha / 2.0)
 
     def coverage(omega):
-        m_p_b, s_p_sq = normal_update(prior, omega, pseudo.n, means)
+        m_p_b, s_p_sq = normal_update(prior, omega, pseudo.size, means)
         return float(np.mean(np.abs(theta_hat - m_p_b) <= z * math.sqrt(s_p_sq)))
 
     return gpc_search(coverage, plugin_omega(pseudo), alpha, max_iter)
 
 
 def gpc_omega_from_pseudo(
-    pseudo: PseudoOutcomes,
+    pseudo: np.ndarray,
     prior: NormalPrior,
     alpha,
     b_boot,
@@ -121,9 +121,9 @@ def gpc_omega_from_pseudo(
     rng: Rng,
 ) -> CalibrationResult:
     """Coverage-matching calibration for the scalar ATE posterior, given
-    already cross-fitted pseudo-outcomes."""
-    rows = _resample_rows(rng.derive(1), pseudo.n, b_boot)
-    means = np.array([pseudo.values[r].mean() for r in rows])
+    the already cross-fitted pseudo-outcome vector `pseudo`."""
+    rows = _resample_rows(rng.derive(1), pseudo.size, b_boot)
+    means = np.array([pseudo[r].mean() for r in rows])
     return _ate_gpc(pseudo, prior, alpha, max_iter, means)
 
 
@@ -152,7 +152,7 @@ def gpc_omega(
         try:
             ds_b = Dataset(x=ds.x[rows], a=ds.a[rows], y=ds.y[rows])
             cf_b = cross_fit(ds_b, folds, nuisance_config, boot_rng.derive(b))
-            means.append(float(np.mean(cross_fitted_pseudo(ds_b, cf_b, strategy).values)))
+            means.append(float(np.mean(cross_fitted_pseudo(ds_b, cf_b, strategy))))
         except NumericError:
             continue  # degenerate resample (e.g. an arm collapsed)
     if not means:
@@ -161,10 +161,10 @@ def gpc_omega(
 
 
 def gpc_omega_cate_from_pseudo(
-    pseudo: PseudoOutcomes, alpha, b_boot, max_iter, rng: Rng, fit
+    pseudo: np.ndarray, alpha, b_boot, max_iter, rng: Rng, fit
 ) -> CalibrationResult:
-    """Coverage-matching calibration for the CATE posterior, targeting the
-    reported functional: the average pointwise coverage over the query rows.
+    """Coverage-matching calibration for the CATE posterior on `pseudo`,
+    targeting the average pointwise coverage over the query rows.
 
     `fit(rows, omega)` is the engine's resampler (exact_gp_resampler or
     sparse_gp_resampler): the posterior moments at the query rows after a
@@ -173,7 +173,7 @@ def gpc_omega_cate_from_pseudo(
     containment is checked against the full-data posterior mean at the same
     omega.
     """
-    n = pseudo.n
+    n = pseudo.size
     _resample_rows(rng, n, b_boot)  # checks b_boot now; draws nothing
     z = normal_quantile(1.0 - alpha / 2.0)
 

@@ -127,10 +127,10 @@ def cmd_fit(args):
         x_query = ds.x[rng.derive(4).permutation(ds.n)[:min(args.grid_size, ds.n)]]
         if args.engine == "vi":
             fit = sparse_gp_resampler(
-                kernel, ds.x, pv.values, x_query, min(args.m_inducing, ds.n), rng.derive(3)
+                kernel, ds.x, pv, x_query, min(args.m_inducing, ds.n), rng.derive(3)
             )
         else:
-            fit = exact_gp_resampler(kernel, ds.x, pv.values, x_query)
+            fit = exact_gp_resampler(kernel, ds.x, pv, x_query)
 
     if args.calibration == "plugin":
         omega = plugin_omega(pv)

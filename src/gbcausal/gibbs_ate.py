@@ -5,7 +5,7 @@ Under the squared-error pseudo-outcome loss the update
 is conjugate for a normal prior, giving the exact posterior
 
     s_p^2 = (s0^-2 + omega n)^-1
-    m_p   = s_p^2 (s0^-2 m0 + omega n theta_hat),   theta_hat = mean(values).
+    m_p   = s_p^2 (s0^-2 m0 + omega n theta_hat),   theta_hat = mean(pseudo).
 
 The Gaussian variational engine minimizes
     J(q) = omega n E_q[L_n] + KL(q || pi)
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import normal_quantile
-from .pseudo import PseudoOutcomes
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,11 @@ def normal_update(prior: NormalPrior, omega, n, theta_hat):
     return m_p, s_p_sq
 
 
-def closed_form_posterior(pseudo: PseudoOutcomes, prior: NormalPrior, omega) -> GaussianPosterior:
-    """Exact Normal-Normal conjugate posterior."""
+def closed_form_posterior(pseudo: np.ndarray, prior: NormalPrior, omega) -> GaussianPosterior:
+    """Exact Normal-Normal conjugate posterior on the pseudo-outcome vector."""
     if not omega > 0:
         raise DomainError("omega must be positive")
-    m_p, s_p_sq = normal_update(prior, omega, pseudo.n, float(np.mean(pseudo.values)))
+    m_p, s_p_sq = normal_update(prior, omega, pseudo.size, float(np.mean(pseudo)))
     return GaussianPosterior(m_p=m_p, s_p_sq=s_p_sq)
 
 
@@ -87,9 +86,9 @@ def credible_interval(post: GaussianPosterior, alpha):
     return post.m_p - half, post.m_p + half
 
 
-def vi_posterior(pseudo: PseudoOutcomes, prior: NormalPrior, omega) -> GaussianPosterior:
-    """Gaussian variational fit of the generalized posterior: the minimizer
-    of J(q) = omega n E_q[L_n] + KL(q || pi) over q = N(mu, sigma^2).
+def vi_posterior(pseudo: np.ndarray, prior: NormalPrior, omega) -> GaussianPosterior:
+    """Gaussian variational fit of the generalized posterior on `pseudo`: the
+    minimizer of J(q) = omega n E_q[L_n] + KL(q || pi) over q = N(mu, sigma^2).
 
     The gradient of J in (mu, log sigma) is
         (omega n (mu - theta_hat) + s0^-2 (mu - m0),  omega n sigma^2 - 1 + s0^-2 sigma^2),

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import Rng, cholesky_factor, restore_lower, solve_factored, solve_triangular
-from .pseudo import PseudoOutcomes
 
 _SQRT5 = np.sqrt(5.0)
 _EXACT_GP_MAX_N = 2000
@@ -123,19 +122,19 @@ def check_exact_n(n):
         raise DomainError(f"exact GP is guarded to n <= {_EXACT_GP_MAX_N}, got n={n}")
 
 
-def exact_gp_posterior(ds_x, pseudo: PseudoOutcomes, params: KernelParams, omega) -> ExactGpPredictor:
-    """Exact posterior: mean k_*^T (K + omega^-1 I)^-1 y_centered + const,
-    variance k_** - k_*^T (K + omega^-1 I)^-1 k_*."""
+def exact_gp_posterior(ds_x, pseudo: np.ndarray, params: KernelParams, omega) -> ExactGpPredictor:
+    """Exact posterior on the pseudo-outcome vector: mean k_*^T (K + omega^-1 I)^-1
+    y_centered + const, variance k_** - k_*^T (K + omega^-1 I)^-1 k_*."""
     if not omega > 0:
         raise DomainError("omega must be positive")
     x = np.atleast_2d(np.asarray(ds_x, dtype=float))
     n = x.shape[0]
     check_exact_n(n)
-    const_mean = float(np.mean(pseudo.values))
+    const_mean = float(np.mean(pseudo))
     gram = kernel_matrix(params, x)
     gram.flat[:: n + 1] += 1.0 / omega
     chol, _ = cholesky_factor(gram)
-    z = solve_triangular(chol, pseudo.values - const_mean)
+    z = solve_triangular(chol, pseudo - const_mean)
     return ExactGpPredictor(params, x, chol, z, const_mean)
 
 
@@ -273,22 +272,23 @@ def _sparse_moments(params, b, chol_p, v_mean, const_mean):
 
 def svgp_fit(
     ds_x,
-    pseudo: PseudoOutcomes,
+    pseudo: np.ndarray,
     params: KernelParams,
     omega,
     m_inducing,
     rng: Rng,
 ) -> GpPosterior:
-    """Optimal q(u) of the inducing-point variational bound for Gaussian
-    noise 1/omega: in the whitened coordinates u = L_K v, the
-    _whitened_optimum with every count 1. Inducing locations are a seeded
-    random subsample of the training covariates and stay fixed.
+    """Optimal q(u) of the inducing-point variational bound for the
+    pseudo-outcome vector `pseudo` under Gaussian noise 1/omega: in the
+    whitened coordinates u = L_K v, the _whitened_optimum with every
+    count 1. Inducing locations are a seeded random subsample of the
+    training covariates and stay fixed.
     """
     if not omega > 0:
         raise DomainError("omega must be positive")
     z, chol_k, c = _inducing_basis(params, ds_x, m_inducing, rng)
-    const_mean = float(np.mean(pseudo.values))
-    chol_p, v_mean = _whitened_optimum(c, np.ones(pseudo.n), pseudo.values - const_mean, omega)
+    const_mean = float(np.mean(pseudo))
+    chol_p, v_mean = _whitened_optimum(c, np.ones(pseudo.size), pseudo - const_mean, omega)
     return GpPosterior(params, z, chol_k, chol_p, v_mean, const_mean)
 
 

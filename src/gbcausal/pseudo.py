@@ -8,7 +8,6 @@ so "AIPW" is accepted as an alias of DR.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +34,6 @@ class Strategy(str, enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class PseudoOutcomes:
-    values: np.ndarray
-    strategy: Strategy
-    cross_fitted: bool
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-
 def pseudo_values(a, y, e_hat, m1_hat, m0_hat, strategy: Strategy) -> np.ndarray:
     """Vectorized pseudo-outcome transform given nuisance predictions.
 
@@ -66,18 +54,17 @@ def pseudo_values(a, y, e_hat, m1_hat, m0_hat, strategy: Strategy) -> np.ndarray
     return (a / e - (1.0 - a) / (1.0 - e)) * (y - m_obs) + m1 - m0
 
 
-def cross_fitted_pseudo(ds: Dataset, cf: CrossFit, strategy: Strategy) -> PseudoOutcomes:
+def cross_fitted_pseudo(ds: Dataset, cf: CrossFit, strategy: Strategy) -> np.ndarray:
     """Pseudo-outcomes where observation i is transformed with the fold fit
-    that never saw i."""
+    that never saw i, as a read-only float64 vector of length ds.n."""
     values = pseudo_values(ds.a, ds.y, cf.e_hat, cf.m1_hat, cf.m0_hat, strategy)
     values.setflags(write=False)
-    return PseudoOutcomes(values=values, strategy=strategy, cross_fitted=True)
+    return values
 
 
-def ate_loss(pseudo: PseudoOutcomes, theta) -> float:
-    """Empirical squared-error loss (1/2n) sum_i (values_i - theta)^2.
+def ate_loss(pseudo: np.ndarray, theta) -> float:
+    """Empirical squared-error loss (1/2n) sum_i (pseudo_i - theta)^2.
 
     Strictly convex with second derivative exactly 1; minimized at the mean.
     """
-    v = pseudo.values
-    return float(0.5 * np.mean((v - theta) ** 2))
+    return float(0.5 * np.mean((pseudo - theta) ** 2))

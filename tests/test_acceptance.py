@@ -37,7 +37,7 @@ from gbcausal.gibbs_ate import (
 )
 from gbcausal.gibbs_cate import KernelParams, exact_gp_posterior, predict, svgp_fit
 from gbcausal.numerics import Rng
-from gbcausal.pseudo import PseudoOutcomes, Strategy, pseudo_values
+from gbcausal.pseudo import Strategy, pseudo_values
 
 BASE_SEED = 20260808
 WORKERS = min(8, os.cpu_count() or 1)
@@ -50,7 +50,7 @@ def report(num, name, ok, detail=""):
 
 
 def _pv(values):
-    return PseudoOutcomes(np.asarray(values, dtype=float), Strategy.DR, True)
+    return np.asarray(values, dtype=float)
 
 
 def _quadrature_moments(values, prior, omega, n_points=40001):

@@ -18,11 +18,11 @@ from gbcausal.gibbs_ate import DIFFUSE_PRIOR, NormalPrior, closed_form_posterior
 from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler, sparse_gp_resampler
 from gbcausal.nuisance import NuisanceConfig, cross_fit
 from gbcausal.numerics import Rng, normal_quantile
-from gbcausal.pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo
+from gbcausal.pseudo import Strategy, cross_fitted_pseudo
 
 
 def _pv(values):
-    return PseudoOutcomes(np.asarray(values, dtype=float), Strategy.DR, True)
+    return np.asarray(values, dtype=float)
 
 
 class TestPluginOmega:
@@ -226,8 +226,8 @@ class TestGpcOmega:
 
 def _resampler(engine, ds, pv, query):
     if engine == "exact":
-        return exact_gp_resampler(KernelParams(), ds.x, pv.values, query)
-    return sparse_gp_resampler(KernelParams(), ds.x, pv.values, query, 10, Rng(45))
+        return exact_gp_resampler(KernelParams(), ds.x, pv, query)
+    return sparse_gp_resampler(KernelParams(), ds.x, pv, query, 10, Rng(45))
 
 
 class TestGpcOmegaCate:
@@ -291,8 +291,8 @@ class TestResamplesInLinearMemory:
         got = gpc_omega_from_pseudo(pv, prior, alpha, b_boot, 50, Rng(52))
         assert integer_sizes == [n] * b_boot
 
-        means = pv.values[Rng(52).derive(1).integers(n, (b_boot, n))].mean(axis=1)
-        theta_hat = float(np.mean(pv.values))
+        means = pv[Rng(52).derive(1).integers(n, (b_boot, n))].mean(axis=1)
+        theta_hat = float(np.mean(pv))
         z = normal_quantile(1.0 - alpha / 2.0)
 
         def coverage(omega):

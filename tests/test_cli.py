@@ -187,11 +187,11 @@ class TestFitCommand:
                 x_query = ds.x[rng.derive(4).permutation(ds.n)[:100]]
                 if engine == "vi":
                     fit = gibbs_cate.sparse_gp_resampler(
-                        gibbs_cate.KernelParams(), ds.x, pv.values, x_query, 20, rng.derive(3)
+                        gibbs_cate.KernelParams(), ds.x, pv, x_query, 20, rng.derive(3)
                     )
                 else:
                     fit = gibbs_cate.exact_gp_resampler(
-                        gibbs_cate.KernelParams(), ds.x, pv.values, x_query
+                        gibbs_cate.KernelParams(), ds.x, pv, x_query
                     )
                 want = gpc_omega_cate_from_pseudo(pv, 0.05, 50, max_iter, rng.derive(2), fit)
         assert json.loads(out.read_text(encoding="utf-8"))["omega"] == want.omega

@@ -13,11 +13,10 @@ from gbcausal.gibbs_ate import (
     vi_posterior,
 )
 from gbcausal.numerics import Rng
-from gbcausal.pseudo import PseudoOutcomes, Strategy
 
 
 def _pv(values):
-    return PseudoOutcomes(np.asarray(values, dtype=float), Strategy.DR, True)
+    return np.asarray(values, dtype=float)
 
 
 def quadrature_posterior_moments(values, prior, omega, n_points=40001):

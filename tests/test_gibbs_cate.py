@@ -24,11 +24,11 @@ from gbcausal.gibbs_cate import (
 )
 from gbcausal.nuisance import NuisanceConfig, cross_fit
 from gbcausal.numerics import Rng, cholesky_factor, normal_quantile
-from gbcausal.pseudo import PseudoOutcomes, Strategy, cross_fitted_pseudo
+from gbcausal.pseudo import Strategy, cross_fitted_pseudo
 
 
 def _pv(values):
-    return PseudoOutcomes(np.asarray(values, dtype=float), Strategy.DR, True)
+    return np.asarray(values, dtype=float)
 
 
 def matern52_scalar(r, lengthscale, variance):
@@ -501,7 +501,7 @@ class TestSvgp:
     def test_translation_equivariance(self):
         x, pv, omega = self._training_setup(n=25)
         shift = 3.7
-        pv_shift = _pv(pv.values + shift)
+        pv_shift = _pv(pv + shift)
         gp_a = svgp_fit(x, pv, KernelParams(), omega, 12, Rng(12))
         gp_b = svgp_fit(x, pv_shift, KernelParams(), omega, 12, Rng(12))
         xq = Rng(13).normal((15, 2))
@@ -515,7 +515,7 @@ class TestSvgp:
         ds = generate(spec, 1000, Rng(14))
         cf = cross_fit(ds, 5, NuisanceConfig(), Rng(15))
         pv = cross_fitted_pseudo(ds, cf, Strategy.DR)
-        omega = 1.0 / float(np.var(pv.values, ddof=1))
+        omega = 1.0 / float(np.var(pv, ddof=1))
         gp = svgp_fit(ds.x, pv, KernelParams(), omega, 20, Rng(16))
         xq = Rng(17).normal((100, 2))
         means, variances = predict(gp, xq)
@@ -552,7 +552,7 @@ class TestSvgp:
         gp = svgp_fit(x, pv, params, omega, 15, Rng(22))
         chol_k, _ = cholesky_factor(kernel_matrix(params, gp.inducing_x))
         c = np.linalg.solve(chol_k, kernel_matrix(params, gp.inducing_x, x))
-        y_c = pv.values - gp.const_mean
+        y_c = pv - gp.const_mean
         p_mat = np.eye(15) + omega * (c @ c.T)
         # whitened covariance S~ = P^-1 = L_P^-T L_P^-1
         s_tilde = np.linalg.solve(gp.chol_p.T, np.linalg.solve(gp.chol_p, np.eye(15)))

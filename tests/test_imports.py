@@ -5,13 +5,20 @@ none of them loads the process pool, which only a bench at parallelism > 1
 imports. Only `bench` and `experiment` load the bench module: importing the
 CLI and every fit request skip it. The import-time heap is frozen out of the
 cyclic collector by `cli.entrypoint` alone (`tests/test_cli.py`), so these
-in-process `cli.main` calls run with the collector as it was."""
+in-process `cli.main` calls run with the collector as it was.
 
+Also pinned here: the package's exports, and that the posterior modules
+`gibbs_ate` and `gibbs_cate` take a plain pseudo-outcome array and so import
+nothing of the nuisance or dataset layers."""
+
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gbcausal
 
@@ -135,3 +142,20 @@ def test_a_bench_over_every_dgp_loads_no_scipy(tmp_path):
             "--parallelism", "1"]
     code = f"from gbcausal import cli\nassert cli.main({argv!r}) == 0\nreport()\n"
     assert heavy_modules_after(code) == [[]]
+
+
+def test_every_export_resolves_once_and_star_imports():
+    names = gbcausal.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(gbcausal, name)] == []
+    namespace = {}
+    exec("from gbcausal import *", namespace)
+    assert set(names) <= namespace.keys()
+
+
+@pytest.mark.parametrize("module", ["gibbs_ate", "gibbs_cate"])
+def test_posterior_modules_import_only_errors_and_numerics(module):
+    tree = ast.parse(Path(SRC, "gbcausal", f"{module}.py").read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"errors", "numerics"}
