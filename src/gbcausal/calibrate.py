@@ -42,6 +42,8 @@ def plugin_omega(pseudo: np.ndarray) -> float:
     """Reciprocal of the unbiased sample variance of the pseudo-outcomes."""
     if pseudo.size < 2:
         raise DomainError("plug-in omega needs at least two pseudo-outcomes")
+    if not np.isfinite(pseudo).all():  # a NaN variance would read as "constant"
+        raise NumericError("pseudo-outcomes are not finite")
     var = float(np.var(pseudo, ddof=1))
     if not var > 0:
         raise DegenerateVariance("pseudo-outcomes are constant; variance is zero")

@@ -131,10 +131,10 @@ def read_csv(path) -> Dataset:
     treatment column. Any other chunk (blank lines, a field ``float()``
     reads and numpy does not, such as ``1_0``, or a bad value) is parsed
     again row by row, which raises the ``ParseError`` naming the first bad
-    row and column of the file. Each chunk's rows are copied into x, a and
-    y, whose capacity doubles when a chunk does not fit (ndarray.resize,
-    a realloc: a large buffer grows without a copy and its spare capacity
-    is never touched), so the read holds about one table.
+    row and column of the file. The chunks' parsed rows are kept and joined
+    by one ``np.concatenate`` per column after the last chunk, so the read
+    holds about two tables at its peak: the chunks' rows and the joined
+    columns.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         header_line = fh.readline()
@@ -147,45 +147,21 @@ def read_csv(path) -> Dataset:
         expected = [f"x{j + 1}" for j in range(d)]
         if header[:d] != expected:
             raise SchemaError(f"covariate columns must be x1..x{d}, got {header[:d]!r}")
-        cols = []  # x, a and y of the rows read so far, with spare capacity
+        pieces = []  # (x, a, y) of each chunk
         n = 0
         for chunk in _line_chunks(fh):
-            pieces = _parse_chunk(chunk, d, n)
-            m = pieces[0].shape[0]
-            if not cols:
-                cols = [np.empty((m,) + piece.shape[1:]) for piece in pieces]
-            if n + m > cols[0].shape[0]:
-                _resize(cols, max(2 * cols[0].shape[0], n + m))
-            for col, piece in zip(cols, pieces):
-                col[n : n + m] = piece
-            n += m
-    if not cols:
+            pieces.append(_parse_chunk(chunk, d, n))
+            n += pieces[-1][0].shape[0]
+    if not pieces:
         raise SchemaError("empty body: a dataset needs at least one row")
-    _resize(cols, n)
-    return Dataset(*cols)
-
-
-def _resize(cols, rows):
-    """Give each array in cols `rows` rows in place, keeping its leading rows."""
-    for col in cols:
-        # refcheck would count the list's and the loop's references; no view of col is alive
-        col.resize((rows,) + col.shape[1:], refcheck=False)
+    return Dataset(*(np.concatenate(col) for col in zip(*pieces)))
 
 
 def _line_chunks(fh):
-    """The rest of the text file fh as strings of whole lines, each of about
-    _CSV_CHUNK characters, without the newline that ends the last line."""
-    tail = ""
+    """The rest of the text file fh as strings of whole lines: each read of
+    _CSV_CHUNK characters completed to a line end, less that last newline."""
     while text := fh.read(_CSV_CHUNK):
-        text = tail + text
-        cut = text.rfind("\n")
-        if cut < 0:
-            tail = text
-            continue
-        tail = text[cut + 1:]
-        yield text[:cut]
-    if tail:  # the last line had no newline
-        yield tail
+        yield (text + fh.readline()).removesuffix("\n")
 
 
 def _parse_chunk(text, d, skipped):
