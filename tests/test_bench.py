@@ -12,7 +12,6 @@ import pytest
 from gbcausal import bench, nuisance, numerics
 from gbcausal import dgp as dgp_mod
 from gbcausal.bench import (
-    BenchReport,
     _execute,
     orthogonality_slopes,
     reports_to_csv,
@@ -22,8 +21,9 @@ from gbcausal.bench import (
     tv_stability,
     wilson_interval,
 )
+from gbcausal.calibrate import plugin_omega
 from gbcausal.dgp import default_spec
-from gbcausal.errors import ConfigError, DomainError, NumericError
+from gbcausal.errors import ConfigError, DegenerateVariance, DomainError, NumericError
 from gbcausal.gibbs_ate import NormalPrior
 from gbcausal.gibbs_cate import KernelParams
 from gbcausal.nuisance import NuisanceConfig
@@ -140,6 +140,21 @@ class TestRunAteBench:
         assert report.failures > 0
         assert report.r_total == 12 - report.failures
         assert len(report.runs) == report.r_total
+
+    def test_numeric_error_while_scoring_counts_as_a_failure(self, monkeypatch):
+        calls = []
+
+        def second_call_fails(pv):
+            calls.append(pv.size)
+            if len(calls) == 2:
+                raise DegenerateVariance("pseudo-outcomes are constant; variance is zero")
+            return plugin_omega(pv)
+
+        monkeypatch.setattr(bench, "plugin_omega", second_call_fails)
+        report = run_ate_bench(default_spec("D1"), Strategy.DR, 50, 3, NormalPrior(), "plugin", 0)
+        assert calls == [50, 50, 50]
+        assert report.failures == 1 and report.r_total == 2
+        assert [run.rep for run in report.runs] == [0, 2]
 
     def test_cell_without_a_successful_repetition_is_not_faithful(self):
         # D6 at n=6 in two folds collapses an arm in every repetition; the
@@ -462,6 +477,15 @@ class TestReportEmission:
             "| D6 (n=6) | ~~0.000 (0.000, 1.000)~~ |",
             "| D6 (n=6) | ~~0.000 (0.000)~~ |",
         ]
+
+    def test_row_without_a_strategy_has_an_empty_cell(self):
+        ra, ipw, _ = self._reports()
+        d2 = run_ate_bench(default_spec("D2"), Strategy.RA, 80, 3, NormalPrior(), "plugin", 61,
+                           strategy_label="RA")
+        text = reports_to_markdown([ra, ipw, d2], alpha=0.05)
+        d2_rows = [line for line in text.splitlines() if line.startswith("| D2 ")]
+        assert len(d2_rows) == 2
+        assert all(line.endswith(" |  |") for line in d2_rows)
 
     def test_markdown_handles_multiple_sample_sizes(self):
         spec = default_spec("D1")

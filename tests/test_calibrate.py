@@ -13,7 +13,7 @@ from gbcausal.calibrate import (
     plugin_omega,
 )
 from gbcausal.dgp import default_spec, generate
-from gbcausal.errors import DegenerateVariance, DomainError
+from gbcausal.errors import DegenerateVariance, DomainError, NumericError
 from gbcausal.gibbs_ate import DIFFUSE_PRIOR, NormalPrior, closed_form_posterior, normal_update
 from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler, sparse_gp_resampler
 from gbcausal.nuisance import NuisanceConfig, cross_fit
@@ -41,6 +41,12 @@ class TestPluginOmega:
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):
             plugin_omega(_pv([1.5, 1.5, 1.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pseudo_outcomes(self, bad):
+        # np.var would read a NaN variance as constant, and warn on an inf
+        with pytest.raises(NumericError, match="pseudo-outcomes are not finite"):
+            plugin_omega(_pv([1.0, bad, 3.0]))
 
     def test_needs_two_values(self):
         with pytest.raises(DomainError):
@@ -169,6 +175,10 @@ class TestGpcSearch:
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
             gpc_search(lambda o: 0.9, 1.0, alpha=0.0, max_iter=5)
+
+    def test_max_iter_floor(self):
+        with pytest.raises(DomainError, match="max_iter must be >= 1"):
+            gpc_search(lambda o: 0.9, 1.0, alpha=0.05, max_iter=0)
 
 
 class TestGpcOmega:

@@ -31,6 +31,7 @@ class TestDataset:
             {"x": [[np.nan]], "a": [0], "y": [1.0]},
             {"x": [[1.0]], "a": [2], "y": [1.0]},
             {"x": [[1.0]], "a": [0], "y": [np.inf]},
+            {"x": np.zeros((0, 1)), "a": [], "y": []},
         ],
     )
     def test_invariants_rejected(self, kwargs):
@@ -94,6 +95,12 @@ class TestCsv:
         ds = read_csv(path)
         assert ds.n == 1 and ds.d == 1
         assert ds.x[0, 0] == 0.0 and ds.a[0] == 1 and ds.y[0] == 2.5
+
+    def test_empty_file_schema_error(self, tmp_path):
+        path = tmp_path / "nothing.csv"
+        path.write_bytes(b"")
+        with pytest.raises(SchemaError, match="empty file"):
+            read_csv(path)
 
     def test_empty_body_schema_error(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -260,6 +267,34 @@ class TestCsv:
         for name in ("x", "a", "y"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
+    @pytest.mark.parametrize("how", ["lf", "no_lf", "pipe"])
+    def test_rows_longer_than_a_chunk(self, tmp_path, how):
+        ds = Dataset(x=Rng(19).normal((3, 15000)), a=[0, 1, 1], y=Rng(20).normal(3))
+        path = tmp_path / "wide.csv"
+        write_csv(ds, path)
+        text = path.read_bytes()
+        assert min(len(line) for line in text.split(b"\n")[1:-1]) > dataset._CSV_CHUNK
+        if how == "no_lf":
+            path.write_bytes(text[:-1])
+        back = _read_through_a_pipe(text) if how == "pipe" else read_csv(path)
+        for name in ("x", "a", "y"):
+            assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+
+    @pytest.mark.parametrize("rows_after", [0, 3])
+    def test_chunk_ending_on_a_newline(self, tmp_path, rows_after):
+        # the body's _CSV_CHUNK-th character ends a line
+        row = "0.5,1,0.25"
+        k, pad = divmod(dataset._CSV_CHUNK, len(row) + 1)
+        body = [row] * (k - 1) + ["-1.0,0,0.25" + "0" * (pad - 1)] + ["2.0,0,-3.5"] * rows_after
+        text = "\n".join(body) + "\n"
+        assert text[dataset._CSV_CHUNK - 1] == "\n"
+        path = tmp_path / "edge.csv"
+        path.write_text("x1,a,y\n" + text, encoding="utf-8")
+        got, want = read_csv(path), _loop_read(path)
+        assert got.n == k + rows_after
+        for name in ("x", "a", "y"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_roundtrip_d8_draw_is_byte_identical(self, tmp_path):
         ds = generate(default_spec("D8"), 150, Rng(14))
         assert ds.d == 50
@@ -270,6 +305,26 @@ class TestCsv:
             got, want = getattr(back, name), getattr(ds, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _read_through_a_pipe(data):
+    """read_csv of the bytes `data` fed through a pipe's /dev/fd path."""
+    fd_dir = Path("/dev/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("needs /dev/fd")
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read_csv(fd_dir / str(r))
+    finally:
+        writer.join()
+        os.close(r)
 
 
 def _loop_read(path):

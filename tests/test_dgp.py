@@ -38,6 +38,17 @@ class TestSpecs:
         with pytest.raises(InvalidSpec):
             DgpSpec(id="D8", params={"tau": 2.0, "p": 5, "s": 6})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, [0.5, math.nan]])
+    def test_non_finite_parameter(self, value):
+        params = dict(default_spec("D1").params, beta=value)
+        with pytest.raises(InvalidSpec, match="'beta' must be finite"):
+            DgpSpec(id="D1", params=params)
+
+    def test_d5_coefficient_length(self):
+        params = dict(default_spec("D5").params, b=[0.0, 1.0, 0.5])
+        with pytest.raises(InvalidSpec, match="length-4"):
+            DgpSpec(id="D5", params=params)
+
     def test_missing_parameter(self):
         with pytest.raises(InvalidSpec):
             DgpSpec(id="D1", params={"tau": 2.0, "beta": [0.5, -0.5]})

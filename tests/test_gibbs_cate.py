@@ -491,6 +491,12 @@ class TestSvgp:
         ratio = np.sqrt(got_var / want_var)
         assert ratio.min() >= 0.9 and ratio.max() <= 1.1
 
+    @pytest.mark.parametrize("omega", [0.0, math.nan])
+    def test_rejects_bad_omega(self, omega):
+        x, pv, _ = self._training_setup(n=20)
+        with pytest.raises(DomainError, match="omega must be positive"):
+            svgp_fit(x, pv, KernelParams(), omega, 5, Rng(7))
+
     def test_constant_pseudo_outcomes(self):
         x = Rng(9).normal((30, 2))
         gp = svgp_fit(x, _pv(np.full(30, -1.2)), KernelParams(), 1.0, 10, Rng(10))

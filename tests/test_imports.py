@@ -7,9 +7,10 @@ CLI and every fit request skip it. The import-time heap is frozen out of the
 cyclic collector by `cli.entrypoint` alone (`tests/test_cli.py`), so these
 in-process `cli.main` calls run with the collector as it was.
 
-Also pinned here: the package's exports, and that the posterior modules
+Also pinned here: the package's exports, that the posterior modules
 `gibbs_ate` and `gibbs_cate` take a plain pseudo-outcome array and so import
-nothing of the nuisance or dataset layers."""
+nothing of the nuisance or dataset layers, and that no module of the package
+or of its tests imports a name it never reads."""
 
 import ast
 import json
@@ -159,3 +160,27 @@ def test_posterior_modules_import_only_errors_and_numerics(module):
     relative = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert relative == {"errors", "numerics"}
+
+
+def _unread_imports(path):
+    """'file:line name' of each name `path` imports and never reads; a name
+    listed in its __all__ counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    files = sorted(Path(SRC, "gbcausal").glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert [entry for path in files for entry in _unread_imports(path)] == []

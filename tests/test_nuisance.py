@@ -128,6 +128,12 @@ class TestPropensity:
         with pytest.raises(DegenerateTreatment):
             fit_propensity(feature_matrix(x), np.zeros(20), 1.0)
 
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_fit_nuisances_needs_both_arms(self, arm):
+        x = Rng(11).normal((20, 2))
+        with pytest.raises(DegenerateTreatment, match="both treatment arms"):
+            fit_nuisances(feature_matrix(x), np.full(20, arm), x[:, 0], NuisanceConfig())
+
     def test_row_order_invariance(self):
         rng = Rng(12)
         x = rng.normal((300, 2))

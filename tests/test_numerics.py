@@ -91,6 +91,15 @@ class TestCholeskySolve:
         with pytest.raises(DomainError):
             cholesky_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
 
+    @pytest.mark.parametrize("a, message", [
+        (np.ones((2, 3)), "must be square"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "must be finite"),
+        (np.diag([1.0, np.inf]), "must be finite"),
+    ], ids=["wide", "nan", "inf"])
+    def test_malformed_matrix_raises(self, a, message):
+        with pytest.raises(DomainError, match=message):
+            cholesky_factor(a)
+
     @pytest.mark.parametrize("shape", [(4,), (4, 1), (1, 2)])
     def test_rhs_rows_must_match(self, shape):
         # a b whose size n divides is not reshaped into other columns
