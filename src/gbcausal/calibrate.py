@@ -22,7 +22,7 @@ from .dataset import Dataset
 from .errors import DegenerateVariance, DomainError, NumericError
 from .gibbs_ate import NormalPrior, normal_update
 from .nuisance import NuisanceConfig, cross_fit
-from .numerics import Rng, normal_quantile
+from .numerics import Rng, normal_quantile, pseudo_vector
 from .pseudo import Strategy, cross_fitted_pseudo
 
 
@@ -40,6 +40,7 @@ COVERAGE_TOL = 0.01
 
 def plugin_omega(pseudo: np.ndarray) -> float:
     """Reciprocal of the unbiased sample variance of the pseudo-outcomes."""
+    pseudo = pseudo_vector(pseudo)
     if pseudo.size < 2:
         raise DomainError("plug-in omega needs at least two pseudo-outcomes")
     if not np.isfinite(pseudo).all():  # a NaN variance would read as "constant"
@@ -124,6 +125,7 @@ def gpc_omega_from_pseudo(
 ) -> CalibrationResult:
     """Coverage-matching calibration for the scalar ATE posterior, given
     the already cross-fitted pseudo-outcome vector `pseudo`."""
+    pseudo = pseudo_vector(pseudo)
     rows = _resample_rows(rng.derive(1), pseudo.size, b_boot)
     means = np.array([pseudo[r].mean() for r in rows])
     return _ate_gpc(pseudo, prior, alpha, max_iter, means)
@@ -175,6 +177,7 @@ def gpc_omega_cate_from_pseudo(
     containment is checked against the full-data posterior mean at the same
     omega.
     """
+    pseudo = pseudo_vector(pseudo)
     n = pseudo.size
     _resample_rows(rng, n, b_boot)  # checks b_boot now; draws nothing
     z = normal_quantile(1.0 - alpha / 2.0)

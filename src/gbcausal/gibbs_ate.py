@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import normal_quantile
+from .numerics import normal_quantile, pseudo_vector
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ def normal_update(prior: NormalPrior, omega, n, theta_hat):
 
 def closed_form_posterior(pseudo: np.ndarray, prior: NormalPrior, omega) -> GaussianPosterior:
     """Exact Normal-Normal conjugate posterior on the pseudo-outcome vector."""
+    pseudo = pseudo_vector(pseudo)
     if not omega > 0:
         raise DomainError("omega must be positive")
     m_p, s_p_sq = normal_update(prior, omega, pseudo.size, float(np.mean(pseudo)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import Rng, cholesky_factor, restore_lower, solve_factored, solve_triangular
+from .numerics import Rng, cholesky_factor, pseudo_vector, restore_lower, solve_factored, solve_triangular
 
 _SQRT5 = np.sqrt(5.0)
 _EXACT_GP_MAX_N = 2000
@@ -125,6 +125,7 @@ def check_exact_n(n):
 def exact_gp_posterior(ds_x, pseudo: np.ndarray, params: KernelParams, omega) -> ExactGpPredictor:
     """Exact posterior on the pseudo-outcome vector: mean k_*^T (K + omega^-1 I)^-1
     y_centered + const, variance k_** - k_*^T (K + omega^-1 I)^-1 k_*."""
+    pseudo = pseudo_vector(pseudo)
     if not omega > 0:
         raise DomainError("omega must be positive")
     x = np.atleast_2d(np.asarray(ds_x, dtype=float))
@@ -166,6 +167,7 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
     The full-data fit (rows 0..n-1 in order) is computed once per omega
     and kept (see _keep_full_fits).
     """
+    values = pseudo_vector(values)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     check_exact_n(n)
@@ -194,14 +196,17 @@ def exact_gp_resampler(params: KernelParams, x, values, x_query):
 
 
 def _keep_full_fits(fit, n):
-    """fit(rows, omega) that computes the full-data fit, rows 0..n-1 in
-    order, once per omega and returns that result, read-only, on every
-    later call: the gpc search takes it as each omega's point estimate and
-    `fit` then reports it at the omega chosen. Other rows go to fit."""
+    """fit(rows, omega) that raises DomainError for omega <= 0 or NaN, as
+    the posteriors do, and computes the full-data fit, rows 0..n-1 in order,
+    once per omega and returns that result, read-only, on every later call:
+    the gpc search takes it as each omega's point estimate and `fit` then
+    reports it at the omega chosen. Other rows go to fit."""
     every_row = np.arange(n)
     full = {}
 
     def keeping(rows, omega):
+        if not omega > 0:
+            raise DomainError("omega must be positive")
         if not np.array_equal(rows, every_row):
             return fit(rows, omega)
         if omega not in full:
@@ -284,6 +289,7 @@ def svgp_fit(
     count 1. Inducing locations are a seeded random subsample of the
     training covariates and stay fixed.
     """
+    pseudo = pseudo_vector(pseudo)
     if not omega > 0:
         raise DomainError("omega must be positive")
     z, chol_k, c = _inducing_basis(params, ds_x, m_inducing, rng)
@@ -304,6 +310,7 @@ def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rn
     off it with _sparse_moments. The full-data fit is kept per omega, as
     in exact_gp_resampler.
     """
+    values = pseudo_vector(values)
     z, chol_k, c = _inducing_basis(params, x, m_inducing, rng)
     b = solve_triangular(chol_k, kernel_matrix(params, z, x_query))
 

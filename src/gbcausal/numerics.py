@@ -1,6 +1,6 @@
 """Shared numerical kernels: keyed random streams, triangular and SPD
-solves, the normal quantile and CDF, the logistic link, the chi-square
-quantile, a bias-corrected Adam optimizer and the OpenBLAS thread-count pin.
+solves, the normal quantile and CDF, the logistic link, a bias-corrected
+Adam optimizer and the OpenBLAS thread-count pin.
 
 ``adam_minimize`` (with ``OptimizerConfig``) has no caller in the package:
 both variational engines are conjugate and computed in closed form. It stays
@@ -8,15 +8,18 @@ only while the benchmark's layer tracer names it.
 
 Random streams are counter-based (Philox keyed by a 64-bit seed and a 64-bit
 stream index), so any (repetition, fold, purpose) tuple can be mapped to an
-independent stream without coordination. Normal draws go through the inverse
-CDF of the stream's uniforms, which makes every distributional draw a pure
-function of the uniform sequence.
+independent stream without coordination. Uniform, normal, integer,
+permutation and Bernoulli draws are pure functions of the stream's uniforms
+(normal draws through the inverse CDF). Chi-square draws, and with them the
+Student-t draws of D7's noise, come from numpy's gamma sampler on the same
+stream; NEP 19 lets numpy change that sampler's stream between feature
+releases, so they are a pure function of (seed, stream) for a given numpy
+version only.
 
 The special functions are numpy and standard-library code, so no gbcausal
 process imports scipy (whose import costs more than the rest of the
-package). ``ndtri`` follows cephes (Moshier 1989) and ``gammaincinv`` the
-inverse incomplete gamma of DiDonato & Morris (1986, ACM TOMS 12:377); the
-tests hold each against scipy.
+package). ``ndtri`` follows cephes (Moshier 1989); the tests hold it and the
+logistic link against scipy.
 
 The Cholesky factor, the SPD solve on it and the triangular solve call
 LAPACK's dpotrf and dpotrs and BLAS's dtrsm (ILP64 ``scipy_*_64_``) via ctypes
@@ -87,15 +90,6 @@ _SQRT1_2 = math.sqrt(0.5)
 # per call, few enough that its temporaries (128 KB each) stay in cache.
 _NDTRI_CHUNK = 16384
 
-# Inverse incomplete gamma: the Halley iteration stops for an element once
-# its step is below this fraction of x (the cubic convergence leaves an error
-# near its cube), and gives up after _GAMMA_MAX_STEPS; the series and the
-# continued fraction stop after _GAMMA_MAX_TERMS terms.
-_GAMMA_STEP_TOL = 1e-5
-_GAMMA_MAX_STEPS = 50
-_GAMMA_MAX_TERMS = 10_000
-
-
 
 def _splitmix64(z):
     z = z & _MASK64
@@ -150,12 +144,16 @@ class Rng:
         return (self._gen.random(p.shape) < p).astype(np.int64)
 
     def chi_square(self, df, size=None):
-        """Chi-square(df) draws for a scalar df, by the inverse CDF."""
-        u = np.maximum(self._gen.random(size), 1e-300)
-        return 2.0 * gammaincinv(df / 2.0, u)
+        """Chi-square(df) draws for a scalar df > 0, as twice numpy's
+        standard_gamma(df / 2) on this stream (Marsaglia & Tsang 2000 for
+        shape >= 1). Exact in distribution, but not a function of the
+        stream's uniforms alone, and numpy may change its stream between
+        feature releases (NEP 19)."""
+        return 2.0 * self._gen.standard_gamma(df / 2.0, size)
 
     def student_t(self, df, size=None):
-        """t draws as normal over scaled chi, both from the uniform stream."""
+        """t(df) draws z / sqrt(v / df): the normals z first, then the
+        chi-square(df) draws v, from this one stream."""
         z = self.normal(size)
         v = self.chi_square(df, size)
         return z / np.sqrt(v / df)
@@ -526,111 +524,13 @@ def logit(p):
         return np.where((p >= 0.3) & (p <= 0.65), mid, np.log(p / (1.0 - p)))[()]
 
 
-def _gamma_series(a, x):
-    # sum_k x^k / ((a+1)...(a+k)), so that P(a, x) = x^a e^-x / Gamma(a+1)
-    # times it. An element's terms are set to 0 once they fall below its
-    # sum's rounding (checked every fourth term), which freezes its sum.
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    ap = a
-    for k in range(1, _GAMMA_MAX_TERMS):
-        ap += 1.0
-        term *= x
-        term /= ap
-        total += term
-        if k % 4 == 0:
-            term[term <= total * 2.0**-53] = 0.0
-            if not term.any():
-                break
-    return total
-
-
-def _gamma_cfrac(a, x):
-    # Legendre's continued fraction by Lentz's method, so that
-    # Q(a, x) = x^a e^-x / Gamma(a) times it; converges fast for
-    # x > a + 1. An element's value is taken at the first check (every
-    # fourth step) after its step factor reaches 1 within rounding.
-    b = x + 1.0 - a
-    c = np.full_like(x, 1e300)
-    d = 1.0 / b
-    h = d
-    out = h
-    live = np.ones(x.shape, dtype=bool)
-    for i in range(1, _GAMMA_MAX_TERMS):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = d * c
-        h = h * delta
-        if i % 4 == 0:
-            conv = live & (np.abs(delta - 1.0) <= 2.0**-53)
-            out = np.where(conv, h, out)
-            live &= ~conv
-            if not live.any():
-                break
-    return out
-
-
-def _gamma_pq(a, x):
-    """Regularized incomplete gammas (P(a, x), Q(a, x)) at x > 0: the series
-    below a + 1 + 2 sqrt(a), where the complement 1 - P is still accurate
-    and the series is the cheaper, the continued fraction above."""
-    cf = x > a + 1.0 + 2.0 * math.sqrt(a)
-    log_gamma = math.lgamma(a)
-    p, q = np.empty_like(x), np.empty_like(x)
-    xs, xc = x[~cf], x[cf]
-    p[~cf] = np.exp(a * np.log(xs) - xs - log_gamma) / a * _gamma_series(a, xs)
-    q[~cf] = 1.0 - p[~cf]
-    q[cf] = np.exp(a * np.log(xc) - xc - log_gamma) * _gamma_cfrac(a, xc)
-    p[cf] = 1.0 - q[cf]
-    return p, q
-
-
-def gammaincinv(a, p):
-    """x with P(a, x) = p for the regularized lower incomplete gamma P and a
-    scalar a > 0, elementwise over p: 0 at p = 0, inf at 1, nan outside.
-
-    Starts, as DiDonato & Morris (1986) do, from the Wilson-Hilferty cube
-    a (1 - 1/(9a) + ndtri(p) / (3 sqrt a))^3, or in the lower tail from the
-    first two terms of the series inversion x = (p Gamma(a+1))^(1/a)
-    (1 + x/(a+1)). Then Halley steps on P(a, x) - p, or on its equal
-    (1 - p) - Q(a, x) for p > 1/2 so that the upper tail keeps its
-    relative accuracy, until each element's step is below 1e-5 x.
-    """
-    p = np.asarray(p, dtype=float)
-    flat = p.reshape(-1)
-    out = np.where(flat == 0.0, 0.0, np.where(flat == 1.0, np.inf, np.nan))
-    rows = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-    pt = flat[rows]
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
-        small = np.exp((np.log(pt) + math.lgamma(a + 1.0)) / a)
-        small *= 1.0 + small / (a + 1.0)
-        cube = 1.0 - 1.0 / (9.0 * a) + ndtri(pt) / (3.0 * math.sqrt(a))
-        x = np.where((cube > 0.0) & (small > 0.5 * a), a * cube**3, small)
-        # a start that underflows to 0 is the quantile rounded to a double
-        zero = x == 0.0
-        out[rows[zero]] = 0.0
-        rows, pt, x = rows[~zero], pt[~zero], x[~zero]
-        upper = pt > 0.5
-        qt = 1.0 - pt
-        log_gamma = math.lgamma(a)
-        for _ in range(_GAMMA_MAX_STEPS):
-            lo, hi = _gamma_pq(a, x)
-            # Halley: f / f' with f' = x^(a-1) e^-x / Gamma(a), f''/f' = (a-1)/x - 1
-            step = np.where(upper, qt - hi, lo - pt) / np.exp((a - 1.0) * np.log(x) - x - log_gamma)
-            step /= 1.0 - 0.5 * np.minimum(step * ((a - 1.0) / x - 1.0), 1.0)
-            new = x - step
-            x = np.where(new > 0.0, new, 0.5 * x)
-            done = np.abs(step) <= _GAMMA_STEP_TOL * x
-            if done.any():
-                out[rows[done]] = x[done]
-                keep = ~done
-                rows, pt, qt, upper, x = rows[keep], pt[keep], qt[keep], upper[keep], x[keep]
-                if not rows.size:
-                    break
-        out[rows] = x
-    return out.reshape(p.shape)[()]
+def pseudo_vector(pseudo):
+    """The pseudo-outcomes as a float array (np.asarray, so no copy of a
+    float64 array); DomainError unless that array is 1-D."""
+    pseudo = np.asarray(pseudo, dtype=float)
+    if pseudo.ndim != 1:
+        raise DomainError(f"pseudo-outcomes must be a 1-D array, got shape {pseudo.shape}")
+    return pseudo
 
 
 def normal_quantile(p):

@@ -348,3 +348,41 @@ class TestResamplesInLinearMemory:
         with pytest.raises(DomainError):
             gpc_omega_cate_from_pseudo(_pv(Rng(58).normal(40)), 0.05, 49, 5, Rng(59), never)
         assert integer_sizes == []
+
+
+_TWO_BY_TWO = np.array([[1.0, 2.0], [4.0, 5.0]])
+_X = np.linspace(0.0, 1.0, 4)[:, None]
+
+
+def _unreached_fit(rows, omega):
+    raise AssertionError("the search fitted pseudo-outcomes it should have refused")
+
+
+# Every consumer of a pseudo-outcome vector, called on `pseudo`.
+_CONSUMERS = {
+    "plugin_omega": lambda p: plugin_omega(p),
+    "closed_form_posterior": lambda p: closed_form_posterior(p, NormalPrior(), 1.0),
+    "gpc_omega_from_pseudo": lambda p: gpc_omega_from_pseudo(p, NormalPrior(), 0.05, 50, 3, Rng(0)),
+    "gpc_omega_cate_from_pseudo": lambda p: gpc_omega_cate_from_pseudo(p, 0.05, 50, 3, Rng(0),
+                                                                       _unreached_fit),
+    "exact_gp_posterior": lambda p: gibbs_cate.exact_gp_posterior(_X, p, KernelParams(), 1.0),
+    "svgp_fit": lambda p: gibbs_cate.svgp_fit(_X, p, KernelParams(), 1.0, 2, Rng(0)),
+    "exact_gp_resampler": lambda p: exact_gp_resampler(KernelParams(), _X, p, _X),
+    "sparse_gp_resampler": lambda p: sparse_gp_resampler(KernelParams(), _X, p, _X, 2, Rng(0)),
+}
+
+
+class TestPseudoOutcomeVector:
+    """Each consumer takes its pseudo-outcomes through numerics.pseudo_vector:
+    a 2-D array is refused before any of its entries is read, and a list
+    reads like its array."""
+
+    @pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+    def test_a_matrix_is_refused_naming_its_shape(self, consumer):
+        with pytest.raises(DomainError, match=r"1-D array, got shape \(2, 2\)"):
+            _CONSUMERS[consumer](_TWO_BY_TWO)
+
+    @pytest.mark.parametrize("consumer", ["plugin_omega", "closed_form_posterior"])
+    def test_a_list_reads_as_its_array(self, consumer):
+        values = [1.0, 2.0, 4.0, 5.0]
+        assert _CONSUMERS[consumer](values) == _CONSUMERS[consumer](np.array(values))

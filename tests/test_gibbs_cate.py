@@ -300,6 +300,22 @@ class TestExactGpResampler:
         shuffled = fit(Rng(68).permutation(n), 0.6)
         assert shuffled is not first and shuffled[0].flags.writeable
 
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    @pytest.mark.parametrize("omega", [0.0, np.float64(0.0), -1.0, math.nan],
+                             ids=["zero", "float64_zero", "negative", "nan"])
+    @pytest.mark.parametrize("resample", [False, True], ids=["every_row", "resample"])
+    def test_fit_rejects_a_bad_omega(self, engine, omega, resample):
+        # as the posteriors do, on the kept full-row fit and on a resample alike
+        x, values, query = self._problem()
+        n = x.shape[0]
+        if engine == "exact":
+            fit = exact_gp_resampler(KernelParams(), x, values, query)
+        else:
+            fit = sparse_gp_resampler(KernelParams(), x, values, query, 12, Rng(66))
+        rows = Rng(67).integers(n, n) if resample else np.arange(n)
+        with pytest.raises(DomainError, match="omega must be positive"):
+            fit(rows, omega)
+
     def test_failed_full_row_fit_restores_k_xx(self, monkeypatch):
         x, values, query = self._problem()
         fit = exact_gp_resampler(KernelParams(), x, values, query)

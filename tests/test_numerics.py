@@ -1,6 +1,7 @@
 import ctypes
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+import scipy.stats
 from scipy.special import ndtr, ndtri
 
 from gbcausal import numerics
@@ -516,24 +518,6 @@ class TestScipyPorts:
             assert numerics.logit(np.array([0.0, 1.0])).tolist() == [-np.inf, np.inf]
             assert numerics.expit(np.array([-1e6])).tolist() == [0.0]
 
-    @pytest.mark.parametrize("df", [2.5, 3.0, 5.0, 10.0, 30.0])
-    def test_chi_square_quantile_within_1e_12(self, df):
-        u = np.concatenate([np.maximum(Rng(36).uniform(100_000), 1e-300), [1e-300, 1.0 - 2.0**-53]])
-        got = 2.0 * numerics.gammaincinv(df / 2.0, u)
-        want = 2.0 * scipy.special.gammaincinv(df / 2.0, u)
-        assert np.max(np.abs(got - want) / want) <= 1e-12
-
-    def test_gammaincinv_edges(self):
-        got = numerics.gammaincinv(1.5, np.array([0.0, 1.0, -0.1, 1.1, np.nan]))
-        assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2:]).all()
-        # the start underflows: the quantile is below the smallest double
-        assert numerics.gammaincinv(0.5, np.array([1e-300])).tolist() == [0.0]
-
-    def test_chi_square_draws_are_quantiles_of_the_uniforms(self):
-        u = np.maximum(Rng(37).uniform(300), 1e-300)
-        np.testing.assert_array_equal(Rng(37).chi_square(3.0, 300),
-                                      2.0 * numerics.gammaincinv(1.5, u))
-
     @pytest.mark.parametrize("n", [1, 21, 32, 33, 152, 190, 1000])
     @pytest.mark.parametrize("rhs", [None, 1, 100], ids=["vector", "one_column", "100_columns"])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -561,6 +545,22 @@ class TestSolveTriangularOnNumpy:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_solve_triangular_within_1e_13(self, n, rhs, order):
         check_solve_triangular(n, rhs, order)
+
+
+class TestPseudoVector:
+    def test_a_float64_vector_passes_as_itself(self):
+        values = Rng(40).normal(5)
+        assert numerics.pseudo_vector(values) is values
+
+    def test_a_list_becomes_a_float_vector(self):
+        got = numerics.pseudo_vector([1, 2, 4])
+        assert got.dtype == np.float64 and got.tolist() == [1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.ones((3, 1)), 1.5], ids=["2x2", "3x1", "scalar"])
+    def test_anything_but_one_dimension_is_refused_by_shape(self, bad):
+        shape = np.shape(bad)
+        with pytest.raises(DomainError, match=f"1-D array, got shape {re.escape(str(shape))}"):
+            numerics.pseudo_vector(bad)
 
 
 class TestNormalQuantile:
@@ -747,6 +747,29 @@ class TestRng:
         t = Rng(4).student_t(5.0, 200000)
         assert abs(np.mean(t)) < 0.02
         assert abs(np.var(t) - 5.0 / 3.0) < 0.1
+
+    # One-sample Kolmogorov-Smirnov tests of 20000 draws at fixed seeds: a
+    # correct sampler fails one with probability 1e-3.
+    @pytest.mark.parametrize("df", [2.5, 3.0, 5.0, 10.0, 30.0])
+    def test_chi_square_draws_follow_the_chi_square_law(self, df):
+        draws = Rng(36).chi_square(df, 20000)
+        assert scipy.stats.kstest(draws, scipy.stats.chi2(df).cdf).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("df", [2.5, 3.0, 5.0])
+    def test_student_t_draws_follow_the_t_law(self, df):
+        draws = Rng(37).student_t(df, 20000)
+        assert scipy.stats.kstest(draws, scipy.stats.t(df).cdf).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("draw", ["chi_square", "student_t"])
+    def test_gamma_draws_are_a_function_of_seed_and_stream(self, draw):
+        first = getattr(Rng(38, 5), draw)(3.0, 1000)
+        assert first.tobytes() == getattr(Rng(38, 5), draw)(3.0, 1000).tobytes()
+        assert first.tobytes() != getattr(Rng(38, 6), draw)(3.0, 1000).tobytes()
+
+    @pytest.mark.parametrize("draw", ["chi_square", "student_t"])
+    def test_gamma_draw_without_size_is_a_scalar(self, draw):
+        value = getattr(Rng(39), draw)(3.0)
+        assert np.ndim(value) == 0 and isinstance(value, float)
 
 
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
