@@ -12,8 +12,9 @@ repetition owns the stream (base_seed, rep), so repetitions can run in any
 order or in parallel without changing a single reported byte; the
 aggregation is a deterministic fold over rep index order. Cells that share a
 spec, seed, fold count and nuisance config, whatever their strategy or
-estimand, share each repetition's data and cross-fitted nuisances, which are
-drawn and fitted once (see ``_memo``).
+estimand, share each repetition's treatments, outcomes and cross-fitted
+nuisances, which are drawn and fitted once (see ``_memo``); a CATE cell
+redraws the repetition's covariates from its stream.
 """
 
 import math
@@ -84,13 +85,15 @@ def wilson_interval(hits, total, level_z):
 def _fit_rep(key, n, rep):
     """Draw repetition `rep`'s dataset of size n on the stream (base_seed,
     rep) and cross-fit its nuisances, for the memo key (spec, base_seed,
-    folds, nuisance_config). Returns the (dataset, cross-fit) pair, or the
-    message of the NumericError that ended it."""
+    folds, nuisance_config). Returns the memo entry (a, y, cross-fit): the
+    treatments, outcomes and CrossFit, without the n x d covariates, which
+    no ATE score reads and a CATE score redraws. A repetition that raised a
+    NumericError returns that error's message instead."""
     spec, base_seed, folds, nuisance_config = key
     rng = Rng(base_seed).derive(rep)
     try:
         ds = dgp_mod.generate(spec, n, rng.derive(0))
-        return ds, cross_fit(ds, folds, nuisance_config, rng.derive(1))
+        return ds.a, ds.y, cross_fit(ds, folds, nuisance_config, rng.derive(1))
     except NumericError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -98,8 +101,9 @@ def _fit_rep(key, n, rep):
 # Cells that share a spec object, base seed, fold count and nuisance config
 # draw the same data and cross-fitted nuisances in each repetition (common
 # random numbers), so only the first of them draws and fits. The memo holds
-# the _fit_rep results, failures included, by (n, rep) for one such key; a
-# cell with another key replaces it.
+# the _fit_rep entries (a, y, cross-fit), failures included as their
+# message, by (n, rep) for one such key; a cell with another key replaces
+# it. No entry holds covariates: a CATE score redraws them.
 # DgpSpec holds numpy arrays and is compared by identity.
 _memo = {"key": None, "fits": {}}
 
@@ -132,11 +136,12 @@ _WILSON_Z = 1.959963984540054  # 95% confidence on the coverage estimate
 def _run_cell(key, strategy, n, r_reps, alpha, parallelism, label, score) -> BenchReport:
     """Run r_reps repetitions of the cell of memo key `key` (see _fit_rep)
     and fold them, in rep order, into one report. Each repetition that
-    draws and cross-fits is scored by `score(ds, pv, rng) -> (hits, points,
-    length, omega)` on its stream (base_seed, rep): coverage is hits over
-    points with a Wilson interval, and repetitions that raised a
-    NumericError count as failures. A cell with no successful repetition is
-    not faithful."""
+    draws and cross-fits is read from its memo entry (a, y, cross-fit),
+    which holds no covariates, and scored by `score(pv, rng) -> (hits,
+    points, length, omega)` on its stream (base_seed, rep), from which a
+    CATE score redraws the covariates: coverage is hits over points with a
+    Wilson interval, and repetitions that raised a NumericError count as
+    failures. A cell with no successful repetition is not faithful."""
     if r_reps < 2:
         raise DomainError("r_reps must be >= 2")
     fits = _memo_fits(key)
@@ -149,10 +154,10 @@ def _run_cell(key, strategy, n, r_reps, alpha, parallelism, label, score) -> Ben
         fitted = fits[(n, rep)]
         if isinstance(fitted, str):  # the cross-fit's NumericError
             continue
-        ds, cf = fitted
+        a, y, cf = fitted
         try:
-            pv = cross_fitted_pseudo(ds, cf, strategy)
-            runs.append(RunResult(rep, *score(ds, pv, Rng(key[1]).derive(rep))))
+            pv = cross_fitted_pseudo(a, y, cf, strategy)
+            runs.append(RunResult(rep, *score(pv, Rng(key[1]).derive(rep))))
         except NumericError:
             pass
     total = len(runs)
@@ -196,13 +201,15 @@ def run_ate_bench(
     if calibration_mode not in ("plugin", "gpc"):
         raise ConfigError(f"calibration must be 'plugin' or 'gpc', got {calibration_mode!r}")
 
-    def score(ds, pv, rng):
+    truth = dgp_mod.true_ate(spec)
+
+    def score(pv, rng):
         if calibration_mode == "plugin":
             omega = plugin_omega(pv)
         else:
             omega = gpc_omega_from_pseudo(pv, prior, alpha, b_boot, max_iter, rng.derive(2)).omega
         lo, hi = credible_interval(closed_form_posterior(pv, prior, omega), alpha)
-        return int(lo <= ds.truth.ate <= hi), 1, hi - lo, omega
+        return int(lo <= truth <= hi), 1, hi - lo, omega
 
     key = (spec, base_seed, folds, nuisance_config)
     return _run_cell(key, strategy, n, r_reps, alpha, parallelism, strategy_label, score)
@@ -225,17 +232,18 @@ def run_cate_bench(
 ) -> BenchReport:
     """CATE posterior study: per repetition, fit the sparse GP on the
     cross-fitted pseudo-outcomes and average the pointwise 95% CrI coverage
-    and length over k_points fresh covariates from the process."""
+    and length over k_points fresh covariates from the process. The
+    repetition's own covariates are redrawn from its stream: generate draws
+    them first on rng.derive(0), so the redraw is bit-identical."""
 
-    def score(ds, pv, rng):
+    def score(pv, rng):
         omega = plugin_omega(pv)
+        x = dgp_mod.draw_covariates(spec, pv.size, rng.derive(0))
         x_query = dgp_mod.draw_covariates(spec, k_points, rng.derive(3))
-        fit = sparse_gp_resampler(
-            kernel, ds.x, pv, x_query, min(m_inducing, ds.n), rng.derive(2)
-        )
-        means, variances = fit(np.arange(ds.n), omega)
+        fit = sparse_gp_resampler(kernel, x, pv, x_query, min(m_inducing, pv.size), rng.derive(2))
+        means, variances = fit(np.arange(pv.size), omega)
         half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(variances)
-        truth = ds.truth.cate(x_query)
+        truth = dgp_mod.true_cate(spec, x_query)
         hit = (means - half <= truth) & (truth <= means + half)
         return int(hit.sum()), k_points, float(np.mean(2.0 * half)), omega
 

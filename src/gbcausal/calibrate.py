@@ -146,7 +146,7 @@ def gpc_omega(
     """End-to-end calibration: cross-fit the nuisances once, then run the
     bootstrap coverage search on the resulting pseudo-outcomes."""
     cf = cross_fit(ds, folds, nuisance_config, rng.derive(0))
-    pseudo = cross_fitted_pseudo(ds, cf, strategy)
+    pseudo = cross_fitted_pseudo(ds.a, ds.y, cf, strategy)
     if not refit_nuisances:
         return gpc_omega_from_pseudo(pseudo, prior, alpha, b_boot, max_iter, rng.derive(1))
 
@@ -156,7 +156,7 @@ def gpc_omega(
         try:
             ds_b = Dataset(x=ds.x[rows], a=ds.a[rows], y=ds.y[rows])
             cf_b = cross_fit(ds_b, folds, nuisance_config, boot_rng.derive(b))
-            means.append(float(np.mean(cross_fitted_pseudo(ds_b, cf_b, strategy))))
+            means.append(float(np.mean(cross_fitted_pseudo(ds_b.a, ds_b.y, cf_b, strategy))))
         except NumericError:
             continue  # degenerate resample (e.g. an arm collapsed)
     if not means:

@@ -121,7 +121,7 @@ def cmd_fit(args):
     if args.engine == "exact-gp":
         check_exact_n(ds.n)
     cf = cross_fit(ds, args.folds, config, rng.derive(1))
-    pv = cross_fitted_pseudo(ds, cf, strategy)
+    pv = cross_fitted_pseudo(ds.a, ds.y, cf, strategy)
 
     if args.estimand == "cate":
         x_query = ds.x[rng.derive(4).permutation(ds.n)[:min(args.grid_size, ds.n)]]

@@ -11,9 +11,9 @@ import enum
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .nuisance import CrossFit
+from .numerics import pseudo_vector
 
 
 class Strategy(str, enum.Enum):
@@ -54,10 +54,17 @@ def pseudo_values(a, y, e_hat, m1_hat, m0_hat, strategy: Strategy) -> np.ndarray
     return (a / e - (1.0 - a) / (1.0 - e)) * (y - m_obs) + m1 - m0
 
 
-def cross_fitted_pseudo(ds: Dataset, cf: CrossFit, strategy: Strategy) -> np.ndarray:
-    """Pseudo-outcomes where observation i is transformed with the fold fit
-    that never saw i, as a read-only float64 vector of length ds.n."""
-    values = pseudo_values(ds.a, ds.y, cf.e_hat, cf.m1_hat, cf.m0_hat, strategy)
+def cross_fitted_pseudo(a, y, cf: CrossFit, strategy: Strategy) -> np.ndarray:
+    """Pseudo-outcomes of the treatments a and outcomes y that cf was
+    cross-fitted on, where observation i is transformed with the fold fit
+    that never saw i, as a read-only float64 vector of length len(a).
+    DomainError unless a, y and cf hold the same number of observations."""
+    if not np.size(a) == np.size(y) == cf.e_hat.size:
+        raise DomainError(
+            f"a and y must hold the {cf.e_hat.size} observations cf was fitted on, "
+            f"got {np.size(a)} and {np.size(y)}"
+        )
+    values = pseudo_values(a, y, cf.e_hat, cf.m1_hat, cf.m0_hat, strategy)
     values.setflags(write=False)
     return values
 
@@ -66,5 +73,6 @@ def ate_loss(pseudo: np.ndarray, theta) -> float:
     """Empirical squared-error loss (1/2n) sum_i (pseudo_i - theta)^2.
 
     Strictly convex with second derivative exactly 1; minimized at the mean.
+    The pseudo-outcomes are read through numerics.pseudo_vector.
     """
-    return float(0.5 * np.mean((pseudo - theta) ** 2))
+    return float(0.5 * np.mean((pseudo_vector(pseudo) - theta) ** 2))

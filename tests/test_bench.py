@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import pickle
@@ -202,6 +203,21 @@ class TestRunCateBench:
         assert a.runs == b.runs
 
 
+def _pickled_arrays(obj):
+    """The size of obj's pickle and the shape of every array pickled in it."""
+    shapes = []
+
+    class Recording(pickle.Pickler):
+        def reducer_override(self, o):
+            if isinstance(o, np.ndarray):
+                shapes.append(o.shape)
+            return NotImplemented
+
+    buf = io.BytesIO()
+    Recording(buf).dump(obj)
+    return buf.getbuffer().nbytes, shapes
+
+
 @pytest.fixture
 def fit_calls(monkeypatch):
     """Start from an empty nuisance memo and record the sample size of every
@@ -332,6 +348,64 @@ class TestNuisanceMemo:
         fresh, fresh_runs = pickle.loads(out.read_bytes())
         assert report.failures > 0
         assert report == fresh and report.runs == fresh_runs
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_cate_cell_after_an_ate_cell_matches_a_fresh_process(
+        self, tmp_path, fit_calls, monkeypatch, parallelism
+    ):
+        # the memo keeps no covariates: the CATE cell served from the ATE
+        # cell's fits redraws them from each repetition's stream
+        script = textwrap.dedent(
+            """
+            import pickle, sys
+            from gbcausal.bench import run_cate_bench
+            from gbcausal.dgp import default_spec
+            from gbcausal.gibbs_cate import KernelParams
+            from gbcausal.numerics import blas_threads
+            from gbcausal.pseudo import Strategy
+            with blas_threads(1):
+                report = run_cate_bench(
+                    default_spec("D2"), Strategy.DR, 80, 3, KernelParams(), 8, 5, 61,
+                    parallelism=int(sys.argv[2]),
+                )
+            with open(sys.argv[1], "wb") as fh:
+                pickle.dump((report, report.runs), fh)
+            """
+        )
+        out = tmp_path / "report.pkl"
+        src = str(Path(bench.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script, str(out), str(parallelism)], check=True,
+                       env=env)
+        mapped = []
+        original = bench._execute
+
+        def recording(worker, items, parallelism):
+            mapped.append(list(items))
+            return original(worker, mapped[-1], parallelism)
+
+        monkeypatch.setattr(bench, "_execute", recording)
+        spec = default_spec("D2")
+        with blas_threads(1):
+            _ate_cells(spec, [Strategy.DR], parallelism=parallelism)
+            report = run_cate_bench(
+                spec, Strategy.DR, 80, 3, KernelParams(), 8, 5, 61, parallelism=parallelism
+            )
+        fresh, fresh_runs = pickle.loads(out.read_bytes())
+        assert mapped == [[0, 1, 2]]  # only the ATE cell drew and fitted
+        assert report == fresh and report.runs == fresh_runs
+
+    def test_d8_entry_and_pool_payload_hold_no_covariates(self, fit_calls):
+        spec, n = default_spec("D8"), 1000
+        key = (spec, 7, 5, NuisanceConfig())
+        payload = bench._fit_rep(key, n, 0)
+        _ate_cells(spec, [Strategy.DR], n=n, reps=2, seed=7, parallelism=2)
+        entries = list(bench._memo["fits"].values())
+        assert len(entries) == 2 and not any(isinstance(e, str) for e in entries)
+        for held in [payload] + entries:
+            size, shapes = _pickled_arrays(held)
+            assert (n, dgp_mod.covariate_dim(spec)) not in shapes
+            assert size < 100_000
 
     def test_pool_maps_only_missing_repetitions(self, fit_calls, monkeypatch):
         mapped = []

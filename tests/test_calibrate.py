@@ -243,7 +243,8 @@ def _resampler(engine, ds, pv, query):
 class TestGpcOmegaCate:
     def test_smoke_on_small_dataset(self):
         ds = generate(default_spec("D2"), 120, Rng(41))
-        pv = cross_fitted_pseudo(ds, cross_fit(ds, 4, NuisanceConfig(), Rng(42)), Strategy.DR)
+        cf = cross_fit(ds, 4, NuisanceConfig(), Rng(42))
+        pv = cross_fitted_pseudo(ds.a, ds.y, cf, Strategy.DR)
         for engine in ("exact", "sparse"):
             fit = _resampler(engine, ds, pv, ds.x[:20])
             res = gpc_omega_cate_from_pseudo(pv, 0.05, 50, 5, Rng(43), fit)

@@ -179,8 +179,8 @@ class TestFitCommand:
         rng = Rng(seed)
         ds = dgp_mod.generate(dgp_mod.default_spec("D1"), 200, rng.derive(0))
         with blas_threads(1):
-            pv = cross_fitted_pseudo(ds, cross_fit(ds, 5, NuisanceConfig(), rng.derive(1)),
-                                     Strategy.DR)
+            cf = cross_fit(ds, 5, NuisanceConfig(), rng.derive(1))
+            pv = cross_fitted_pseudo(ds.a, ds.y, cf, Strategy.DR)
             if estimand == "ate":
                 want = gpc_omega_from_pseudo(pv, NormalPrior(), 0.05, 50, max_iter, rng.derive(2))
             else:

@@ -136,6 +136,13 @@ class TestGeneratedData:
         assert ds.n == 400 and ds.d == covariate_dim(spec)
         assert set(np.unique(ds.a)).issubset({0, 1})
 
+    @pytest.mark.parametrize("dgp_id", DGP_IDS)
+    def test_covariates_are_the_streams_first_draw(self, dgp_id):
+        # the bench keeps no covariates and redraws them from the stream
+        spec = default_spec(dgp_id)
+        ds = generate(spec, 300, Rng(7, 3))
+        np.testing.assert_array_equal(draw_covariates(spec, 300, Rng(7, 3)), ds.x)
+
     def test_d6_limited_overlap_regime(self):
         # Propensities concentrate near 1 but the regime stays non-degenerate.
         spec = default_spec("D6")

@@ -536,7 +536,7 @@ class TestSvgp:
         spec = default_spec("D4")
         ds = generate(spec, 1000, Rng(14))
         cf = cross_fit(ds, 5, NuisanceConfig(), Rng(15))
-        pv = cross_fitted_pseudo(ds, cf, Strategy.DR)
+        pv = cross_fitted_pseudo(ds.a, ds.y, cf, Strategy.DR)
         omega = 1.0 / float(np.var(pv, ddof=1))
         gp = svgp_fit(ds.x, pv, KernelParams(), omega, 20, Rng(16))
         xq = Rng(17).normal((100, 2))

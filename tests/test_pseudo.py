@@ -6,7 +6,7 @@ from scipy.special import expit, logit
 
 from gbcausal.dataset import FoldAssignment
 from gbcausal.dgp import default_spec, generate, true_outcome_mean, true_propensity
-from gbcausal.errors import ConfigError
+from gbcausal.errors import ConfigError, DomainError
 from gbcausal.nuisance import CrossFit, NuisanceFit
 from gbcausal.numerics import Rng
 from gbcausal.pseudo import (
@@ -83,7 +83,7 @@ class TestCrossFittedPseudo:
     def test_values_use_assigned_fold_fit(self):
         ds = self._toy_dataset()
         cf = self._toy_crossfit()
-        got = cross_fitted_pseudo(ds, cf, Strategy.DR)
+        got = cross_fitted_pseudo(ds.a, ds.y, cf, Strategy.DR)
         want = np.array(
             [
                 (1 / 0.5) * (2.0 - 2.0) + 2.0 - 1.0,  # fold 0 fit
@@ -103,8 +103,8 @@ class TestCrossFittedPseudo:
             ds.x,
         )
         np.testing.assert_array_equal(
-            cross_fitted_pseudo(ds, cf, Strategy.DR),
-            cross_fitted_pseudo(ds, swapped, Strategy.DR),
+            cross_fitted_pseudo(ds.a, ds.y, cf, Strategy.DR),
+            cross_fitted_pseudo(ds.a, ds.y, swapped, Strategy.DR),
         )
 
     def test_identical_heldout_predictions_give_identical_values(self):
@@ -112,13 +112,23 @@ class TestCrossFittedPseudo:
         fits = [_constant_fit(0.5, 2.0, 1.0)] * 2
         folds = FoldAssignment(k=2, fold_of=np.array([0, 1, 0, 1]))
         cf = CrossFit.from_fits(folds, fits, ds.x)
-        vals = cross_fitted_pseudo(ds, cf, Strategy.DR)
+        vals = cross_fitted_pseudo(ds.a, ds.y, cf, Strategy.DR)
         # same (a, y) profile and same fit => same pseudo-outcome
         assert vals[0] == vals[1] and vals[2] == vals[3]
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_observations_other_than_the_fits_raise(self, rows, strategy):
+        # one row would broadcast over the four cross-fitted predictions
+        ds = self._toy_dataset()
+        with pytest.raises(DomainError, match=f"the 4 observations cf was fitted on, got {rows} "):
+            cross_fitted_pseudo(ds.a[:rows], ds.y[:rows], self._toy_crossfit(), strategy)
+        with pytest.raises(DomainError, match=f"got 4 and {rows}$"):
+            cross_fitted_pseudo(ds.a, ds.y[:rows], self._toy_crossfit(), strategy)
+
     def test_flags(self):
         ds = self._toy_dataset()
-        pv = cross_fitted_pseudo(ds, self._toy_crossfit(), Strategy.IPW)
+        pv = cross_fitted_pseudo(ds.a, ds.y, self._toy_crossfit(), Strategy.IPW)
         assert pv.shape == (4,) and pv.dtype == np.float64 and not pv.flags.writeable
 
 
@@ -190,3 +200,13 @@ class TestAteLoss:
         h = 0.5
         second = (ate_loss(pv, 1.0 + h) - 2.0 * ate_loss(pv, 1.0) + ate_loss(pv, 1.0 - h)) / h**2
         assert abs(second - 1.0) <= 1e-9
+
+    def test_two_dimensional_input_raises_naming_its_shape(self):
+        # read through numerics.pseudo_vector, as every other consumer is:
+        # a 2-D array is not a vector of pseudo-outcomes
+        with pytest.raises(DomainError, match=r"1-D array, got shape \(2, 2\)"):
+            ate_loss(np.array([[1.0, 2.0], [4.0, 5.0]]), 3.0)
+
+    def test_list_reads_as_its_array(self):
+        pv = [1.0, 2.0, 4.0, 5.0]
+        assert ate_loss(pv, 3.0) == ate_loss(np.array(pv), 3.0) == 1.25
