@@ -396,14 +396,13 @@ class TestNuisanceMemo:
         assert report == fresh and report.runs == fresh_runs
 
     def test_d8_entry_and_pool_payload_hold_no_covariates(self, fit_calls):
+        # with a pool, each memo entry is what a worker returned and pickled
         spec, n = default_spec("D8"), 1000
-        key = (spec, 7, 5, NuisanceConfig())
-        payload = bench._fit_rep(key, n, 0)
         _ate_cells(spec, [Strategy.DR], n=n, reps=2, seed=7, parallelism=2)
         entries = list(bench._memo["fits"].values())
         assert len(entries) == 2 and not any(isinstance(e, str) for e in entries)
-        for held in [payload] + entries:
-            size, shapes = _pickled_arrays(held)
+        for entry in entries:
+            size, shapes = _pickled_arrays(entry)
             assert (n, dgp_mod.covariate_dim(spec)) not in shapes
             assert size < 100_000
 
