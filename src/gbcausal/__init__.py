@@ -12,7 +12,7 @@ from .calibrate import (
     gpc_search,
     plugin_omega,
 )
-from .dataset import Dataset, FoldAssignment, GroundTruth, make_folds, read_csv, write_csv
+from .dataset import Dataset, make_folds, read_csv, write_csv
 from .dgp import DgpSpec, default_spec, generate
 from .gibbs_ate import (
     DIFFUSE_PRIOR,
@@ -23,7 +23,6 @@ from .gibbs_ate import (
     vi_posterior,
 )
 from .gibbs_cate import (
-    DEFAULT_KERNEL,
     GpPosterior,
     KernelParams,
     exact_gp_posterior,
@@ -45,14 +44,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationResult",
     "CrossFit",
-    "DEFAULT_KERNEL",
     "DIFFUSE_PRIOR",
     "Dataset",
     "DgpSpec",
-    "FoldAssignment",
     "GaussianPosterior",
     "GpPosterior",
-    "GroundTruth",
     "KernelParams",
     "NormalPrior",
     "NuisanceConfig",

@@ -231,8 +231,8 @@ def run_cate_bench(
     strategy_label: Optional[str] = None,
 ) -> BenchReport:
     """CATE posterior study: per repetition, fit the sparse GP on the
-    cross-fitted pseudo-outcomes and average the pointwise 95% CrI coverage
-    and length over k_points fresh covariates from the process. The
+    cross-fitted pseudo-outcomes and average the pointwise (1 - alpha) CrI
+    coverage and length over k_points fresh covariates from the process. The
     repetition's own covariates are redrawn from its stream: generate draws
     them first on rng.derive(0), so the redraw is bit-identical."""
 

@@ -1,13 +1,11 @@
 """Observational data model, fold assignment, and CSV ingestion/emission.
 
 The on-disk format is a plain UTF-8 CSV with header ``x1,...,xd,a,y``, LF
-line endings, full-precision decimal floats, and no quoting. Ground truth is
-never serialized; it only exists on in-memory DGP outputs.
+line endings, full-precision decimal floats, and no quoting.
 """
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,17 +14,8 @@ from .numerics import Rng
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """Known estimands attached to synthetic data: the scalar ATE and the
-    CATE as a vectorized function of covariate rows."""
-
-    ate: float
-    cate: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Covariates (n x d), binary treatment, outcome, optional ground truth.
+    """Covariates (n x d), binary treatment and outcome.
 
     Immutable after construction; the arrays are marked read-only.
     """
@@ -34,7 +23,6 @@ class Dataset:
     x: np.ndarray
     a: np.ndarray
     y: np.ndarray
-    truth: Optional[GroundTruth] = field(default=None, compare=False)
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -65,22 +53,10 @@ class Dataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """k folds; fold_of[i] is the fold index of observation i."""
-
-    k: int
-    fold_of: np.ndarray
-
-    def indices(self, fold):
-        return np.flatnonzero(self.fold_of == fold)
-
-    def complement(self, fold):
-        return np.flatnonzero(self.fold_of != fold)
-
-
-def make_folds(n, k, rng: Rng) -> FoldAssignment:
-    """Uniformly random balanced partition of {0,...,n-1} into k folds.
+def make_folds(n, k, rng: Rng) -> np.ndarray:
+    """Uniformly random balanced partition of {0,...,n-1} into k folds,
+    returned as the read-only int64 array fold_of: fold_of[i] is the fold
+    of observation i.
 
     Fold sizes differ by at most one; deterministic given rng.
     """
@@ -96,7 +72,7 @@ def make_folds(n, k, rng: Rng) -> FoldAssignment:
         fold_of[perm[start : start + size]] = fold
         start += size
     fold_of.setflags(write=False)
-    return FoldAssignment(k=k, fold_of=fold_of)
+    return fold_of
 
 
 def _format_float(v):

@@ -1,19 +1,17 @@
 """The nine synthetic back-door data-generating processes D1..D9.
 
-Each generator attaches a GroundTruth with the closed-form ATE and CATE.
-True nuisance functions (propensity, per-arm outcome means) are exposed so
-experiments can run with oracle nuisances or inject controlled nuisance
-error. Noise is additive in every process, which is what makes the shared
-potential-outcome oracle sampler valid.
+The ground truth is a function of the spec: `true_ate` gives the closed-form
+ATE and `true_cate` the CATE at covariate rows. True nuisance functions
+(propensity, per-arm outcome means) are exposed so experiments can run with
+oracle nuisances or inject controlled nuisance error.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .dataset import Dataset, GroundTruth
+from .dataset import Dataset
 from .errors import InvalidSpec, UnknownDgp
 from .numerics import Rng, expit
 
@@ -195,13 +193,8 @@ def _noise(spec: DgpSpec, x, rng: Rng) -> np.ndarray:
     return rng.normal(n)
 
 
-def _ground_truth(spec: DgpSpec) -> GroundTruth:
-    # a partial, not a lambda, so that datasets pickle into bench workers
-    return GroundTruth(ate=true_ate(spec), cate=partial(true_cate, spec))
-
-
 def generate(spec: DgpSpec, n, rng: Rng) -> Dataset:
-    """n i.i.d. draws from the process, with ground truth attached.
+    """n i.i.d. draws from the process.
 
     Draw order is fixed (covariates, treatment, noise) so results are a pure
     function of the rng stream.
@@ -213,18 +206,5 @@ def generate(spec: DgpSpec, n, rng: Rng) -> Dataset:
     a = rng.bernoulli(e)
     eps = _noise(spec, x, rng)
     y = _baseline(spec, x) + a * true_cate(spec, x) + eps
-    return Dataset(x=x, a=a, y=y, truth=_ground_truth(spec))
+    return Dataset(x=x, a=a, y=y)
 
-
-def sample_potential_outcomes(spec: DgpSpec, n, rng: Rng):
-    """Oracle draws of (Y(0), Y(1)) sharing one noise realization per unit.
-
-    Valid because noise enters additively in every process; used by Monte
-    Carlo checks of the attached ground truth.
-    """
-    x = draw_covariates(spec, n, rng)
-    eps = _noise(spec, x, rng)
-    base = _baseline(spec, x)
-    y0 = base + eps
-    y1 = base + true_cate(spec, x) + eps
-    return y0, y1

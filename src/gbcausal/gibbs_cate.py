@@ -46,9 +46,6 @@ class KernelParams:
             raise DomainError("jitter must be finite and >= 0")
 
 
-DEFAULT_KERNEL = KernelParams()
-
-
 def kernel_matrix(params: KernelParams, xa, xb=None) -> np.ndarray:
     """Covariance matrix k(xa, xb). The one-argument Gram form k(xa, xa)
     carries the jitter on its diagonal; a call that passes xb never does,

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import Dataset, FoldAssignment, make_folds
+from .dataset import Dataset, make_folds
 from .errors import DegenerateTreatment, DomainError, EmptyArm, FoldArmCollapse
 from .numerics import Rng, cholesky_solve, expit, logit
 
@@ -305,24 +305,25 @@ def fit_nuisances(phi, a, y, config: NuisanceConfig) -> NuisanceFit:
 class CrossFit:
     """Per-fold nuisance fits, each trained only on its fold's complement,
     and the held-out predictions (e_hat, m1_hat, m0_hat) of every
-    observation by the fit that never saw it, in original index order."""
+    observation by the fit that never saw it, in original index order.
+    folds is make_folds' read-only fold_of array."""
 
-    folds: FoldAssignment
+    folds: np.ndarray
     per_fold: List[NuisanceFit]
     e_hat: np.ndarray
     m1_hat: np.ndarray
     m0_hat: np.ndarray
 
     @classmethod
-    def from_fits(cls, folds: FoldAssignment, per_fold, x) -> "CrossFit":
+    def from_fits(cls, folds: np.ndarray, per_fold, x) -> "CrossFit":
         """Predict every row of the covariates x with its fold's fit. Phi is
         built a block of _IRLS_BLOCK rows at a time and each fold's rows in
         the block are gathered from it, so Phi(x) is never whole above a
         block; up to _IRLS_BLOCK rows each fold predicts its rows at once."""
-        n = folds.fold_of.size
+        n = folds.size
         e, m1, m0 = np.empty(n), np.empty(n), np.empty(n)
         for rows in _row_blocks(n):
-            phi, fold_of = feature_matrix(x[rows]), folds.fold_of[rows]
+            phi, fold_of = feature_matrix(x[rows]), folds[rows]
             for k, fit in enumerate(per_fold):
                 held_out = fold_of == k
                 x_k = np.compress(held_out, phi, axis=0)
@@ -343,12 +344,12 @@ def cross_fit(ds: Dataset, k, config: NuisanceConfig, rng: Rng) -> CrossFit:
     return CrossFit.from_fits(folds, fits, ds.x)
 
 
-def _fit_fold(ds: Dataset, folds: FoldAssignment, fold, config: NuisanceConfig) -> NuisanceFit:
+def _fit_fold(ds: Dataset, folds: np.ndarray, fold, config: NuisanceConfig) -> NuisanceFit:
     """Nuisance fits on the training complement of fold `fold`. Phi of its
     rows is built while only their indices are alive beside it, and the
     indices are dropped once the rows' treatments and outcomes are gathered,
     so the fits hold Phi and those two columns."""
-    idx = folds.complement(fold)
+    idx = np.flatnonzero(folds != fold)
     phi = feature_matrix(ds.x, idx)
     a, y = ds.a[idx], ds.y[idx]
     del idx

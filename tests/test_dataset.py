@@ -49,35 +49,36 @@ class TestDataset:
 
 class TestMakeFolds:
     def test_forced_balance_small(self):
-        folds = make_folds(4, 2, Rng(0))
-        sizes = sorted(np.bincount(folds.fold_of).tolist())
+        fold_of = make_folds(4, 2, Rng(0))
+        sizes = sorted(np.bincount(fold_of).tolist())
         assert sizes == [2, 2]
 
     def test_uneven_balance(self):
-        folds = make_folds(5, 2, Rng(1))
-        assert sorted(np.bincount(folds.fold_of).tolist()) == [2, 3]
+        fold_of = make_folds(5, 2, Rng(1))
+        assert sorted(np.bincount(fold_of).tolist()) == [2, 3]
 
     def test_large_balance(self):
-        folds = make_folds(1000, 5, Rng(2))
-        assert np.bincount(folds.fold_of).tolist() == [200] * 5
+        fold_of = make_folds(1000, 5, Rng(2))
+        assert np.bincount(fold_of).tolist() == [200] * 5
 
     def test_every_index_assigned_once(self):
-        folds = make_folds(37, 4, Rng(3))
-        assert folds.fold_of.shape == (37,)
-        assert set(folds.fold_of.tolist()) == {0, 1, 2, 3}
-        joined = np.concatenate([folds.indices(k) for k in range(4)])
+        fold_of = make_folds(37, 4, Rng(3))
+        assert fold_of.shape == (37,) and fold_of.dtype == np.int64
+        assert not fold_of.flags.writeable
+        assert set(fold_of.tolist()) == {0, 1, 2, 3}
+        joined = np.concatenate([np.flatnonzero(fold_of == k) for k in range(4)])
         assert sorted(joined.tolist()) == list(range(37))
 
     def test_deterministic(self):
-        a = make_folds(100, 5, Rng(7, 3)).fold_of
-        b = make_folds(100, 5, Rng(7, 3)).fold_of
+        a = make_folds(100, 5, Rng(7, 3))
+        b = make_folds(100, 5, Rng(7, 3))
         np.testing.assert_array_equal(a, b)
 
     def test_assignment_frequencies_uniform(self):
         n, k = 30, 3
         counts = np.zeros((n, k))
         for seed in range(1000):
-            fold_of = make_folds(n, k, Rng(900, seed)).fold_of
+            fold_of = make_folds(n, k, Rng(900, seed))
             counts[np.arange(n), fold_of] += 1
         freq = counts / 1000.0
         assert np.all(np.abs(freq - 1.0 / k) <= 0.05)
@@ -150,7 +151,6 @@ class TestCsv:
         np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.a, ds.a)
         np.testing.assert_array_equal(back.y, ds.y)
-        assert back.truth is None
 
     def test_written_file_uses_lf_and_header(self, tmp_path):
         ds = generate(default_spec("D1"), 3, Rng(1))

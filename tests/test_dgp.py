@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gbcausal import dgp
 from gbcausal.dgp import (
     DGP_IDS,
     DgpSpec,
@@ -10,12 +11,26 @@ from gbcausal.dgp import (
     default_spec,
     draw_covariates,
     generate,
-    sample_potential_outcomes,
+    true_ate,
+    true_cate,
     true_outcome_mean,
     true_propensity,
 )
 from gbcausal.errors import InvalidSpec, UnknownDgp
 from gbcausal.numerics import Rng
+
+
+def sample_potential_outcomes(spec, n, rng):
+    """Oracle draws of (Y(0), Y(1)) sharing one noise realization per unit:
+    covariates, then noise, each arm's outcome being its true mean plus that
+    noise, as in generate.
+
+    Valid because noise enters additively in every process, so each unit's
+    potential outcomes differ by exactly its CATE.
+    """
+    x = draw_covariates(spec, n, rng)
+    eps = dgp._noise(spec, x, rng)
+    return true_outcome_mean(spec, x, 0) + eps, true_outcome_mean(spec, x, 1) + eps
 
 
 class TestSpecs:
@@ -64,12 +79,11 @@ class TestSpecs:
 
 class TestGroundTruth:
     def test_d9_ate_closed_form(self):
-        ate = default_spec("D9")
-        assert abs(generate(ate, 2, Rng(0)).truth.ate - (1.0 + 0.5 * math.log(11.0))) < 1e-15
+        assert abs(true_ate(default_spec("D9")) - (1.0 + 0.5 * math.log(11.0))) < 1e-15
 
     def test_d3_ate_includes_mean_shift(self):
         # theta0 + theta' mu = 2 + (1.0 * 0.5 + 0.5 * -0.5)
-        assert generate(default_spec("D3"), 2, Rng(0)).truth.ate == pytest.approx(2.25, abs=1e-15)
+        assert true_ate(default_spec("D3")) == pytest.approx(2.25, abs=1e-15)
 
     def test_d3_with_zero_heterogeneity_reduces_to_theta0(self):
         spec = DgpSpec(
@@ -82,39 +96,37 @@ class TestGroundTruth:
                 "gamma": np.array([1.0, 1.0]),
             },
         )
-        assert generate(spec, 2, Rng(0)).truth.ate == 2.0
+        assert true_ate(spec) == 2.0
 
     @pytest.mark.parametrize("dgp_id", DGP_IDS)
     def test_potential_outcome_oracle_matches_ate(self, dgp_id):
         # Monte Carlo draw of both potential outcomes (shared noise) at 1e5;
-        # the attached closed-form ATE must sit within 4 standard errors.
+        # the closed-form ATE must sit within 4 standard errors.
         spec = default_spec(dgp_id)
         n = 100_000
         y0, y1 = sample_potential_outcomes(spec, n, Rng(404))
         diff = y1 - y0
         se = float(np.std(diff, ddof=1)) / math.sqrt(n)
-        truth = generate(spec, 2, Rng(0)).truth.ate
-        assert abs(float(np.mean(diff)) - truth) <= 4.0 * se + 1e-12
+        assert abs(float(np.mean(diff)) - true_ate(spec)) <= 4.0 * se + 1e-12
 
     @pytest.mark.parametrize("dgp_id", DGP_IDS)
     def test_cate_mean_matches_ate_on_fresh_sample(self, dgp_id):
         # Fresh 1e6-point covariate sample in chunks; mean CATE within 3 MC
         # standard errors of the ATE.
         spec = default_spec(dgp_id)
-        truth = generate(spec, 2, Rng(0)).truth
         total = 0.0
         total_sq = 0.0
         n = 1_000_000
         chunk = 100_000
         for i in range(n // chunk):
             x = draw_covariates(spec, chunk, Rng(777, i + 1))
-            c = truth.cate(x)
+            c = true_cate(spec, x)
             total += float(np.sum(c))
             total_sq += float(np.sum(c * c))
         mean = total / n
         var = max(total_sq / n - mean**2, 0.0)
         se = math.sqrt(var / n)
-        assert abs(mean - truth.ate) <= 3.0 * se + 1e-12
+        assert abs(mean - true_ate(spec)) <= 3.0 * se + 1e-12
 
 
 class TestGeneratedData:

@@ -9,14 +9,16 @@ in-process `cli.main` calls run with the collector as it was.
 
 Also pinned here: the package's exports, that the posterior modules
 `gibbs_ate` and `gibbs_cate` take a plain pseudo-outcome array and so import
-nothing of the nuisance or dataset layers, and that no module of the package
-or of its tests imports a name it never reads."""
+nothing of the nuisance or dataset layers, that no module of the package
+or of its tests imports a name it never reads, and that every module-level
+name the package defines has a reader."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -184,3 +186,65 @@ def _unread_imports(path):
 def test_no_module_imports_a_name_it_never_reads():
     files = sorted(Path(SRC, "gbcausal").glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     assert [entry for path in files for entry in _unread_imports(path)] == []
+
+
+# Module-level names that stay without a reader in the package, each for its
+# reason.
+_KEPT_UNREAD = {
+    "ate_loss": "the loss that defines the Gibbs posterior",
+    "gpc_omega": "its nuisance-refitting branch is to be given a caller (ROADMAP)",
+    "OptimizerConfig": "adam_minimize's argument, which goes when adam_minimize does",
+}
+
+
+def _traced_names():
+    """(module, name) of each module-level name perfbench's tracer wraps."""
+    path = Path(SRC).parent / "perfbench" / "layertrace.py"
+    # exec the source instead of importing it, so nothing is written beside it
+    module = types.ModuleType("layertrace")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return {(owner, attr.split(".")[0]) for owner, attr, _ in module.LAYER_FUNCTIONS}
+
+
+def _unread_definitions(files):
+    """'module.name' of each module-level function, class and constant of
+    `files` that no line of them reads by name, attribute or import. The
+    re-exports of __init__ do not count as reads, and dunder names are
+    skipped."""
+    defined, read = [], set()
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.stem, t.id) for t in targets if isinstance(t, ast.Name)]
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [(module, name) for module, name in defined
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_the_dead_name_check_sees_an_unread_definition(tmp_path):
+    (tmp_path / "a.py").write_text("X = 1\nY = 2\ndef f():\n    return Y\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("from .a import f\nclass C:\n    pass\n", encoding="utf-8")
+    (tmp_path / "__init__.py").write_text("from .a import X\n__all__ = ['X']\n",
+                                          encoding="utf-8")
+    files = sorted(tmp_path.glob("*.py"))
+    assert _unread_definitions(files) == [("a", "X"), ("b", "C")]
+
+
+def test_every_module_level_name_has_a_reader():
+    unread = _unread_definitions(sorted(Path(SRC, "gbcausal").glob("*.py")))
+    traced = _traced_names()
+    assert [f"{module}.{name}" for module, name in unread
+            if (module, name) not in traced and name not in _KEPT_UNREAD] == []

@@ -169,7 +169,7 @@ class TestPropensity:
         ds = generate(default_spec(dgp_id), 500, Rng(23))
         cf = cross_fit(ds, 5, NuisanceConfig(), Rng(24))
         for k, fit in enumerate(cf.per_fold):
-            idx = cf.folds.complement(k)
+            idx = np.flatnonzero(cf.folds != k)
             raw = expit(feature_matrix(ds.x[idx]) @ fit.propensity_coef)
             assert abs(float(raw.mean()) - float(ds.a[idx].mean())) <= 1e-10
 
@@ -405,7 +405,7 @@ class TestOnePassNewton:
         phi = feature_matrix(ds.x)
         folds = make_folds(ds.n, 5, Rng(6))
         for fold in range(5):
-            idx = folds.complement(fold)
+            idx = np.flatnonzero(folds != fold)
             self._assert_two_pass_fit(phi[idx], ds.a[idx])
 
     @pytest.mark.parametrize("lam", [None, 0.3])
@@ -506,7 +506,7 @@ class TestPenaltyRecord:
         ds = generate(default_spec("D1"), 400, Rng(27))
         cf = cross_fit(ds, 4, NuisanceConfig(), Rng(28))
         for k, fit in enumerate(cf.per_fold):
-            idx = cf.folds.complement(k)
+            idx = np.flatnonzero(cf.folds != k)
             coef, lam = fit_propensity(feature_matrix(ds.x[idx]), ds.a[idx])
             assert lam == fit.lambda_prop
             np.testing.assert_array_equal(fit.propensity_coef, coef)
@@ -567,7 +567,7 @@ class TestCrossFit:
         ds = Dataset(x=x, a=a, y=y)
         cf = cross_fit(ds, 2, NuisanceConfig(), Rng(1))
         assert len(cf.per_fold) == 2
-        assert np.bincount(cf.folds.fold_of).tolist() == [2, 2]
+        assert np.bincount(cf.folds).tolist() == [2, 2]
 
     def test_symmetric_duplicated_rows_give_identical_fold_fits(self):
         # Rows alternate two fixed (x, a, y) profiles and the fold split
@@ -587,7 +587,7 @@ class TestCrossFit:
         ds = generate(default_spec("D1"), 200, Rng(17))
         cf = cross_fit(ds, 4, NuisanceConfig(), Rng(18))
         target_fold = 2
-        idx = cf.folds.indices(target_fold)
+        idx = np.flatnonzero(cf.folds == target_fold)
         y_mod = ds.y.copy()
         y_mod[idx] += 10.0
         # moving the held-out rows' covariates shows the propensity's
@@ -596,7 +596,7 @@ class TestCrossFit:
         x_mod[idx] = 3.0 * x_mod[idx] + 5.0
         ds_mod = Dataset(x=x_mod, a=ds.a, y=y_mod)
         cf_mod = cross_fit(ds_mod, 4, NuisanceConfig(), Rng(18))
-        np.testing.assert_array_equal(cf.folds.fold_of, cf_mod.folds.fold_of)
+        np.testing.assert_array_equal(cf.folds, cf_mod.folds)
         same = cf.per_fold[target_fold]
         other = cf_mod.per_fold[target_fold]
         np.testing.assert_array_equal(same.outcome_coef_treated, other.outcome_coef_treated)
@@ -622,7 +622,7 @@ class TestCrossFit:
         cf = cross_fit(ds, 3, NuisanceConfig(), Rng(22))
         e, m1, m0 = cf.e_hat, cf.m1_hat, cf.m0_hat
         for k in range(3):
-            idx = cf.folds.indices(k)
+            idx = np.flatnonzero(cf.folds == k)
             fit = cf.per_fold[k]
             phi = feature_matrix(ds.x[idx])
             np.testing.assert_array_equal(e[idx], fit.predict_propensity(phi))
