@@ -23,12 +23,10 @@ from .gibbs_ate import (
     vi_posterior,
 )
 from .gibbs_cate import (
-    GpPosterior,
     KernelParams,
-    exact_gp_posterior,
+    exact_gp_resampler,
     kernel_matrix,
-    predict,
-    svgp_fit,
+    sparse_gp_resampler,
 )
 from .nuisance import CrossFit, NuisanceConfig, NuisanceFit, cross_fit
 from .numerics import (
@@ -48,7 +46,6 @@ __all__ = [
     "Dataset",
     "DgpSpec",
     "GaussianPosterior",
-    "GpPosterior",
     "KernelParams",
     "NormalPrior",
     "NuisanceConfig",
@@ -62,7 +59,7 @@ __all__ = [
     "cross_fit",
     "cross_fitted_pseudo",
     "default_spec",
-    "exact_gp_posterior",
+    "exact_gp_resampler",
     "gaussian_tv",
     "generate",
     "gpc_omega",
@@ -71,9 +68,8 @@ __all__ = [
     "make_folds",
     "normal_quantile",
     "plugin_omega",
-    "predict",
     "read_csv",
-    "svgp_fit",
+    "sparse_gp_resampler",
     "vi_posterior",
     "write_csv",
 ]

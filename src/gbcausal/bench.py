@@ -116,7 +116,8 @@ def _memo_fits(key):
 
 
 def _execute(worker, payloads, parallelism):
-    if parallelism and parallelism > 1:
+    workers = min(parallelism or 1, len(payloads))  # a forked pool starts all max_workers
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # One OpenBLAS thread per worker: the pool already fills the cores.
@@ -124,7 +125,7 @@ def _execute(worker, payloads, parallelism):
         # a fork restarts OpenBLAS's thread pool); the initializer pins
         # workers that start from a fresh interpreter.
         with blas_threads(1), ProcessPoolExecutor(
-            max_workers=parallelism, initializer=set_blas_threads, initargs=(1,)
+            max_workers=workers, initializer=set_blas_threads, initargs=(1,)
         ) as pool:
             return list(pool.map(worker, payloads))
     return [worker(p) for p in payloads]

@@ -30,8 +30,8 @@ class Dataset:
         y = np.asarray(self.y, dtype=float).reshape(-1)
         if x.shape[0] != a.shape[0] or a.shape[0] != y.shape[0]:
             raise DomainError("x, a, y must share the same length")
-        if x.shape[0] < 1:
-            raise DomainError("dataset must contain at least one observation")
+        if x.shape[0] < 1 or x.shape[1] < 1:
+            raise DomainError(f"dataset needs at least one row and one covariate, got x {x.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DomainError("covariates and outcomes must be finite")
         # checked before the integer cast, which would truncate 0.5 to 0
@@ -118,7 +118,7 @@ def read_csv(path) -> Dataset:
             raise SchemaError("empty file: expected a header row 'x1,...,xd,a,y'")
         header = header_line.removesuffix("\n").split(",")
         if len(header) < 3 or header[-2:] != ["a", "y"]:
-            raise SchemaError(f"header must end with 'a,y', got {header!r}")
+            raise SchemaError(f"header must be 'x1,...,xd,a,y' with d >= 1, got {header!r}")
         d = len(header) - 2
         expected = [f"x{j + 1}" for j in range(d)]
         if header[:d] != expected:

@@ -7,11 +7,11 @@ n <= 2000) and sparse (the optimal q over inducing values of Titsias 2009).
 Kernel hyperparameters and inducing rows stay at their configured values,
 so no optimizer is run.
 
-Each engine's resampler fit(rows, omega) is the package's one route to a
-CATE posterior, for `fit`, the CATE bench and gpc alike: the moments at
-fixed query rows after a fit to any resample of the rows, the full-data fit
-being the resample that takes every row once. exact_gp_posterior and
-svgp_fit with predict give the same closed forms to library callers.
+Each engine's resampler fit(rows, omega) is the package's one CATE route
+and export: the moments at fixed query rows after a fit to any resample of
+the rows, the full-data fit being the resample that takes every row once.
+exact_gp_posterior and svgp_fit with predict, which no package code calls,
+stay only as the tests' oracles while the benchmark's tracer names them.
 
 A constant mean equal to the average pseudo-outcome is subtracted before
 fitting and added back to predictions.
@@ -139,15 +139,16 @@ def exact_gp_posterior(ds_x, pseudo: np.ndarray, params: KernelParams, omega) ->
 def exact_gp_resampler(params: KernelParams, x, values, x_query):
     """Exact-posterior moments at x_query for any resample of (x, values).
 
-    Returns fit(rows, omega) -> (means, variances): the moments at x_query
-    of exact_gp_posterior fit to covariates x[rows] and pseudo-outcomes
-    values[rows] at this omega. k(x, x) and k(x_query, x) are built once
-    here, and each fit uses only the distinct rows u of `rows`: a row drawn
-    c times enters once with noise (jitter + 1/omega) / c. With S the
-    selection matrix of `rows` and C = S^T S its diagonal of counts, the
-    push-through identity S^T (S K S^T + s^2 I)^-1 S = (K + s^2 C^-1)^-1
-    makes the two the same posterior. Each fit factors that Gram matrix and
-    makes one lower solve of the stacked right-hand sides
+    Returns fit(rows, omega) -> (means, variances): the exact posterior
+    moments at x_query for covariates x[rows] and pseudo-outcomes values[rows]
+    at this omega, which exact_gp_posterior (the tests' oracle while the
+    benchmark's tracer names it) computes directly. k(x, x) and k(x_query, x)
+    are built once here, and each fit uses only the distinct rows u of
+    `rows`: a row drawn c times enters once with noise (jitter + 1/omega) / c.
+    With S the selection matrix of `rows` and C = S^T S its diagonal of
+    counts, the push-through identity S^T (S K S^T + s^2 I)^-1 S =
+    (K + s^2 C^-1)^-1 makes the two the same posterior. Each fit factors that
+    Gram matrix and makes one lower solve of the stacked right-hand sides
     [values - const | k(x_query, x)^T] for the whitened moments.
 
     Memory: k(x, x) lives as long as the resampler, and a fit that draws
@@ -300,8 +301,10 @@ def sparse_gp_resampler(params: KernelParams, x, values, x_query, m_inducing, rn
 
     Returns fit(rows, omega) -> (means, variances): the predictive moments
     at x_query of the optimal q(u) for covariates x[rows] and pseudo-outcomes
-    values[rows], with the inducing rows svgp_fit(x, ..., rng) picks held
-    fixed. C = L_K^-1 K_mn and B = L_K^-1 K_mq are built once here; a row
+    values[rows], with the inducing rows _inducing_basis(x, ..., rng) picks
+    held fixed; svgp_fit with predict (the tests' oracle while the
+    benchmark's tracer names them) computes the full-data fit directly.
+    C = L_K^-1 K_mn and B = L_K^-1 K_mq are built once here; a row
     drawn c times enters P with weight c, so each fit factors one M x M
     matrix over the distinct rows of the resample and reads the moments
     off it with _sparse_moments. The full-data fit is kept per omega, as

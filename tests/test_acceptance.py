@@ -35,7 +35,7 @@ from gbcausal.gibbs_ate import (
     closed_form_posterior,
     vi_posterior,
 )
-from gbcausal.gibbs_cate import KernelParams, exact_gp_posterior, predict, svgp_fit
+from gbcausal.gibbs_cate import KernelParams, exact_gp_resampler, sparse_gp_resampler
 from gbcausal.numerics import Rng
 from gbcausal.pseudo import Strategy, pseudo_values
 
@@ -265,11 +265,11 @@ def test_criterion_09_svgp_matches_exact_gp():
     pv = _pv(values)
     omega = plugin_omega(pv)
     kernel = KernelParams()
-    exact = exact_gp_posterior(x, pv, kernel, omega)
-    gp = svgp_fit(x, pv, kernel, omega, n, rng.derive(1))
     x_query = np.vstack([x, rng.derive(2).normal((50, 2))])
-    want_mean, want_var = exact.predict(x_query)
-    got_mean, got_var = predict(gp, x_query)
+    sparse = sparse_gp_resampler(kernel, x, pv, x_query, n, rng.derive(1))
+    exact = exact_gp_resampler(kernel, x, pv, x_query)
+    want_mean, want_var = exact(np.arange(n), omega)
+    got_mean, got_var = sparse(np.arange(n), omega)
     gap = float(np.max(np.abs(got_mean - want_mean)))
     ratio = np.sqrt(got_var / want_var)
     report(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import math
 import os
@@ -49,6 +50,29 @@ class TestExecute:
             counts = _execute(_worker_blas_counts, range(4), parallelism=2)
         assert len(counts) == 4
         assert all(c and set(c) == {1} for c in counts)
+
+    def test_starts_no_more_workers_than_payloads(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert _execute(abs, [-1, -2], parallelism=6) == [1, 2]
+        assert _execute(abs, [-3, -4, -5], parallelism=2) == [3, 4, 5]
+        assert _execute(abs, [-6], parallelism=6) == [6]  # in this process
+        assert _execute(abs, [], parallelism=6) == []
+        assert started == [2, 2]
 
 
 class TestWilson:

@@ -32,6 +32,7 @@ class TestDataset:
             {"x": [[1.0]], "a": [2], "y": [1.0]},
             {"x": [[1.0]], "a": [0], "y": [np.inf]},
             {"x": np.zeros((0, 1)), "a": [], "y": []},
+            {"x": np.zeros((3, 0)), "a": [0, 1, 0], "y": [1.0, 2.0, 3.0]},
         ],
     )
     def test_invariants_rejected(self, kwargs):
@@ -113,6 +114,12 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,a\n1.0,2.0,1\n", encoding="utf-8")
         with pytest.raises(SchemaError):
+            read_csv(path)
+
+    def test_header_without_covariates_names_the_format(self, tmp_path):
+        path = tmp_path / "ay.csv"
+        path.write_text("a,y\n0,1.0\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"'x1,\.\.\.,xd,a,y' with d >= 1, got \['a', 'y'\]"):
             read_csv(path)
 
     def test_misnamed_covariates_schema_error(self, tmp_path):

@@ -14,6 +14,8 @@ from gbcausal.dgp import default_spec, generate
 from gbcausal.errors import DomainError, NotPositiveDefinite
 from gbcausal.gibbs_cate import (
     KernelParams,
+    _inducing_basis,
+    _whitened_optimum,
     check_exact_n,
     exact_gp_posterior,
     exact_gp_resampler,
@@ -29,6 +31,17 @@ from gbcausal.pseudo import Strategy, cross_fitted_pseudo
 
 def _pv(values):
     return np.asarray(values, dtype=float)
+
+
+def exact_fit(params, x, values, x_query, omega):
+    """Moments at x_query of the exact resampler's full-data fit."""
+    return exact_gp_resampler(params, x, values, x_query)(np.arange(len(values)), omega)
+
+
+def sparse_fit(params, x, values, x_query, omega, m_inducing, rng):
+    """Moments at x_query of the sparse resampler's full-data fit."""
+    fit = sparse_gp_resampler(params, x, values, x_query, m_inducing, rng)
+    return fit(np.arange(len(values)), omega)
 
 
 def matern52_scalar(r, lengthscale, variance):
@@ -151,8 +164,7 @@ class TestExactGp:
     def test_constant_pseudo_outcomes_reproduce_constant(self):
         params = KernelParams()
         x = Rng(1).normal((15, 2))
-        gp = exact_gp_posterior(x, _pv(np.full(15, 3.3)), params, omega=1e6)
-        means, variances = gp.predict(Rng(2).normal((7, 2)))
+        means, variances = exact_fit(params, x, _pv(np.full(15, 3.3)), Rng(2).normal((7, 2)), 1e6)
         # centering makes the residual target exactly zero
         np.testing.assert_allclose(means, 3.3, atol=1e-12)
         assert np.all(variances > 0)
@@ -161,8 +173,7 @@ class TestExactGp:
         params = KernelParams(lengthscale=2.0, variance=2.0, jitter=1e-4)
         omega = 0.7
         x0 = np.array([[0.4, -0.2]])
-        gp = exact_gp_posterior(x0, _pv([1.7]), params, omega)
-        mean, var = gp.predict(x0)
+        mean, var = exact_fit(params, x0, _pv([1.7]), x0, omega)
         k00 = params.variance + params.jitter
         k_q = params.variance  # a cross-covariance carries no jitter
         # const_mean equals the single value, so the mean reduces to it
@@ -174,9 +185,7 @@ class TestExactGp:
         omega = 2.0
         x = np.array([[0.0], [1.0]])
         values = np.array([1.0, 3.0])
-        gp = exact_gp_posterior(x, _pv(values), params, omega)
-        xq = np.array([[0.25]])
-        got_mean, got_var = gp.predict(xq)
+        got_mean, got_var = exact_fit(params, x, _pv(values), np.array([[0.25]]), omega)
         # independent dense-solve oracle built from the hand kernel values
         kd = params.variance + params.jitter
         k01 = matern52_scalar(1.0, 2.0, 2.0)
@@ -192,23 +201,20 @@ class TestExactGp:
     def test_training_variance_below_prior(self):
         params = KernelParams()
         x = Rng(3).normal((30, 2))
-        gp = exact_gp_posterior(x, _pv(Rng(4).normal(30)), params, omega=1.0)
-        _, variances = gp.predict(x)
+        _, variances = exact_fit(params, x, _pv(Rng(4).normal(30)), x, 1.0)
         assert np.all(variances <= params.variance + params.jitter)
 
     def test_far_query_returns_prior_variance(self):
         params = KernelParams()
         x = Rng(5).normal((25, 2))
-        gp = exact_gp_posterior(x, _pv(Rng(6).normal(25)), params, omega=1.0)
-        _, variances = gp.predict(np.array([[60.0, -60.0]]))
+        _, variances = exact_fit(params, x, _pv(Rng(6).normal(25)), np.array([[60.0, -60.0]]), 1.0)
         prior_var = params.variance + params.jitter
         assert abs(variances[0] - prior_var) <= 0.05 * prior_var
 
     def test_predict_at_training_rows_ignores_array_identity(self):
-        x = Rng(9).normal((200, 2))
-        gp = exact_gp_posterior(x, _pv(Rng(10).normal(200)), KernelParams(), omega=1.0)
-        mean_a, var_a = gp.predict(gp.x_train)
-        mean_b, var_b = gp.predict(gp.x_train.copy())
+        x, values = Rng(9).normal((200, 2)), _pv(Rng(10).normal(200))
+        mean_a, var_a = exact_fit(KernelParams(), x, values, x, 1.0)
+        mean_b, var_b = exact_fit(KernelParams(), x, values, x.copy(), 1.0)
         np.testing.assert_array_equal(mean_a, mean_b)
         np.testing.assert_array_equal(var_a, var_b)
 
@@ -216,13 +222,6 @@ class TestExactGp:
         check_exact_n(2000)
         with pytest.raises(DomainError, match="n <= 2000"):
             check_exact_n(2001)
-        x = np.zeros((2001, 1))
-        with pytest.raises(DomainError):
-            exact_gp_posterior(x, _pv(np.zeros(2001)), KernelParams(), 1.0)
-
-    def test_rejects_bad_omega(self):
-        with pytest.raises(DomainError):
-            exact_gp_posterior(np.zeros((2, 1)), _pv([1.0, 2.0]), KernelParams(), 0.0)
 
 
 class TestExactGpResampler:
@@ -451,7 +450,7 @@ class TestSparseGpResampler:
         query = Rng(62).normal((25, 2))
         params = KernelParams()
         fit = sparse_gp_resampler(params, x, values, query, m, Rng(63))
-        z = svgp_fit(x, _pv(values), params, omega, m, Rng(63)).inducing_x
+        z, _, _ = _inducing_basis(params, x, m, Rng(63))
         for b in range(4):
             rows = Rng(64).derive(b).integers(n, n)
             assert np.unique(rows).size < n  # the resample repeats rows
@@ -488,6 +487,10 @@ class TestSparseGpResampler:
 
 
 class TestSvgp:
+    """The sparse posterior as the resampler computes it: its full-data fit,
+    and the whitened optimum of its helpers _inducing_basis and
+    _whitened_optimum."""
+
     def _training_setup(self, n=40, seed=42):
         rng = Rng(seed)
         x = rng.normal((n, 2))
@@ -495,28 +498,28 @@ class TestSvgp:
         omega = 1.0 / float(np.var(values, ddof=1))
         return x, _pv(values), omega
 
+    @staticmethod
+    def _optimum(params, x, pv, omega, m, rng):
+        """Inducing rows, L_K, C = L_K^-1 K_mn, L_P and the whitened mean of
+        the full-data fit, as sparse_gp_resampler builds them."""
+        z, chol_k, c = _inducing_basis(params, x, m, rng)
+        chol_p, v_mean = _whitened_optimum(c, np.ones(pv.size), pv - np.mean(pv), omega)
+        return z, chol_k, c, chol_p, v_mean
+
     def test_full_inducing_matches_exact_gp(self):
         x, pv, omega = self._training_setup(n=40)
         params = KernelParams()
-        exact = exact_gp_posterior(x, pv, params, omega)
-        gp = svgp_fit(x, pv, params, omega, 40, Rng(7))
         xq = Rng(8).normal((50, 2))
-        want_mean, want_var = exact.predict(xq)
-        got_mean, got_var = predict(gp, xq)
+        want_mean, want_var = exact_fit(params, x, pv, xq, omega)
+        got_mean, got_var = sparse_fit(params, x, pv, xq, omega, 40, Rng(7))
         assert np.max(np.abs(got_mean - want_mean)) <= 1e-2
         ratio = np.sqrt(got_var / want_var)
         assert ratio.min() >= 0.9 and ratio.max() <= 1.1
 
-    @pytest.mark.parametrize("omega", [0.0, math.nan])
-    def test_rejects_bad_omega(self, omega):
-        x, pv, _ = self._training_setup(n=20)
-        with pytest.raises(DomainError, match="omega must be positive"):
-            svgp_fit(x, pv, KernelParams(), omega, 5, Rng(7))
-
     def test_constant_pseudo_outcomes(self):
         x = Rng(9).normal((30, 2))
-        gp = svgp_fit(x, _pv(np.full(30, -1.2)), KernelParams(), 1.0, 10, Rng(10))
-        means, variances = predict(gp, Rng(11).normal((20, 2)))
+        means, variances = sparse_fit(KernelParams(), x, _pv(np.full(30, -1.2)),
+                                      Rng(11).normal((20, 2)), 1.0, 10, Rng(10))
         np.testing.assert_allclose(means, -1.2, atol=1e-2)
         assert np.all(variances > 0)
 
@@ -524,11 +527,9 @@ class TestSvgp:
         x, pv, omega = self._training_setup(n=25)
         shift = 3.7
         pv_shift = _pv(pv + shift)
-        gp_a = svgp_fit(x, pv, KernelParams(), omega, 12, Rng(12))
-        gp_b = svgp_fit(x, pv_shift, KernelParams(), omega, 12, Rng(12))
         xq = Rng(13).normal((15, 2))
-        mean_a, var_a = predict(gp_a, xq)
-        mean_b, var_b = predict(gp_b, xq)
+        mean_a, var_a = sparse_fit(KernelParams(), x, pv, xq, omega, 12, Rng(12))
+        mean_b, var_b = sparse_fit(KernelParams(), x, pv_shift, xq, omega, 12, Rng(12))
         np.testing.assert_allclose(mean_b - mean_a, shift, atol=1e-10)
         np.testing.assert_allclose(var_a, var_b, atol=1e-10)
 
@@ -538,54 +539,51 @@ class TestSvgp:
         cf = cross_fit(ds, 5, NuisanceConfig(), Rng(15))
         pv = cross_fitted_pseudo(ds.a, ds.y, cf, Strategy.DR)
         omega = 1.0 / float(np.var(pv, ddof=1))
-        gp = svgp_fit(ds.x, pv, KernelParams(), omega, 20, Rng(16))
         xq = Rng(17).normal((100, 2))
-        means, variances = predict(gp, xq)
+        means, variances = sparse_fit(KernelParams(), ds.x, pv, xq, omega, 20, Rng(16))
         assert np.all(np.isfinite(means))
         assert np.all(variances > 0)
 
     def test_pointwise_cri_has_gaussian_width(self):
         x, pv, omega = self._training_setup(n=20)
-        gp = svgp_fit(x, pv, KernelParams(), omega, 10, Rng(18))
-        means, variances = predict(gp, x[:5])
+        means, variances = sparse_fit(KernelParams(), x, pv, x[:5], omega, 10, Rng(18))
         z = normal_quantile(0.975)
         lo = means - z * np.sqrt(variances)
         hi = means + z * np.sqrt(variances)
         np.testing.assert_allclose(hi - lo, 2 * z * np.sqrt(variances), atol=1e-12)
 
     def test_inducing_bounds(self):
-        x, pv, omega = self._training_setup(n=10)
+        x, _, _ = self._training_setup(n=10)
         with pytest.raises(DomainError):
-            svgp_fit(x, pv, KernelParams(), omega, 0, Rng(0))
+            _inducing_basis(KernelParams(), x, 0, Rng(0))
         with pytest.raises(DomainError):
-            svgp_fit(x, pv, KernelParams(), omega, 11, Rng(0))
+            _inducing_basis(KernelParams(), x, 11, Rng(0))
 
     def test_deterministic_given_rng(self):
         x, pv, omega = self._training_setup(n=15)
-        a = svgp_fit(x, pv, KernelParams(), omega, 8, Rng(20, 5))
-        b = svgp_fit(x, pv, KernelParams(), omega, 8, Rng(20, 5))
-        for name in ("inducing_x", "chol_k", "chol_p", "v_mean"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        assert a.const_mean == b.const_mean and a.kernel == b.kernel
+        a = self._optimum(KernelParams(), x, pv, omega, 8, Rng(20, 5))
+        b = self._optimum(KernelParams(), x, pv, omega, 8, Rng(20, 5))
+        for got, want in zip(a, b):
+            np.testing.assert_array_equal(got, want)
 
     def test_closed_form_is_stationary_point_of_bound(self):
         x, pv, omega = self._training_setup(n=40)
         params = KernelParams()
-        gp = svgp_fit(x, pv, params, omega, 15, Rng(22))
-        chol_k, _ = cholesky_factor(kernel_matrix(params, gp.inducing_x))
-        c = np.linalg.solve(chol_k, kernel_matrix(params, gp.inducing_x, x))
-        y_c = pv - gp.const_mean
+        z, _, _, chol_p, v_mean = self._optimum(params, x, pv, omega, 15, Rng(22))
+        chol_k, _ = cholesky_factor(kernel_matrix(params, z))
+        c = np.linalg.solve(chol_k, kernel_matrix(params, z, x))
+        y_c = pv - np.mean(pv)
         p_mat = np.eye(15) + omega * (c @ c.T)
         # whitened covariance S~ = P^-1 = L_P^-T L_P^-1
-        s_tilde = np.linalg.solve(gp.chol_p.T, np.linalg.solve(gp.chol_p, np.eye(15)))
-        assert np.linalg.norm(p_mat @ gp.v_mean - omega * (c @ y_c)) <= 1e-10
+        s_tilde = np.linalg.solve(chol_p.T, np.linalg.solve(chol_p, np.eye(15)))
+        assert np.linalg.norm(p_mat @ v_mean - omega * (c @ y_c)) <= 1e-10
         assert np.linalg.norm(p_mat @ s_tilde - np.eye(15)) <= 1e-10
 
     def test_q_cov_is_spd(self):
         x, pv, omega = self._training_setup(n=30)
-        gp = svgp_fit(x, pv, KernelParams(), omega, 15, Rng(21))
+        _, chol_k, _, chol_p, _ = self._optimum(KernelParams(), x, pv, omega, 15, Rng(21))
         # q_cov = L_K S~ L_K^T = A^T A with A = L_P^-1 L_K^T
-        a = np.linalg.solve(gp.chol_p, gp.chol_k.T)
+        a = np.linalg.solve(chol_p, chol_k.T)
         eigvals = np.linalg.eigvalsh(a.T @ a)
         assert eigvals.min() > -1e-10
 
@@ -599,7 +597,6 @@ class TestVarianceMonotonicity:
         xq = np.array([[0.3, -0.4]])
         prev = math.inf
         for n in (10, 20, 40, 80, 160):
-            gp = exact_gp_posterior(x_all[:n], _pv(v_all[:n]), params, omega=1.0)
-            _, var = gp.predict(xq)
+            _, var = exact_fit(params, x_all[:n], _pv(v_all[:n]), xq, 1.0)
             assert var[0] <= prev + 1e-12
             prev = var[0]
